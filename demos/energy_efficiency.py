@@ -15,11 +15,9 @@ from hcppnet import (
     HcppParams,
     InterferenceScenario,
     TrafficModel,
-    avg_interference_hcpp,
-    avg_interference_ppp,
     db_to_linear,
     energy_efficiency_quad,
-    first_moment,
+    model_interference,
 )
 from hcppnet.config import DEFAULTS
 
@@ -29,12 +27,9 @@ ENERGY = EnergyModel(eta=0.38, p_rf_chain=0.05, p_sta=45.5, p_link_max=2.0, n_li
 TRAFFIC = TrafficModel(1.8, 2e4, 1e4)
 
 
-def curve(n_t, stream_counts, poisson=False):
+def curve(n_t, stream_counts, model="hcpp"):
     s = InterferenceScenario(HcppParams(LAMBDA_P, 500.0), ChannelParams(db_to_linear(-31.54), 3.8, 6.0), X_OFF, 2.0)
-    if poisson:
-        i_avg, intensity = avg_interference_ppp(s), LAMBDA_P
-    else:
-        i_avg, intensity = avg_interference_hcpp(s), first_moment(s.hcpp)
+    i_avg, intensity, _ = model_interference(model, s)
     return [
         energy_efficiency_quad(AntennaConfig(n_t, k), TRAFFIC, s, ENERGY,
                                i_avg=i_avg, station_intensity=intensity)
@@ -47,7 +42,7 @@ def main():
     print("streams   spacing floor   Poisson   (bit/Hz/J, 8 antennas)")
     streams = list(range(1, 9))
     hc = curve(8, streams)
-    pp = curve(8, streams, poisson=True)
+    pp = curve(8, streams, model="ppp")
     for k, a, b in zip(streams, hc, pp):
         tag = " <- max" if a == max(hc) else ""
         print(f"{k:7d}   {a:13.4f}   {b:7.4f}{tag}")

@@ -17,15 +17,12 @@ from .channel import (
     sample_fading_power,
     sample_shadowing,
     zf_gain_pdf,
-    zf_gain_sample,
 )
 from .config import DEFAULTS, ExperimentConfig, config_from_dict, load_config, validate_config
 from .energy import (
     EnergyModel,
     TrafficModel,
     avg_bs_power,
-    avg_link_power,
-    energy_efficiency,
     energy_efficiency_mc,
     energy_efficiency_quad,
     links_per_bs,
@@ -43,11 +40,11 @@ from .interference import (
     avg_interference_ppp,
     mc_interference,
     mc_interference_ppp,
+    model_interference,
     ring_mean_decay,
 )
 from .point_process import (
     HcppParams,
-    MarkedPoint,
     PointPattern,
     Window,
     first_moment,
@@ -82,7 +79,6 @@ __all__ = [
     "FIGURE_IDS",
     "HcppParams",
     "InterferenceScenario",
-    "MarkedPoint",
     "ParameterError",
     "PointPattern",
     "ResultRow",
@@ -92,10 +88,8 @@ __all__ = [
     "avg_bs_power",
     "avg_interference_hcpp",
     "avg_interference_ppp",
-    "avg_link_power",
     "config_from_dict",
     "db_to_linear",
-    "energy_efficiency",
     "energy_efficiency_mc",
     "energy_efficiency_quad",
     "first_moment",
@@ -106,6 +100,7 @@ __all__ = [
     "mc_interference",
     "mc_interference_ppp",
     "mean_shadowing",
+    "model_interference",
     "pair_retention",
     "path_gain",
     "required_link_power",
@@ -130,6 +125,5 @@ __all__ = [
     "union_area",
     "validate_config",
     "zf_gain_pdf",
-    "zf_gain_sample",
     "zf_precoder",
 ]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import ParameterError
 
@@ -24,7 +24,6 @@ __all__ = [
     "sample_fading_power",
     "sample_fading_matrix",
     "zf_gain_pdf",
-    "zf_gain_sample",
 ]
 
 _LN10_OVER_10 = np.log(10.0) / 10.0
@@ -117,33 +116,14 @@ def zf_gain_pdf(ell, n_t: int, s: int):
 
     With ``n_t`` receive antennas spatially nulling ``s - 1`` co-scheduled
     streams, the surviving gain is Gamma-distributed with shape
-    ``n_t - s + 1`` and unit rate.  Vectorized over ``ell``.
+    ``n_t - s + 1`` and unit rate, written in closed form (exact at
+    ``ell = 0`` for shape 1).  Vectorized over ``ell``.
     """
     if s < 1 or n_t < s:
         raise ParameterError(f"need n_t >= s >= 1, got n_t={n_t}, s={s}")
     ell_arr = np.asarray(ell, dtype=float)
     if np.any(ell_arr < 0):
         raise ParameterError("gain argument must be nonnegative")
-    return stats.gamma.pdf(ell_arr, a=n_t - s + 1)[()]
+    a = n_t - s + 1
+    return np.exp(special.xlogy(a - 1, ell_arr) - ell_arr - special.gammaln(a))[()]
 
-
-def zf_gain_sample(h: np.ndarray, k: int) -> float:
-    """Effective power gain of stream ``k`` under zero-forcing reception.
-
-    Equals the reciprocal of the k-th diagonal entry of ``(h h^+)^{-1}``
-    for an ``s x n_t`` fading matrix ``h`` with ``n_t >= s``.  A singular
-    Gram matrix (probability zero under the fading model) surfaces as
-    ``numpy.linalg.LinAlgError``; callers drawing random matrices should
-    redraw.
-    """
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] > h.shape[1]:
-        raise ParameterError(f"need an s x n_t matrix with n_t >= s, got shape {h.shape}")
-    s = h.shape[0]
-    if not 0 <= k < s:
-        raise ParameterError(f"stream index {k} out of range for s={s}")
-    gram = h @ h.conj().T
-    e_k = np.zeros(s)
-    e_k[k] = 1.0
-    inv_kk = np.linalg.solve(gram, e_k)[k].real
-    return float(1.0 / inv_kk)

@@ -12,17 +12,11 @@ import sys
 
 import numpy as np
 
-from .config import config_from_dict, load_config, validate_config
+from .config import _deep_merge, config_from_dict, load_config, validate_config
 from .energy import energy_efficiency_mc, energy_efficiency_quad
 from .errors import ConfigurationError, DivergenceError, ParameterError
 from .figures import FIGURE_IDS, run_figure
-from .interference import (
-    avg_interference_hcpp,
-    avg_interference_ppp,
-    mc_interference,
-    mc_interference_ppp,
-)
-from .point_process import first_moment
+from .interference import MODELS, model_interference
 from .zf_capacity import (
     spectral_efficiency_bound,
     spectral_efficiency_exact,
@@ -53,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     itf = sub.add_parser("interference", help="mean interference at one operating point")
     itf.add_argument("--config", help="YAML config file")
-    itf.add_argument("--model", choices=("hcpp", "ppp"), default="hcpp")
+    itf.add_argument("--model", choices=MODELS, default="hcpp")
     itf.add_argument("--x-off", type=float, help="user distance from its station, meters")
     itf.add_argument("--delta", type=float, help="minimum station spacing, meters")
     itf.add_argument("--alpha", type=float, help="path-loss exponent")
@@ -72,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     ee = sub.add_parser("ee", help="energy efficiency at one operating point")
     ee.add_argument("--config", help="YAML config file")
-    ee.add_argument("--model", choices=("hcpp", "ppp"), default="hcpp")
+    ee.add_argument("--model", choices=MODELS, default="hcpp")
     ee.add_argument("--n-t", type=int, help="station antennas")
     ee.add_argument("--s", type=int, help="streams (served single-antenna users)")
     ee.add_argument("--x-off", type=float, help="user distance for the energy model, meters")
@@ -117,18 +111,8 @@ def _load(args: argparse.Namespace):
     over = _overrides(args)
     if over:
         # re-validate the merged mapping so overrides obey the same schema
-        merged = _merge(base, over)
+        merged = _deep_merge(base, over)
     return config_from_dict(merged)
-
-
-def _merge(base: dict, override: dict) -> dict:
-    out = dict(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
 
 
 def _emit(payload: dict) -> None:
@@ -149,7 +133,9 @@ def _cmd_figure(args) -> int:
 def _cmd_interference(args) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
-    analytic = avg_interference_hcpp(scenario) if args.model == "hcpp" else avg_interference_ppp(scenario)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    reps = (args.reps or cfg.realizations) if args.mc else None
+    analytic, _, est = model_interference(args.model, scenario, reps, rng)
     payload = {
         "model": args.model,
         "x_off_m": scenario.x_off,
@@ -158,11 +144,7 @@ def _cmd_interference(args) -> int:
         "lambda_p_per_m2": scenario.hcpp.lambda_p,
         "analytic_w": analytic,
     }
-    if args.mc:
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
-        reps = args.reps or cfg.realizations
-        runner = mc_interference if args.model == "hcpp" else mc_interference_ppp
-        est = runner(scenario, reps, rng)
+    if est is not None:
         payload.update(
             {"mc_mean_w": est.mean, "mc_std_error_w": est.std_error, "replications": est.replications}
         )
@@ -195,12 +177,7 @@ def _cmd_se(args) -> int:
 def _cmd_ee(args) -> int:
     cfg = _load(args)
     scenario = cfg.ee_scenario()
-    if args.model == "ppp":
-        i_avg = avg_interference_ppp(scenario)
-        intensity = scenario.hcpp.lambda_p
-    else:
-        i_avg = avg_interference_hcpp(scenario)
-        intensity = first_moment(scenario.hcpp)
+    i_avg, intensity, _ = model_interference(args.model, scenario)
     draws = args.draws or cfg.ee_draws
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
     est = energy_efficiency_mc(

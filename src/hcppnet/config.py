@@ -107,6 +107,19 @@ def _schema() -> dict:
     return json.loads(text)
 
 
+def _structure_problems(user) -> list[str]:
+    """Every schema violation of a user mapping, in path order."""
+    if not isinstance(user, dict):
+        return [f"config root must be a mapping, got {type(user).__name__}"]
+    schema = _schema()
+    validator = jsonschema.validators.validator_for(schema)(schema)
+    errors = sorted(validator.iter_errors(user), key=lambda e: [str(p) for p in e.absolute_path])
+    return [
+        f"config structure invalid at {'/'.join(str(p) for p in e.absolute_path) or '(root)'}: {e.message}"
+        for e in errors
+    ]
+
+
 def _deep_merge(base: dict, override: dict) -> dict:
     merged = copy.deepcopy(base)
     for key, value in override.items():
@@ -132,13 +145,9 @@ def _merge_defaults(user: dict) -> dict:
 def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     """Build a validated config from a (possibly partial) mapping."""
     user = user or {}
-    if not isinstance(user, dict):
-        raise ConfigurationError(f"config root must be a mapping, got {type(user).__name__}")
-    try:
-        jsonschema.validate(user, _schema())
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ConfigurationError(f"config structure invalid at {path}: {exc.message}") from exc
+    problems = _structure_problems(user)
+    if problems:
+        raise ConfigurationError("; ".join(problems))
     raw = _merge_defaults(user)
 
     pp = raw["point_process"]
@@ -213,10 +222,7 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     )
 
 
-def load_config(path: str | None = None) -> ExperimentConfig:
-    """Load a YAML config file; ``None`` gives the pure defaults."""
-    if path is None:
-        return config_from_dict({})
+def _read_yaml(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -224,29 +230,34 @@ def load_config(path: str | None = None) -> ExperimentConfig:
         raise ConfigurationError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file is not valid YAML: {exc}") from exc
-    if data is None:
-        data = {}
-    return config_from_dict(data)
+    return {} if data is None else data
+
+
+def load_config(path: str | None = None) -> ExperimentConfig:
+    """Load a YAML config file; ``None`` gives the pure defaults."""
+    return config_from_dict(None if path is None else _read_yaml(path))
 
 
 def validate_config(source: str | dict | None) -> list[str]:
     """Collect every problem with a config; an empty list means runnable.
 
-    Covers structural errors, parameter-range violations, divergence
-    conditions of the analytic interference mean, and Monte Carlo window
-    adequacy.
+    Covers structural errors (all of them at once), parameter-range
+    violations, divergence conditions of the analytic interference mean,
+    and Monte Carlo window adequacy.
     """
     diagnostics: list[str] = []
     try:
         if isinstance(source, dict) or source is None:
-            cfg = config_from_dict(source or {})
+            user = source or {}
         else:
-            cfg = load_config(source)
+            user = _read_yaml(source)
+        problems = _structure_problems(user)
+        if problems:
+            return problems
+        cfg = config_from_dict(user)
     except (ConfigurationError, ParameterError) as exc:
         return [str(exc)]
 
-    if cfg.channel.alpha <= 2:  # unreachable through ChannelParams; kept for dict edits
-        diagnostics.append(f"alpha={cfg.channel.alpha} makes the interference tail diverge; need alpha > 2")
     if cfg.x_off >= cfg.hcpp.delta:
         diagnostics.append(
             f"interference.x_off={cfg.x_off} is not below delta={cfg.hcpp.delta}; "

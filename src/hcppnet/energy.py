@@ -30,9 +30,7 @@ __all__ = [
     "traffic_sample",
     "required_link_power",
     "links_per_bs",
-    "avg_link_power",
     "avg_bs_power",
-    "energy_efficiency",
     "energy_efficiency_mc",
     "energy_efficiency_quad",
 ]
@@ -153,42 +151,6 @@ def links_per_bs(energy: EnergyModel, station_intensity: float | None = None) ->
     return energy.lambda_m / station_intensity
 
 
-def _link_draws(cfg, tm, scenario, i_avg, draws, rng):
-    rho = traffic_sample(tm, rng, draws)
-    w = sample_shadowing(scenario.channel.sigma_s_db, rng, draws)
-    g = rng.gamma(cfg.gain_shape, 1.0, draws)
-    p = required_link_power(rho, cfg, tm, scenario.channel, w, scenario.x_off, g, i_avg)
-    return rho, p
-
-
-def avg_link_power(
-    cfg: AntennaConfig,
-    tm: TrafficModel,
-    scenario: InterferenceScenario,
-    energy: EnergyModel,
-    draws: int,
-    rng: np.random.Generator,
-    i_avg: float | None = None,
-) -> tuple[float, float]:
-    """Mean transmit power of served links and the outage fraction.
-
-    Joint Monte Carlo over rate demand (Pareto), shadowing (lognormal) and
-    zero-forcing gain (Gamma); draws whose required power exceeds the cap
-    count as outage and are excluded from the power average.  Returns
-    ``(mean power over served draws, outage fraction)``; a run where every
-    draw is in outage reports power 0.
-    """
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
-    if i_avg is None:
-        i_avg = avg_interference_hcpp(scenario)
-    _, p = _link_draws(cfg, tm, scenario, i_avg, draws, rng)
-    served = p <= energy.p_link_max
-    outage = 1.0 - float(served.mean())
-    mean_power = float(p[served].mean()) if served.any() else 0.0
-    return mean_power, outage
-
-
 def avg_bs_power(
     e_pik: float,
     cfg: AntennaConfig,
@@ -238,7 +200,10 @@ def energy_efficiency_mc(
         i_avg = avg_interference_hcpp(scenario)
     if station_intensity is None:
         station_intensity = first_moment(scenario.hcpp)
-    rho, p = _link_draws(cfg, tm, scenario, i_avg, draws, rng)
+    rho = traffic_sample(tm, rng, draws)
+    w = sample_shadowing(scenario.channel.sigma_s_db, rng, draws)
+    g = rng.gamma(cfg.gain_shape, 1.0, draws)
+    p = required_link_power(rho, cfg, tm, scenario.channel, w, scenario.x_off, g, i_avg)
     served = p <= energy.p_link_max
     n_ok = int(served.sum())
     if n_ok == 0:
@@ -260,22 +225,6 @@ def energy_efficiency_mc(
     else:
         std_error = float("inf")
     return Estimate(mean=ee, std_error=std_error, replications=draws)
-
-
-def energy_efficiency(
-    cfg: AntennaConfig,
-    tm: TrafficModel,
-    scenario: InterferenceScenario,
-    energy: EnergyModel,
-    draws: int,
-    rng: np.random.Generator,
-    i_avg: float | None = None,
-    station_intensity: float | None = None,
-) -> float:
-    """Monte Carlo energy efficiency in bits/Hz/Joule (see :func:`energy_efficiency_mc`)."""
-    return energy_efficiency_mc(
-        cfg, tm, scenario, energy, draws, rng, i_avg=i_avg, station_intensity=station_intensity
-    ).mean
 
 
 def _pareto_capped_moments(theta: float, rho_min: float, b: float, rho_star: np.ndarray):
@@ -333,7 +282,7 @@ def energy_efficiency_quad(
     n_shadow: int = 96,
     n_gain: int = 128,
 ) -> float:
-    """Deterministic energy efficiency: quadrature twin of :func:`energy_efficiency`.
+    """Deterministic energy efficiency: quadrature twin of :func:`energy_efficiency_mc`.
 
     Gauss-Hermite nodes cover the lognormal shadowing, generalized
     Gauss-Laguerre nodes the Gamma stream gain, and the capped Pareto rate

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from importlib import metadata as _im
 
 import numpy as np
@@ -21,20 +20,11 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .energy import EnergyModel, TrafficModel, energy_efficiency_mc, energy_efficiency_quad
 from .errors import ConfigurationError, ParameterError
-from .channel import ChannelParams
-from .interference import (
-    InterferenceScenario,
-    avg_interference_hcpp,
-    avg_interference_ppp,
-    mc_interference,
-    mc_interference_ppp,
-)
-from .point_process import HcppParams, Window, first_moment
+from .interference import MODELS, InterferenceScenario, model_interference
+from .point_process import HcppParams, Window
 from .zf_capacity import AntennaConfig, spectral_efficiency_bound, spectral_efficiency_mc
 
 __all__ = ["FIGURE_IDS", "ResultRow", "ResultTable", "run_figure"]
-
-FIGURE_IDS = (2, 3, 4, 6, 7, 8, 9, 10, 11)
 
 WORKERS_ENV = "HCPPNET_WORKERS"
 
@@ -92,61 +82,122 @@ def _rng_for(master: int, figure_id: int, series_idx: int, point_idx: int) -> np
     return np.random.Generator(np.random.PCG64(seq))
 
 
-def _eval_task(task: dict) -> ResultRow:
-    kind = task["kind"]
-    rng = _rng_for(task["master_seed"], task["figure_id"], task["series_idx"], task["point_idx"])
-    reps = task["reps"]
-    if kind == "itf_hcpp":
-        scenario = task["scenario"]
-        window = Window.square(task["window_side"]) if task.get("window_side") else None
-        analytic = avg_interference_hcpp(scenario)
-        est = mc_interference(scenario, reps, rng, window=window)
-        units = "W"
-    elif kind == "itf_ppp":
-        scenario = task["scenario"]
-        window = Window.square(task["window_side"]) if task.get("window_side") else None
-        analytic = avg_interference_ppp(scenario)
-        est = mc_interference_ppp(scenario, reps, rng, window=window)
-        units = "W"
-    elif kind == "se":
-        cfg = task["antennas"]
-        analytic = spectral_efficiency_bound(cfg, task["xi"])
-        est = spectral_efficiency_mc(cfg, task["xi"], reps, rng)
-        units = "bit/s/Hz"
-    elif kind == "ee":
-        cfg = task["antennas"]
-        tm = task["traffic"]
-        scenario = task["scenario"]
-        energy = task["energy"]
-        if task["model"] == "ppp":
-            i_avg = avg_interference_ppp(scenario)
-            intensity = scenario.hcpp.lambda_p
-        else:
-            i_avg = avg_interference_hcpp(scenario)
-            intensity = first_moment(scenario.hcpp)
-        analytic = energy_efficiency_quad(
-            cfg, tm, scenario, energy, i_avg=i_avg, station_intensity=intensity
-        )
-        est = energy_efficiency_mc(
-            cfg, tm, scenario, energy, reps, rng, i_avg=i_avg, station_intensity=intensity
-        )
-        units = "bit/Hz/J"
+@dataclass(frozen=True)
+class Series:
+    """One curve of a figure: its label and what it changes in the configured scenario.
+
+    ``label`` is a format template over the curve's resolved ``model``,
+    ``alpha``, ``delta``, ``lambda_p``, ``theta``, ``n_t`` and ``s``.  Unset
+    fields keep the configured value; ``n_t`` and ``s`` fix the antennas
+    where the sweep axis does not.
+    """
+
+    label: str
+    model: str = "hcpp"
+    alpha: float | None = None
+    delta: float | None = None
+    lambda_scale: float = 1.0
+    theta: float | None = None
+    n_t: int | None = None
+    s: int | None = None
+
+
+@dataclass(frozen=True)
+class FigureSpec:
+    """A figure: the quantity it compares on both routes, its sweep axis and default grid, its curves.
+
+    ``kind`` is ``"itf"`` (mean interference, over ``x_off``), ``"se"``
+    (spectral efficiency, over ``xi``) or ``"ee"`` (energy efficiency, over
+    the stream count ``s`` or the common antenna and stream count ``n``).
+    """
+
+    kind: str
+    axis: str
+    grid: tuple[float, ...]
+    series: tuple[Series, ...]
+
+
+_XI_GRID = tuple(np.logspace(-2.0, 4.0, 13))
+_N_GRID = tuple(float(n) for n in range(1, 17))
+
+FIGURES: dict[int, FigureSpec] = {
+    2: FigureSpec("itf", "x_off", tuple(50.0 * k for k in range(1, 9)), tuple(
+        Series("{model} alpha={alpha:g}", m, alpha=a) for a in (3.4, 3.8, 4.2) for m in MODELS
+    )),
+    3: FigureSpec("itf", "x_off", tuple(40.0 * k for k in range(8)), tuple(
+        Series("hcpp delta={delta:g}", delta=d) for d in (300.0, 400.0, 500.0)
+    )),
+    4: FigureSpec("itf", "x_off", tuple(50.0 * k for k in range(9)), tuple(
+        Series("hcpp lambda_p={lambda_p:.4e}", lambda_scale=f) for f in (0.5, 1.0, 2.0)
+    )),
+    6: FigureSpec("se", "xi", _XI_GRID, tuple(Series("n_t={n_t}", n_t=n, s=1) for n in (2, 4, 8))),
+    7: FigureSpec("se", "xi", _XI_GRID, tuple(Series("s={s}", n_t=8, s=s) for s in (1, 2, 4, 8))),
+    # the grid of a curve stops at its antenna count
+    8: FigureSpec("ee", "s", _N_GRID, tuple(
+        Series("{model} n_t={n_t}", m, n_t=n) for n in (8, 12, 16) for m in MODELS
+    )),
+    # station spacing does not enter the Poisson baseline, so one curve
+    9: FigureSpec("ee", "n", _N_GRID, tuple(
+        Series("hcpp delta={delta:g}", delta=d) for d in (300.0, 400.0, 500.0)
+    ) + (Series("ppp", "ppp"),)),
+    10: FigureSpec("ee", "n", _N_GRID, tuple(
+        Series("{model} theta={theta:g}", m, theta=t) for t in (1.2, 1.5, 1.8) for m in MODELS
+    )),
+    11: FigureSpec("ee", "n", _N_GRID, tuple(
+        Series("{model} alpha={alpha:g}", m, alpha=a) for a in (3.8, 4.0, 4.2) for m in MODELS
+    )),
+}
+
+FIGURE_IDS = tuple(FIGURES)
+
+_UNITS = {"itf": "W", "se": "bit/s/Hz", "ee": "bit/Hz/J"}
+
+
+@dataclass(frozen=True)
+class Task:
+    """One grid point of one curve, with everything both routes need to evaluate it."""
+
+    kind: str
+    label: str
+    seed_key: tuple[int, int, int, int]
+    sweep_value: float
+    reps: int
+    model: str
+    scenario: InterferenceScenario
+    window: Window | None
+    antennas: AntennaConfig | None
+    traffic: TrafficModel
+    energy: EnergyModel
+    i_avg: float | None
+    station_intensity: float | None
+
+
+def _eval_task(task: Task) -> ResultRow:
+    rng = _rng_for(*task.seed_key)
+    if task.kind == "itf":
+        analytic, _, est = model_interference(task.model, task.scenario, task.reps, rng, task.window)
+    elif task.kind == "se":
+        analytic = spectral_efficiency_bound(task.antennas, task.sweep_value)
+        est = spectral_efficiency_mc(task.antennas, task.sweep_value, task.reps, rng)
     else:
-        raise ParameterError(f"unknown task kind {kind!r}")
+        inputs = (task.antennas, task.traffic, task.scenario, task.energy)
+        per_curve = {"i_avg": task.i_avg, "station_intensity": task.station_intensity}
+        analytic = energy_efficiency_quad(*inputs, **per_curve)
+        est = energy_efficiency_mc(*inputs, task.reps, rng, **per_curve)
     return ResultRow(
-        series=task["series"],
-        sweep_value=task["sweep_value"],
+        series=task.label,
+        sweep_value=task.sweep_value,
         analytic=float(analytic),
         mc_mean=est.mean,
         mc_std_error=est.std_error,
         replications=est.replications,
-        units=units,
+        units=_UNITS[task.kind],
     )
 
 
-def _grid(cfg: ExperimentConfig, axis: str, default: list[float]) -> list[float]:
+def _grid(cfg: ExperimentConfig, axis: str, default: tuple[float, ...]) -> list[float]:
     if cfg.sweep_axis is None:
-        return default
+        return list(default)
     if cfg.sweep_axis != axis:
         raise ConfigurationError(
             f"config sweep axis {cfg.sweep_axis!r} does not match this figure's axis {axis!r}"
@@ -154,174 +205,70 @@ def _grid(cfg: ExperimentConfig, axis: str, default: list[float]) -> list[float]
     return list(cfg.sweep_values)
 
 
-def _interference_tasks(figure_id: int, cfg: ExperimentConfig, reps: int) -> tuple[str, list[dict]]:
-    base = cfg.scenario()
-    tasks: list[dict] = []
-    if figure_id == 2:
-        axis = "x_off"
-        grid = _grid(cfg, axis, [50.0 * k for k in range(1, 9)])
-        series_idx = 0
-        for alpha in (3.4, 3.8, 4.2):
-            channel = ChannelParams(base.channel.beta, alpha, base.channel.sigma_s_db)
-            for model in ("hcpp", "ppp"):
-                for point_idx, x in enumerate(grid):
-                    tasks.append(
-                        {
-                            "kind": f"itf_{model}",
-                            "series": f"{model} alpha={alpha:g}",
-                            "series_idx": series_idx,
-                            "point_idx": point_idx,
-                            "sweep_value": x,
-                            "scenario": InterferenceScenario(
-                                base.hcpp, channel, x, base.mean_tx_power
-                            ),
-                            "window_side": cfg.window_side,
-                            "reps": reps,
-                        }
-                    )
-                series_idx += 1
-    elif figure_id == 3:
-        axis = "x_off"
-        grid = _grid(cfg, axis, [40.0 * k for k in range(0, 8)])
-        for series_idx, delta in enumerate((300.0, 400.0, 500.0)):
-            hcpp = HcppParams(base.hcpp.lambda_p, delta)
-            for point_idx, x in enumerate(grid):
-                tasks.append(
-                    {
-                        "kind": "itf_hcpp",
-                        "series": f"hcpp delta={delta:g}",
-                        "series_idx": series_idx,
-                        "point_idx": point_idx,
-                        "sweep_value": x,
-                        "scenario": InterferenceScenario(hcpp, base.channel, x, base.mean_tx_power),
-                        "window_side": cfg.window_side,
-                        "reps": reps,
-                    }
-                )
-    elif figure_id == 4:
-        axis = "x_off"
-        grid = _grid(cfg, axis, [50.0 * k for k in range(0, 9)])
-        for series_idx, factor in enumerate((0.5, 1.0, 2.0)):
-            hcpp = HcppParams(base.hcpp.lambda_p * factor, base.hcpp.delta)
-            for point_idx, x in enumerate(grid):
-                tasks.append(
-                    {
-                        "kind": "itf_hcpp",
-                        "series": f"hcpp lambda_p={hcpp.lambda_p:.4e}",
-                        "series_idx": series_idx,
-                        "point_idx": point_idx,
-                        "sweep_value": x,
-                        "scenario": InterferenceScenario(hcpp, base.channel, x, base.mean_tx_power),
-                        "window_side": cfg.window_side,
-                        "reps": reps,
-                    }
-                )
-    else:
-        raise ParameterError(f"not an interference figure: {figure_id}")
-    return axis, tasks
+def _point(axis: str, series: Series, scenario: InterferenceScenario, value: float):
+    """Scenario and antenna counts at one value of the sweep axis."""
+    if axis == "x_off":
+        return replace(scenario, x_off=value), None
+    if axis == "n":
+        return scenario, AntennaConfig(int(value), int(value))
+    if axis == "s":
+        return scenario, AntennaConfig(series.n_t, int(value))
+    return scenario, AntennaConfig(series.n_t, series.s)  # xi: the curve fixes the antennas
 
 
-def _se_tasks(figure_id: int, cfg: ExperimentConfig, reps: int) -> tuple[str, list[dict]]:
-    axis = "xi"
-    grid = _grid(cfg, axis, list(np.logspace(-2.0, 4.0, 13)))
-    tasks: list[dict] = []
-    if figure_id == 6:
-        serieses = [(f"n_t={n}", AntennaConfig(n, 1)) for n in (2, 4, 8)]
-    else:
-        serieses = [(f"s={s}", AntennaConfig(8, s)) for s in (1, 2, 4, 8)]
-    for series_idx, (label, antennas) in enumerate(serieses):
-        for point_idx, xi in enumerate(grid):
-            tasks.append(
-                {
-                    "kind": "se",
-                    "series": label,
-                    "series_idx": series_idx,
-                    "point_idx": point_idx,
-                    "sweep_value": xi,
-                    "antennas": antennas,
-                    "xi": xi,
-                    "reps": reps,
-                }
-            )
-    return axis, tasks
+def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None, master_seed: int) -> list[Task]:
+    """Expand a figure's spec into its tasks, curve by curve, in grid order.
 
-
-def _ee_tasks(figure_id: int, cfg: ExperimentConfig, reps: int) -> tuple[str, list[dict]]:
-    base = cfg.ee_scenario()
-    tasks: list[dict] = []
-
-    def add(series, series_idx, point_idx, value, antennas, tm, scenario, model):
-        tasks.append(
-            {
-                "kind": "ee",
-                "series": series,
-                "series_idx": series_idx,
-                "point_idx": point_idx,
-                "sweep_value": float(value),
-                "antennas": antennas,
-                "traffic": tm,
-                "scenario": scenario,
-                "energy": cfg.energy,
-                "model": model,
-                "reps": reps,
-            }
+    A curve's index in the spec and a point's index in its grid key the
+    point's random stream.  Energy curves evaluate the mean interference and
+    the station intensity once per curve, since neither depends on the grid.
+    """
+    spec = FIGURES[figure_id]
+    grid = _grid(cfg, spec.axis, spec.grid)
+    base = cfg.ee_scenario() if spec.kind == "ee" else cfg.scenario()
+    reps = reps or {"itf": cfg.realizations, "se": cfg.se_draws, "ee": cfg.ee_draws}[spec.kind]
+    window = Window.square(cfg.window_side) if cfg.window_side else None
+    tasks: list[Task] = []
+    for series_idx, series in enumerate(spec.series):
+        hcpp = HcppParams(base.hcpp.lambda_p * series.lambda_scale, series.delta or base.hcpp.delta)
+        channel = replace(base.channel, alpha=series.alpha or base.channel.alpha)
+        scenario = replace(base, hcpp=hcpp, channel=channel)
+        traffic = replace(cfg.traffic, theta=series.theta or cfg.traffic.theta)
+        label = series.label.format(
+            model=series.model,
+            alpha=channel.alpha,
+            delta=hcpp.delta,
+            lambda_p=hcpp.lambda_p,
+            theta=traffic.theta,
+            n_t=series.n_t,
+            s=series.s,
         )
-
-    if figure_id == 8:
-        axis = "s"
-        series_idx = 0
-        for n_t in (8, 12, 16):
-            grid = [v for v in _grid(cfg, axis, [float(s) for s in range(1, n_t + 1)]) if v <= n_t]
-            if not grid:
-                raise ConfigurationError(f"sweep grid has no feasible stream counts for n_t={n_t}")
-            for model in ("hcpp", "ppp"):
-                for point_idx, s in enumerate(grid):
-                    add(
-                        f"{model} n_t={n_t}",
-                        series_idx,
-                        point_idx,
-                        s,
-                        AntennaConfig(n_t, int(s)),
-                        cfg.traffic,
-                        base,
-                        model,
-                    )
-                series_idx += 1
-        return axis, tasks
-
-    axis = "n"
-    grid = _grid(cfg, axis, [float(n) for n in range(1, 17)])
-    if figure_id == 9:
-        series_idx = 0
-        for delta in (300.0, 400.0, 500.0):
-            hcpp = HcppParams(base.hcpp.lambda_p, delta)
-            scenario = InterferenceScenario(hcpp, base.channel, base.x_off, base.mean_tx_power)
-            for point_idx, n in enumerate(grid):
-                add(f"hcpp delta={delta:g}", series_idx, point_idx, n, AntennaConfig(int(n), int(n)), cfg.traffic, scenario, "hcpp")
-            series_idx += 1
-        # station spacing does not enter the Poisson baseline, so one curve
-        for point_idx, n in enumerate(grid):
-            add("ppp", series_idx, point_idx, n, AntennaConfig(int(n), int(n)), cfg.traffic, base, "ppp")
-    elif figure_id == 10:
-        series_idx = 0
-        for theta in (1.2, 1.5, 1.8):
-            tm = TrafficModel(theta, cfg.traffic.rho_min, cfg.traffic.b_w)
-            for model in ("hcpp", "ppp"):
-                for point_idx, n in enumerate(grid):
-                    add(f"{model} theta={theta:g}", series_idx, point_idx, n, AntennaConfig(int(n), int(n)), tm, base, model)
-                series_idx += 1
-    elif figure_id == 11:
-        series_idx = 0
-        for alpha in (3.8, 4.0, 4.2):
-            channel = ChannelParams(base.channel.beta, alpha, base.channel.sigma_s_db)
-            scenario = InterferenceScenario(base.hcpp, channel, base.x_off, base.mean_tx_power)
-            for model in ("hcpp", "ppp"):
-                for point_idx, n in enumerate(grid):
-                    add(f"{model} alpha={alpha:g}", series_idx, point_idx, n, AntennaConfig(int(n), int(n)), cfg.traffic, scenario, model)
-                series_idx += 1
-    else:
-        raise ParameterError(f"not an energy figure: {figure_id}")
-    return axis, tasks
+        values = [v for v in grid if spec.axis != "s" or v <= series.n_t]
+        if not values:
+            raise ConfigurationError(f"sweep grid has no feasible stream counts for n_t={series.n_t}")
+        i_avg = intensity = None
+        if spec.kind == "ee":
+            i_avg, intensity, _ = model_interference(series.model, scenario)
+        for point_idx, value in enumerate(values):
+            point_scenario, antennas = _point(spec.axis, series, scenario, value)
+            tasks.append(
+                Task(
+                    kind=spec.kind,
+                    label=label,
+                    seed_key=(master_seed, figure_id, series_idx, point_idx),
+                    sweep_value=float(value),
+                    reps=reps,
+                    model=series.model,
+                    scenario=point_scenario,
+                    window=window,
+                    antennas=antennas,
+                    traffic=traffic,
+                    energy=cfg.energy,
+                    i_avg=i_avg,
+                    station_intensity=intensity,
+                )
+            )
+    return tasks
 
 
 def _resolve_workers(workers: int | None, figure_id: int, n_tasks: int) -> int:
@@ -332,7 +279,7 @@ def _resolve_workers(workers: int | None, figure_id: int, n_tasks: int) -> int:
                 workers = int(env)
             except ValueError as exc:
                 raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        elif figure_id in (2, 3, 4):
+        elif FIGURES[figure_id].kind == "itf":
             # pattern-level Monte Carlo dominates these; fan out by default
             workers = min(4, os.cpu_count() or 1)
         else:
@@ -361,17 +308,8 @@ def run_figure(
     if cfg is None:
         cfg = load_config(None)
     master_seed = cfg.seed if seed is None else int(seed)
-
-    if figure_id in (2, 3, 4):
-        axis, tasks = _interference_tasks(figure_id, cfg, reps or cfg.realizations)
-    elif figure_id in (6, 7):
-        axis, tasks = _se_tasks(figure_id, cfg, reps or cfg.se_draws)
-    else:
-        axis, tasks = _ee_tasks(figure_id, cfg, reps or cfg.ee_draws)
-
-    for task in tasks:
-        task["master_seed"] = master_seed
-        task["figure_id"] = figure_id
+    axis = FIGURES[figure_id].axis
+    tasks = _tasks(figure_id, cfg, reps, master_seed)
 
     n_workers = _resolve_workers(workers, figure_id, len(tasks))
     if n_workers > 1:

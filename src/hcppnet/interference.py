@@ -34,7 +34,11 @@ __all__ = [
     "avg_interference_ppp",
     "mc_interference",
     "mc_interference_ppp",
+    "MODELS",
+    "model_interference",
 ]
+
+MODELS = ("hcpp", "ppp")
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,13 @@ class Estimate:
             raise ParameterError(f"replications must be >= 1, got {self.replications}")
         if not self.std_error >= 0:
             raise ParameterError(f"std_error must be nonnegative, got {self.std_error}")
+
+    @classmethod
+    def from_samples(cls, values: np.ndarray) -> "Estimate":
+        """Sample mean of i.i.d. draws with its standard error (``inf`` for one draw)."""
+        n = values.shape[0]
+        std_error = float(values.std(ddof=1) / math.sqrt(n)) if n >= 2 else float("inf")
+        return cls(mean=float(values.mean()), std_error=std_error, replications=n)
 
 
 def ring_mean_decay(r, d: float, alpha: float):
@@ -332,12 +343,30 @@ def mc_interference_ppp(
         w = sample_shadowing(ch.sigma_s_db, stream, dist.size)
         g = sample_fading_power(stream, dist.size)
         values[i] = float(np.sum(ch.beta * w * g * scenario.mean_tx_power * dist**-ch.alpha))
-    est = _summarize(values)
+    est = Estimate.from_samples(values)
     return Estimate(mean=est.mean + tail, std_error=est.std_error, replications=est.replications)
 
 
-def _summarize(values: np.ndarray) -> Estimate:
-    n = values.shape[0]
-    mean = float(values.mean())
-    std_error = float(values.std(ddof=1) / math.sqrt(n)) if n >= 2 else float("inf")
-    return Estimate(mean=mean, std_error=std_error, replications=n)
+def model_interference(
+    model: str,
+    scenario: InterferenceScenario,
+    realizations: int | None = None,
+    rng: np.random.Generator | None = None,
+    window: Window | None = None,
+) -> tuple[float, float, Estimate | None]:
+    """Analytic mean interference, station intensity and Monte Carlo estimate for a station model.
+
+    ``model`` is ``"hcpp"`` (hard-core stations, retained intensity) or
+    ``"ppp"`` (the Poisson baseline, parent intensity).  The Monte Carlo
+    estimator runs only when ``realizations`` is given; otherwise the
+    estimate is ``None``.
+    """
+    if model not in MODELS:
+        raise ParameterError(f"model must be one of {MODELS}, got {model!r}")
+    hcpp = model == "hcpp"
+    analytic = avg_interference_hcpp(scenario) if hcpp else avg_interference_ppp(scenario)
+    intensity = first_moment(scenario.hcpp) if hcpp else scenario.hcpp.lambda_p
+    if realizations is None:
+        return analytic, intensity, None
+    runner = mc_interference if hcpp else mc_interference_ppp
+    return analytic, intensity, runner(scenario, realizations, rng, window=window)

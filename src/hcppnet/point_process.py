@@ -17,7 +17,6 @@ from .errors import ParameterError
 
 __all__ = [
     "Window",
-    "MarkedPoint",
     "PointPattern",
     "HcppParams",
     "sample_ppp",
@@ -74,18 +73,6 @@ class Window:
             & (pts[:, 1] >= self.y_min)
             & (pts[:, 1] <= self.y_max)
         )
-
-
-@dataclass(frozen=True)
-class MarkedPoint:
-    """A planar point carrying a thinning mark in [0, 1]."""
-
-    position: tuple[float, float]
-    mark: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.mark <= 1.0:
-            raise ParameterError(f"mark must lie in [0, 1], got {self.mark}")
 
 
 class PointPattern:
@@ -168,7 +155,7 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> Po
     return PointPattern(pts, window)
 
 
-def matern2_thin(points, delta: float, marks=None, window: Window | None = None) -> PointPattern:
+def matern2_thin(points, delta: float, marks, window: Window | None = None) -> PointPattern:
     """Apply Matern type-II dependent thinning to a marked pattern.
 
     A point survives iff no other point with a strictly smaller mark lies
@@ -178,13 +165,12 @@ def matern2_thin(points, delta: float, marks=None, window: Window | None = None)
 
     Parameters
     ----------
-    points : PointPattern, (n, 2) array_like, or sequence of MarkedPoint
-        Candidate points.  If ``marks`` is None, ``points`` must be a
-        sequence of MarkedPoint carrying its own marks.
+    points : PointPattern or (n, 2) array_like
+        Candidate points.
     delta : float
         Exclusion radius; ``0`` keeps every point.
-    marks : (n,) array_like, optional
-        Thinning marks in [0, 1], required unless ``points`` carries them.
+    marks : (n,) array_like
+        Thinning marks in [0, 1], one per point.
     window : Window, optional
         Window for the result.  Survivors outside it are dropped.  Defaults
         to the input pattern's window, or the bounding box of the input.
@@ -192,24 +178,17 @@ def matern2_thin(points, delta: float, marks=None, window: Window | None = None)
     if delta < 0:
         raise ParameterError(f"delta must be nonnegative, got {delta}")
 
-    if marks is None:
-        if isinstance(points, PointPattern):
-            raise ParameterError("marks are required when thinning a bare PointPattern")
-        seq = list(points)
-        pos = np.array([p.position for p in seq], dtype=float).reshape(len(seq), 2)
-        mk = np.array([p.mark for p in seq], dtype=float)
+    if isinstance(points, PointPattern):
+        if window is None:
+            window = points.window
+        pos = points.points
     else:
-        if isinstance(points, PointPattern):
-            if window is None:
-                window = points.window
-            pos = points.points
-        else:
-            pos = np.asarray(points, dtype=float)
-            if pos.size == 0:
-                pos = pos.reshape(0, 2)
-        mk = np.asarray(marks, dtype=float)
-        if mk.shape != (pos.shape[0],):
-            raise ParameterError(f"need one mark per point, got {mk.shape} for {pos.shape[0]} points")
+        pos = np.asarray(points, dtype=float)
+        if pos.size == 0:
+            pos = pos.reshape(0, 2)
+    mk = np.asarray(marks, dtype=float)
+    if mk.shape != (pos.shape[0],):
+        raise ParameterError(f"need one mark per point, got {mk.shape} for {pos.shape[0]} points")
 
     if mk.size and (mk.min() < 0.0 or mk.max() > 1.0):
         raise ParameterError("marks must lie in [0, 1]")

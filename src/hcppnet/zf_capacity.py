@@ -176,26 +176,18 @@ def spectral_efficiency_mc(
     xi: float,
     draws: int,
     rng: np.random.Generator,
-    exact_matrix: bool = False,
 ) -> Estimate:
     """Monte Carlo spectral efficiency: mean of ``sum_k log2(1 + (xi/s) gain_k)``.
 
-    The default path draws the per-stream gains directly from their Gamma
-    law; ``exact_matrix=True`` instead inverts explicit fading matrices
-    (slower, used to validate the shortcut).
+    The per-stream gains are drawn directly from their Gamma law; the
+    matrix route :func:`sample_zf_gains` validates that shortcut.
     """
     if xi <= 0:
         raise ParameterError(f"xi must be positive, got {xi}")
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    if exact_matrix:
-        gains = sample_zf_gains(cfg, draws, rng)
-    else:
-        gains = rng.gamma(cfg.gain_shape, 1.0, size=(draws, cfg.s))
-    per_draw = np.log2(1.0 + (xi / cfg.s) * gains).sum(axis=1)
-    mean = float(per_draw.mean())
-    std_error = float(per_draw.std(ddof=1) / math.sqrt(draws)) if draws >= 2 else float("inf")
-    return Estimate(mean=mean, std_error=std_error, replications=draws)
+    gains = rng.gamma(cfg.gain_shape, 1.0, size=(draws, cfg.s))
+    return Estimate.from_samples(np.log2(1.0 + (xi / cfg.s) * gains).sum(axis=1))
 
 
 def spectral_efficiency_exact(cfg: AntennaConfig, xi: float, n_nodes: int = 96) -> float:

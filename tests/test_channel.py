@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from hcppnet import (
+    AntennaConfig,
     ChannelParams,
     ParameterError,
     db_to_linear,
@@ -15,8 +16,8 @@ from hcppnet import (
     path_gain,
     sample_fading_matrix,
     sample_shadowing,
+    sample_zf_gains,
     zf_gain_pdf,
-    zf_gain_sample,
 )
 
 BETA = db_to_linear(-31.54)
@@ -99,14 +100,15 @@ def test_zf_gain_pdf_rejects_bad_shapes():
 
 def test_zf_gain_sample_matches_projection_identity():
     # For a single stream (s = 1) the gain is just the squared channel norm.
+    g = sample_zf_gains(AntennaConfig(6, 1), 5, np.random.default_rng(14))
+    # redraw the same channel matrices from the same seed
     rng = np.random.default_rng(14)
-    h = sample_fading_matrix(1, 6, rng)
-    g = zf_gain_sample(h, 0)
-    assert g == pytest.approx(float((np.abs(h) ** 2).sum()), rel=1e-10)
+    h = (rng.standard_normal((5, 1, 6)) + 1j * rng.standard_normal((5, 1, 6))) / np.sqrt(2.0)
+    assert np.allclose(g[:, 0], (np.abs(h) ** 2).sum(axis=(1, 2)), rtol=1e-10, atol=0.0)
 
 
 def test_zf_gain_sample_mean_tracks_shape():
     rng = np.random.default_rng(15)
     n_t, s = 6, 3
-    vals = [zf_gain_sample(sample_fading_matrix(s, n_t, rng), 1) for _ in range(4000)]
+    vals = sample_zf_gains(AntennaConfig(n_t, s), 4000, rng)[:, 1]
     assert np.mean(vals) == pytest.approx(n_t - s + 1, rel=0.05)

@@ -178,3 +178,12 @@ def test_console_entry_point_subprocess(tmp_path):
     second = subprocess.run(cmd, capture_output=True, text=True, cwd=tmp_path, env=env)
     assert second.returncode == 0, second.stderr
     assert out.read_bytes() == content_a
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    code = "import sys, hcppnet.cli; print('scipy.stats' in sys.modules)"
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"

@@ -88,3 +88,11 @@ def test_validate_config_flags_small_window():
 def test_validate_config_reports_structural_errors_as_text():
     diags = validate_config({"traffic": {"theta": 0.5}})
     assert len(diags) == 1 and "theta" in diags[0]
+
+
+def test_validate_config_reports_every_structural_error():
+    diags = validate_config({"traffic": {"theta": "x"}, "channel": {"alpha": "y"}, "bogus": 1})
+    assert len(diags) == 3
+    assert "bogus" in diags[0]  # path order: root, channel/alpha, traffic/theta
+    assert "channel/alpha" in diags[1]
+    assert "traffic/theta" in diags[2]

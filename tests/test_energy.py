@@ -17,14 +17,13 @@ from hcppnet import (
     TrafficModel,
     avg_bs_power,
     avg_interference_hcpp,
-    avg_link_power,
     db_to_linear,
-    energy_efficiency,
     energy_efficiency_mc,
     energy_efficiency_quad,
     links_per_bs,
     path_gain,
     required_link_power,
+    sample_shadowing,
     subchannel_capacity,
     traffic_mean,
     traffic_pdf,
@@ -127,20 +126,31 @@ def test_avg_bs_power_example():
 def test_avg_link_power_outage_fraction_reasonable():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 8)
-    mean_p, outage = avg_link_power(cfg, tm, sc, en, 40000, np.random.default_rng(32))
+    i_avg = avg_interference_hcpp(sc)
+    # the link draws energy_efficiency_mc makes, in its order
+    rng = np.random.default_rng(32)
+    rho = traffic_sample(tm, rng, 40000)
+    w = sample_shadowing(sc.channel.sigma_s_db, rng, 40000)
+    g = rng.gamma(cfg.gain_shape, 1.0, 40000)
+    p = required_link_power(rho, cfg, tm, sc.channel, w, sc.x_off, g, i_avg)
+    served = p <= en.p_link_max
+    mean_p, outage = p[served].mean(), 1.0 - served.mean()
     assert 0.0 < mean_p < en.p_link_max
     assert 0.0 < outage < 0.5
+    # the estimator averages traffic and power over exactly the served draws
+    est = energy_efficiency_mc(cfg, tm, sc, en, 40000, np.random.default_rng(32), i_avg=i_avg)
+    per_link_watts = mean_p / en.eta + cfg.n_t * en.p_rf_chain + en.p_sta / en.n_link
+    assert est.mean == pytest.approx(rho[served].mean() / tm.b_w / per_link_watts, rel=1e-12)
 
 
 def test_avg_link_power_all_outage_degenerate():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 8)
     # Astronomically strong interference forces every draw over the cap.
-    mean_p, outage = avg_link_power(
-        cfg, tm, sc, en, 200, np.random.default_rng(33), i_avg=1.0
-    )
-    assert outage == 1.0
-    assert mean_p == 0.0
+    est = energy_efficiency_mc(cfg, tm, sc, en, 200, np.random.default_rng(33), i_avg=1.0)
+    assert est.mean == 0.0
+    assert est.std_error == 0.0
+    assert est.replications == 200
 
 
 def test_energy_efficiency_quad_matches_mc():
@@ -166,7 +176,7 @@ def test_energy_efficiency_quad_node_convergence():
 def test_energy_efficiency_float_wrapper():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 4)
-    v = energy_efficiency(cfg, tm, sc, en, 20000, np.random.default_rng(35))
+    v = energy_efficiency_mc(cfg, tm, sc, en, 20000, np.random.default_rng(35)).mean
     assert isinstance(v, float) and v > 0
 
 

@@ -8,7 +8,6 @@ from scipy.spatial import cKDTree
 
 from hcppnet import (
     HcppParams,
-    MarkedPoint,
     ParameterError,
     PointPattern,
     Window,
@@ -41,9 +40,10 @@ def test_window_rejects_empty_extent():
 
 
 def test_marked_point_validates_mark():
-    MarkedPoint((0.0, 0.0), 0.5)
+    pts = np.array([[0.0, 0.0]])
+    matern2_thin(pts, 1.0, marks=[0.5])
     with pytest.raises(ParameterError):
-        MarkedPoint((0.0, 0.0), 1.5)
+        matern2_thin(pts, 1.0, marks=[1.5])
 
 
 def test_point_pattern_basic_properties():
@@ -101,8 +101,8 @@ def test_matern_thinning_tie_break_is_deterministic():
 
 
 def test_matern_thinning_accepts_marked_points():
-    mp = [MarkedPoint((0.0, 0.0), 0.9), MarkedPoint((5.0, 0.0), 0.2)]
-    kept = matern2_thin(mp, 10.0)
+    pts = np.array([[0.0, 0.0], [5.0, 0.0]])
+    kept = matern2_thin(pts, 10.0, marks=[0.9, 0.2])
     assert len(kept) == 1
     assert np.allclose(kept.points[0], [5.0, 0.0])
 
