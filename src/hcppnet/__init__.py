@@ -45,7 +45,6 @@ from .interference import (
 )
 from .point_process import (
     HcppParams,
-    PointPattern,
     Window,
     first_moment,
     matern2_thin,
@@ -80,7 +79,6 @@ __all__ = [
     "HcppParams",
     "InterferenceScenario",
     "ParameterError",
-    "PointPattern",
     "ResultRow",
     "ResultTable",
     "TrafficModel",

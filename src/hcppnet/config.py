@@ -156,6 +156,7 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     ant = raw["antennas"]
     tr = raw["traffic"]
     en = raw["energy"]
+    mc = raw["mc"]
     sweep = raw.get("sweep")
 
     hcpp = HcppParams(lambda_p=float(pp["lambda_p"]), delta=float(pp["delta"]))
@@ -175,31 +176,14 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
         n_link=None if en["n_link"] is None else float(en["n_link"]),
     )
 
-    realizations = int(itf["realizations"])
-    if realizations < 1:
-        raise ConfigurationError(f"interference.realizations must be >= 1, got {realizations}")
-    window_side = itf["window_side"]
-    if window_side is not None:
-        window_side = float(window_side)
-        if window_side <= 0:
-            raise ConfigurationError(f"interference.window_side must be positive, got {window_side}")
-
     sweep_axis = None
     sweep_values: tuple[float, ...] | None = None
     if sweep is not None:
         sweep_axis = str(sweep["axis"])
         values = [float(v) for v in sweep["values"]]
-        if not values:
-            raise ConfigurationError("sweep.values must be non-empty")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigurationError("sweep.values must be strictly increasing")
         sweep_values = tuple(values)
-
-    mc = raw["mc"]
-    se_draws = int(mc["se_draws"])
-    ee_draws = int(mc["ee_draws"])
-    if se_draws < 1 or ee_draws < 1:
-        raise ConfigurationError("mc draw counts must be >= 1")
 
     return ExperimentConfig(
         seed=int(raw["seed"]),
@@ -207,14 +191,14 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
         channel=channel,
         x_off=float(itf["x_off"]),
         mean_tx_power=float(itf["mean_tx_power"]),
-        realizations=realizations,
-        window_side=window_side,
+        realizations=int(itf["realizations"]),
+        window_side=None if itf["window_side"] is None else float(itf["window_side"]),
         antennas=antennas,
         traffic=traffic,
         energy=energy,
         ee_x_off=float(en["x_off"]),
-        se_draws=se_draws,
-        ee_draws=ee_draws,
+        se_draws=int(mc["se_draws"]),
+        ee_draws=int(mc["ee_draws"]),
         sweep_axis=sweep_axis,
         sweep_values=sweep_values,
         out_path=raw["output"]["path"],

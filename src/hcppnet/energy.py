@@ -18,8 +18,7 @@ from scipy import special
 
 from .channel import path_gain, sample_shadowing
 from .errors import ConfigurationError, ParameterError
-from .interference import Estimate, InterferenceScenario, avg_interference_hcpp
-from .point_process import first_moment
+from .interference import Estimate, InterferenceScenario
 from .zf_capacity import AntennaConfig
 
 __all__ = [
@@ -182,8 +181,8 @@ def energy_efficiency_mc(
     energy: EnergyModel,
     draws: int,
     rng: np.random.Generator,
-    i_avg: float | None = None,
-    station_intensity: float | None = None,
+    i_avg: float,
+    station_intensity: float,
 ) -> Estimate:
     """Monte Carlo energy efficiency in bits/Hz/Joule, with a standard error.
 
@@ -193,13 +192,12 @@ def energy_efficiency_mc(
     per-link share of the static floor.  Outage draws are excluded from
     both the traffic and the power average.  The standard error propagates
     the sampling covariance of the two served-draw means through the ratio.
+    ``i_avg`` and ``station_intensity`` are the mean interference and the
+    station intensity of one station model, as
+    :func:`~hcppnet.interference.model_interference` returns them.
     """
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    if i_avg is None:
-        i_avg = avg_interference_hcpp(scenario)
-    if station_intensity is None:
-        station_intensity = first_moment(scenario.hcpp)
     rho = traffic_sample(tm, rng, draws)
     w = sample_shadowing(scenario.channel.sigma_s_db, rng, draws)
     g = rng.gamma(cfg.gain_shape, 1.0, draws)
@@ -277,8 +275,8 @@ def energy_efficiency_quad(
     tm: TrafficModel,
     scenario: InterferenceScenario,
     energy: EnergyModel,
-    i_avg: float | None = None,
-    station_intensity: float | None = None,
+    i_avg: float,
+    station_intensity: float,
     n_shadow: int = 96,
     n_gain: int = 128,
 ) -> float:
@@ -290,11 +288,6 @@ def energy_efficiency_quad(
     kinks in the per-node integrands, so the node counts default high;
     halving them moves results by well under a percent.
     """
-    if i_avg is None:
-        i_avg = avg_interference_hcpp(scenario)
-    if station_intensity is None:
-        station_intensity = first_moment(scenario.hcpp)
-
     sigma = scenario.channel.sigma_s_db
     if sigma > 0:
         t, wt = special.roots_hermite(n_shadow)

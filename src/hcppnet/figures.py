@@ -26,8 +26,6 @@ from .zf_capacity import AntennaConfig, spectral_efficiency_bound, spectral_effi
 
 __all__ = ["FIGURE_IDS", "ResultRow", "ResultTable", "run_figure"]
 
-WORKERS_ENV = "HCPPNET_WORKERS"
-
 try:
     _VERSION = _im.version("hcppnet")
 except _im.PackageNotFoundError:
@@ -273,17 +271,8 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None, master_seed:
 
 def _resolve_workers(workers: int | None, figure_id: int, n_tasks: int) -> int:
     if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is not None:
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ConfigurationError(f"{WORKERS_ENV} must be an integer, got {env!r}") from exc
-        elif FIGURES[figure_id].kind == "itf":
-            # pattern-level Monte Carlo dominates these; fan out by default
-            workers = min(4, os.cpu_count() or 1)
-        else:
-            workers = 1
+        # pattern-level Monte Carlo dominates the interference figures; fan those out
+        workers = min(4, os.cpu_count() or 1) if FIGURES[figure_id].kind == "itf" else 1
     if workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {workers}")
     return min(workers, n_tasks)
@@ -299,8 +288,8 @@ def run_figure(
     """Produce the data table behind one figure.
 
     ``reps`` overrides the per-point Monte Carlo effort, ``seed`` the
-    config's master seed, ``workers`` the process fan-out (default: the
-    environment variable, else automatic).  Identical inputs give an
+    config's master seed, ``workers`` the process fan-out (default: up to
+    four for the interference figures, else one).  Identical inputs give an
     identical table regardless of worker count.
     """
     if figure_id not in FIGURE_IDS:
@@ -327,7 +316,7 @@ def run_figure(
         "seed": master_seed,
         "workers_affect_output": False,
         "package_version": _VERSION,
-        "series": sorted({r.series for r in rows}),
+        "series": list(dict.fromkeys(r.series for r in rows)),
         "units": rows[0].units if rows else None,
         "columns": list(ResultTable.CSV_HEADER),
         "config": cfg.raw,

@@ -10,7 +10,7 @@ independent and are held to agree in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, special
@@ -192,6 +192,9 @@ def avg_interference_ppp(scenario: InterferenceScenario) -> float:
     )
 
 
+_MAX_RESAMPLES = 100
+
+
 def _one_realization(
     scenario: InterferenceScenario,
     window: Window,
@@ -201,12 +204,15 @@ def _one_realization(
 ) -> tuple[float, int]:
     """Summed truncated interference over every tagged station, and their count."""
     ch = scenario.channel
-    pat = sample_hcpp(scenario.hcpp, window, rng)
-    sel_mask = selection.contains(pat.points)
-    while not sel_mask.any():  # possible only for tiny windows; resample
-        pat = sample_hcpp(scenario.hcpp, window, rng)
-        sel_mask = selection.contains(pat.points)
-    pts = pat.points
+    for _ in range(_MAX_RESAMPLES):  # an empty selection region is possible only for tiny windows
+        pts = sample_hcpp(scenario.hcpp, window, rng)
+        sel_mask = selection.contains(pts)
+        if sel_mask.any():
+            break
+    else:
+        raise ConfigurationError(
+            f"no station fell in the selection region in {_MAX_RESAMPLES} deployments; enlarge the window"
+        )
     tagged = pts[sel_mask]
     theta = rng.uniform(0.0, 2.0 * np.pi, len(tagged))
     users = tagged + scenario.x_off * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -321,20 +327,10 @@ def mc_interference_ppp(
             f"window inscribed radius {r_trunc:.0f} m does not clear x_off = {scenario.x_off:.0f} m"
         )
     ch = scenario.channel
-    tail = (
-        2.0
-        * math.pi
-        * scenario.hcpp.lambda_p
-        * ch.beta
-        * mean_shadowing(ch.sigma_s_db)
-        * scenario.mean_tx_power
-        * r_trunc ** (2.0 - ch.alpha)
-        / (ch.alpha - 2.0)
-    )
+    tail = avg_interference_ppp(replace(scenario, x_off=r_trunc))
     values = np.empty(realizations)
     for i, stream in enumerate(rng.spawn(realizations)):
-        pat = sample_ppp(scenario.hcpp.lambda_p, window, stream)
-        diff = pat.points - window.center
+        diff = sample_ppp(scenario.hcpp.lambda_p, window, stream) - window.center
         dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
         dist = dist[(dist > scenario.x_off) & (dist <= r_trunc)]
         if dist.size == 0:

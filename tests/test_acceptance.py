@@ -66,8 +66,8 @@ def test_c01_retained_density_within_one_percent():
     parents = sample_ppp(params.lambda_p, guarded, rng)
     assert len(parents) >= 100_000  # expected 1.07e5 at this window size
     marks = rng.random(len(parents))
-    retained = matern2_thin(parents.points, params.delta, marks=marks, window=guarded)
-    inside = retained.restrict(window)
+    retained = matern2_thin(parents, params.delta, marks=marks, window=guarded)
+    inside = retained[window.contains(retained)]
     density = len(inside) / window.area
     target = first_moment(params)
     rel = abs(density - target) / target
@@ -97,8 +97,7 @@ def test_c02_pair_distance_density_histogram():
     rng = np.random.default_rng(1002)
     min_dist = np.inf
     for _ in range(n_patterns):
-        pat = sample_hcpp(params, window, rng)
-        pts = pat.points
+        pts = sample_hcpp(params, window, rng)
         tree = cKDTree(pts)
         pairs = tree.query_pairs(4 * delta, output_type="ndarray")
         if pairs.size == 0:

@@ -40,6 +40,21 @@ def test_out_of_range_values_rejected():
         config_from_dict({"energy": {"eta": 0.0}})
 
 
+@pytest.mark.parametrize(
+    "user",
+    [
+        {"interference": {"realizations": 0}},
+        {"interference": {"window_side": 0.0}},
+        {"sweep": {"axis": "s", "values": []}},
+        {"mc": {"se_draws": 0}},
+        {"mc": {"ee_draws": 0}},
+    ],
+)
+def test_schema_rejects_empty_counts_and_sweeps(user):
+    with pytest.raises(ConfigurationError, match="config structure invalid"):
+        config_from_dict(user)
+
+
 def test_link_count_override_retires_the_other_source():
     cfg = config_from_dict({"energy": {"lambda_m": 1e-5}})
     assert cfg.energy.lambda_m == 1e-5

@@ -16,11 +16,11 @@ from hcppnet import (
     ParameterError,
     TrafficModel,
     avg_bs_power,
-    avg_interference_hcpp,
     db_to_linear,
     energy_efficiency_mc,
     energy_efficiency_quad,
     links_per_bs,
+    model_interference,
     path_gain,
     required_link_power,
     sample_shadowing,
@@ -126,7 +126,7 @@ def test_avg_bs_power_example():
 def test_avg_link_power_outage_fraction_reasonable():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 8)
-    i_avg = avg_interference_hcpp(sc)
+    i_avg, intensity, _ = model_interference("hcpp", sc)
     # the link draws energy_efficiency_mc makes, in its order
     rng = np.random.default_rng(32)
     rho = traffic_sample(tm, rng, 40000)
@@ -138,7 +138,7 @@ def test_avg_link_power_outage_fraction_reasonable():
     assert 0.0 < mean_p < en.p_link_max
     assert 0.0 < outage < 0.5
     # the estimator averages traffic and power over exactly the served draws
-    est = energy_efficiency_mc(cfg, tm, sc, en, 40000, np.random.default_rng(32), i_avg=i_avg)
+    est = energy_efficiency_mc(cfg, tm, sc, en, 40000, np.random.default_rng(32), i_avg, intensity)
     per_link_watts = mean_p / en.eta + cfg.n_t * en.p_rf_chain + en.p_sta / en.n_link
     assert est.mean == pytest.approx(rho[served].mean() / tm.b_w / per_link_watts, rel=1e-12)
 
@@ -146,8 +146,9 @@ def test_avg_link_power_outage_fraction_reasonable():
 def test_avg_link_power_all_outage_degenerate():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 8)
+    _, intensity, _ = model_interference("hcpp", sc)
     # Astronomically strong interference forces every draw over the cap.
-    est = energy_efficiency_mc(cfg, tm, sc, en, 200, np.random.default_rng(33), i_avg=1.0)
+    est = energy_efficiency_mc(cfg, tm, sc, en, 200, np.random.default_rng(33), 1.0, intensity)
     assert est.mean == 0.0
     assert est.std_error == 0.0
     assert est.replications == 200
@@ -156,9 +157,9 @@ def test_avg_link_power_all_outage_degenerate():
 def test_energy_efficiency_quad_matches_mc():
     tm, en, sc = default_models()
     for cfg in (AntennaConfig(8, 4), AntennaConfig(8, 8), AntennaConfig(4, 4)):
-        i_avg = avg_interference_hcpp(sc)
-        quad = energy_efficiency_quad(cfg, tm, sc, en, i_avg=i_avg)
-        est = energy_efficiency_mc(cfg, tm, sc, en, 150_000, np.random.default_rng(34), i_avg=i_avg)
+        i_avg, intensity, _ = model_interference("hcpp", sc)
+        quad = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity)
+        est = energy_efficiency_mc(cfg, tm, sc, en, 150_000, np.random.default_rng(34), i_avg, intensity)
         assert abs(quad - est.mean) <= 3.5 * est.std_error
         assert est.std_error < 0.01 * est.mean
 
@@ -166,9 +167,10 @@ def test_energy_efficiency_quad_matches_mc():
 def test_energy_efficiency_quad_node_convergence():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 4)
-    coarse = energy_efficiency_quad(cfg, tm, sc, en, n_shadow=48, n_gain=64)
-    fine = energy_efficiency_quad(cfg, tm, sc, en, n_shadow=144, n_gain=192)
-    default = energy_efficiency_quad(cfg, tm, sc, en)
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+    coarse = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity, n_shadow=48, n_gain=64)
+    fine = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity, n_shadow=144, n_gain=192)
+    default = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity)
     assert default == pytest.approx(fine, rel=2e-3)
     assert coarse == pytest.approx(fine, rel=1e-2)
 
@@ -176,7 +178,8 @@ def test_energy_efficiency_quad_node_convergence():
 def test_energy_efficiency_float_wrapper():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 4)
-    v = energy_efficiency_mc(cfg, tm, sc, en, 20000, np.random.default_rng(35)).mean
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+    v = energy_efficiency_mc(cfg, tm, sc, en, 20000, np.random.default_rng(35), i_avg, intensity).mean
     assert isinstance(v, float) and v > 0
 
 
@@ -186,9 +189,9 @@ def test_energy_efficiency_zero_shadowing_spread():
         HcppParams(LAMBDA_P, 500.0), ChannelParams(BETA, 3.8, 0.0), 215.0, 2.0
     )
     cfg = AntennaConfig(8, 4)
-    i_avg = avg_interference_hcpp(sc)
-    quad = energy_efficiency_quad(cfg, tm, sc, en, i_avg=i_avg)
-    est = energy_efficiency_mc(cfg, tm, sc, en, 120_000, np.random.default_rng(36), i_avg=i_avg)
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+    quad = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity)
+    est = energy_efficiency_mc(cfg, tm, sc, en, 120_000, np.random.default_rng(36), i_avg, intensity)
     assert abs(quad - est.mean) <= 3.5 * est.std_error
 
 
@@ -198,7 +201,7 @@ def test_energy_efficiency_heavier_traffic_tail_carries_more_bits():
     tm_heavy, en, sc = default_models(theta=1.2)
     tm_light, _, _ = default_models(theta=1.8)
     cfg = AntennaConfig(8, 8)
-    i_avg = avg_interference_hcpp(sc)
-    assert energy_efficiency_quad(cfg, tm_heavy, sc, en, i_avg=i_avg) > energy_efficiency_quad(
-        cfg, tm_light, sc, en, i_avg=i_avg
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+    assert energy_efficiency_quad(cfg, tm_heavy, sc, en, i_avg, intensity) > energy_efficiency_quad(
+        cfg, tm_light, sc, en, i_avg, intensity
     )

@@ -2,7 +2,8 @@
 
 The hashes pin the exact output of ``run_figure(id, reps=3, seed=7, workers=1)``
 so that a refactor of the sweep machinery cannot silently change row order,
-labels, per-point seeds or values.  ``package_version`` is not pinned: it
+labels, per-point seeds or values.  The metadata lists the curve labels in
+CSV row order.  ``package_version`` is not pinned: it
 differs between a source checkout and an installed copy.
 """
 
@@ -10,14 +11,14 @@ import hashlib
 
 import pytest
 
-from hcppnet.figures import FIGURE_IDS, run_figure
+from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
 
 GOLDEN = {
     2: (
         "6ff07c824eb2e91674250e8f51e387f79cabe2c981b76f0baf091ea2beb5fed3",
         48,
         "x_off",
-        ["hcpp alpha=3.4", "hcpp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=3.4", "ppp alpha=3.8", "ppp alpha=4.2"],
+        ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
         "dd24701bf75eb8c98876fb1197972aecbdf478d3e727566636dc4ea97eb02900",
@@ -47,7 +48,7 @@ GOLDEN = {
         "87b5c9cad449af8a901bbb5ffc6552443a6082f6fc9e05b5b73fbaf33213faab",
         72,
         "s",
-        ["hcpp n_t=12", "hcpp n_t=16", "hcpp n_t=8", "ppp n_t=12", "ppp n_t=16", "ppp n_t=8"],
+        ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
         "a0d66036487a0e196320ec65164b49e67cf05917ab1c4e0d462f737dcd8ba0c2",
@@ -59,13 +60,13 @@ GOLDEN = {
         "ea2abb8e0f591992acbd0d5e49fc5b3f5a49e59989af2f3f3630b85eb939dcf9",
         96,
         "n",
-        ["hcpp theta=1.2", "hcpp theta=1.5", "hcpp theta=1.8", "ppp theta=1.2", "ppp theta=1.5", "ppp theta=1.8"],
+        ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
         "1434458050f32506643c27343738e3c72d18eccfa5106ddc7b44e38f2bf5b734",
         96,
         "n",
-        ["hcpp alpha=3.8", "hcpp alpha=4", "hcpp alpha=4.2", "ppp alpha=3.8", "ppp alpha=4", "ppp alpha=4.2"],
+        ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
 }
 
@@ -85,3 +86,9 @@ def test_figure_csv_bytes_are_golden(figure_id, tmp_path):
     assert table.metadata["series"] == series
     assert table.metadata["seed"] == 7
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_worker_count_ignores_the_environment(monkeypatch):
+    monkeypatch.setenv("HCPPNET_WORKERS", "not a number")
+    assert _resolve_workers(None, 6, 39) == 1
+    assert _resolve_workers(3, 6, 39) == 3

@@ -21,7 +21,7 @@ from hcppnet import (
     mean_shadowing,
     second_moment,
 )
-from hcppnet.interference import ring_mean_decay
+from hcppnet.interference import _one_realization, ring_mean_decay
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -142,6 +142,14 @@ def test_mc_stream_stability_under_extension():
 def test_mc_rejects_undersized_window():
     with pytest.raises(ConfigurationError):
         mc_interference(scenario(300.0), 10, np.random.default_rng(1), window=Window.square(5000.0))
+
+
+def test_empty_selection_region_gives_up_after_bounded_resamples():
+    # a selection region no station can reach: the sampler must stop retrying
+    window = Window.square(10000.0)
+    unreachable = Window(1e9, 1e9 + 1.0, 0.0, 1.0)
+    with pytest.raises(ConfigurationError, match="selection region"):
+        _one_realization(scenario(300.0), window, unreachable, 3500.0, np.random.default_rng(4))
 
 
 def test_ppp_closed_form_value():

@@ -2,14 +2,16 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from hcppnet import (
     HcppParams,
     ParameterError,
-    PointPattern,
     Window,
     first_moment,
     matern2_thin,
@@ -41,24 +43,13 @@ def test_window_rejects_empty_extent():
 
 def test_marked_point_validates_mark():
     pts = np.array([[0.0, 0.0]])
-    matern2_thin(pts, 1.0, marks=[0.5])
-    with pytest.raises(ParameterError):
-        matern2_thin(pts, 1.0, marks=[1.5])
-
-
-def test_point_pattern_basic_properties():
     w = Window.square(10.0)
-    pts = np.array([[0.0, 0.0], [3.0, 4.0], [-2.0, 1.0]])
-    pat = PointPattern(pts, w)
-    assert len(pat) == 3
-    assert pat.intensity() == pytest.approx(3 / 100.0)
-    assert pat.min_pairwise_distance() == pytest.approx(math.hypot(2.0, 1.0))
-
-
-def test_point_pattern_rejects_outside_points():
-    w = Window.square(10.0)
+    matern2_thin(pts, 1.0, marks=[0.5], window=w)
     with pytest.raises(ParameterError):
-        PointPattern(np.array([[50.0, 0.0]]), w)
+        matern2_thin(pts, 1.0, marks=[1.5], window=w)
+    for bad in (np.zeros(3), np.zeros((2, 3))):  # not one (x, y) row per point
+        with pytest.raises(ParameterError):
+            matern2_thin(bad, 1.0, marks=np.full(len(bad), 0.5), window=w)
 
 
 def test_sample_ppp_count_and_bounds():
@@ -67,8 +58,8 @@ def test_sample_ppp_count_and_bounds():
     counts = [len(sample_ppp(1e-4, w, rng)) for _ in range(200)]
     expected = 1e-4 * w.area  # 400
     assert np.mean(counts) == pytest.approx(expected, rel=0.05)
-    pat = sample_ppp(1e-4, w, rng)
-    assert w.contains(pat.points).all()
+    pts = sample_ppp(1e-4, w, rng)
+    assert w.contains(pts).all()
 
 
 def test_matern_thinning_enforces_hard_core():
@@ -76,8 +67,8 @@ def test_matern_thinning_enforces_hard_core():
     w = Window.square(5000.0)
     parents = sample_ppp(LAMBDA_P * 50, w, rng)
     marks = rng.random(len(parents))
-    thinned = matern2_thin(parents.points, 400.0, marks=marks, window=w)
-    assert thinned.min_pairwise_distance() > 400.0
+    thinned = matern2_thin(parents, 400.0, marks=marks, window=w)
+    assert len(cKDTree(thinned).query_pairs(400.0)) == 0
     assert len(thinned) > 0
 
 
@@ -89,7 +80,7 @@ def test_matern_thinning_uses_all_parents_not_survivors():
     w = Window.square(1000.0)
     kept = matern2_thin(pts, 150.0, marks=marks, window=w)
     assert len(kept) == 1
-    assert np.allclose(kept.points[0], [100.0, 0.0])
+    assert np.allclose(kept[0], [100.0, 0.0])
 
 
 def test_matern_thinning_tie_break_is_deterministic():
@@ -97,21 +88,22 @@ def test_matern_thinning_tie_break_is_deterministic():
     marks = np.array([0.3, 0.3])
     kept = matern2_thin(pts, 50.0, marks=marks, window=Window.square(100.0))
     assert len(kept) == 1
-    assert np.allclose(kept.points[0], [0.0, 0.0])  # earlier index wins ties
+    assert np.allclose(kept[0], [0.0, 0.0])  # earlier index wins ties
 
 
 def test_matern_thinning_accepts_marked_points():
     pts = np.array([[0.0, 0.0], [5.0, 0.0]])
-    kept = matern2_thin(pts, 10.0, marks=[0.9, 0.2])
+    kept = matern2_thin(pts, 10.0, marks=[0.9, 0.2], window=Window.square(100.0))
     assert len(kept) == 1
-    assert np.allclose(kept.points[0], [5.0, 0.0])
+    assert np.allclose(kept[0], [5.0, 0.0])
 
 
 def test_matern_thinning_delta_zero_keeps_everything():
     rng = np.random.default_rng(3)
-    pat = sample_ppp(1e-5, Window.square(3000.0), rng)
-    kept = matern2_thin(pat.points, 0.0, marks=rng.random(len(pat)), window=pat.window)
-    assert len(kept) == len(pat)
+    w = Window.square(3000.0)
+    pts = sample_ppp(1e-5, w, rng)
+    kept = matern2_thin(pts, 0.0, marks=rng.random(len(pts)), window=w)
+    assert len(kept) == len(pts)
 
 
 def test_sample_hcpp_guard_removes_edge_bias():
@@ -126,8 +118,7 @@ def test_sample_hcpp_guard_removes_edge_bias():
     reps = 120
     inner = Window(w.x_min + 600.0, w.x_max - 600.0, w.y_min + 600.0, w.y_max - 600.0)
     for _ in range(reps):
-        pat = sample_hcpp(params, w, rng)
-        mask = inner.contains(pat.points)
+        mask = inner.contains(sample_hcpp(params, w, rng))
         inner_counts += mask.sum()
         edge_counts += (~mask).sum()
     edge_area = w.area - inner.area
@@ -231,18 +222,61 @@ def test_thinned_pattern_density_short():
     assert total / (reps * w.area) == pytest.approx(zeta, rel=0.03)
 
 
-def test_restrict_keeps_only_inner_points():
-    rng = np.random.default_rng(6)
-    pat = sample_ppp(1e-5, Window.square(4000.0), rng)
-    inner = Window.square(2000.0)
-    sub = pat.restrict(inner)
-    assert inner.contains(sub.points).all()
-    assert len(sub) <= len(pat)
-
-
 def test_no_close_pairs_after_thinning_kdtree():
     rng = np.random.default_rng(7)
     params = HcppParams(LAMBDA_P * 10, 350.0)
-    pat = sample_hcpp(params, Window.square(20000.0), rng)
-    tree = cKDTree(pat.points)
+    pts = sample_hcpp(params, Window.square(20000.0), rng)
+    tree = cKDTree(pts)
     assert len(tree.query_pairs(350.0)) == 0
+
+
+# Pair retention over wide parameter ranges.  The closed form cancels for
+# small lambda_p * pi * delta^2; these pin the result against its invariants
+# and against a high-precision evaluation of the same formula.
+
+log_delta = st.floats(min_value=-3.0, max_value=4.0)
+log_lambda = st.floats(min_value=-12.0, max_value=-2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_delta, log_lambda, st.floats(min_value=1.0, max_value=4.0, exclude_min=True))
+def test_pair_retention_is_a_probability(ld, ll, u):
+    delta = 10.0**ld
+    phi = pair_retention(u * delta, HcppParams(10.0**ll, delta))
+    assert 0.0 <= phi <= 1.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_delta, log_lambda, st.floats(min_value=2.0, max_value=10.0))
+def test_pair_retention_factorizes_beyond_twice_delta(ld, ll, u):
+    params = HcppParams(10.0**ll, 10.0**ld)
+    phi = pair_retention(u * params.delta, params)
+    assert phi == pytest.approx((first_moment(params) / params.lambda_p) ** 2, rel=1e-12)
+
+
+def _pair_retention_mp(r, lam, delta):
+    # phi = 2 (q(lam c) - q(lam v)) / (lam (v - c)), q(y) = (1 - e^-y) / y, in 50 digits
+    with mpmath.workdps(50):
+        r, lam, delta = mpmath.mpf(r), mpmath.mpf(lam), mpmath.mpf(delta)
+        core = mpmath.pi * delta**2
+        lens = 2 * delta**2 * mpmath.acos(min(r / (2 * delta), 1)) - r * mpmath.sqrt(
+            max(delta**2 - r**2 / 4, 0)
+        )
+        v = 2 * core - lens
+        q = lambda y: -mpmath.expm1(-y) / y  # noqa: E731
+        return float(2 * (q(lam * core) - q(lam * v)) / (lam * (v - core)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(min_value=-4.0, max_value=2.5), st.floats(min_value=1.0, max_value=4.0, exclude_min=True))
+@example(-3.0, 1.5)
+@example(-1.0, 1.5)
+@example(-1.0, 2.5)
+def test_pair_retention_small_delta_matches_high_precision(ld, u):
+    delta = 10.0**ld
+    r = u * delta
+    if r <= delta:
+        return  # u * delta rounded onto the exclusion radius
+    assert pair_retention(r, HcppParams(LAMBDA_P, delta)) == pytest.approx(
+        _pair_retention_mp(r, LAMBDA_P, delta), rel=1e-12
+    )
