@@ -10,24 +10,19 @@ efficiency model, plus a CLI that reproduces the standard figure sweeps.
 from .channel import (
     ChannelParams,
     db_to_linear,
-    linear_to_db,
     mean_shadowing,
     path_gain,
-    sample_fading_matrix,
     sample_fading_power,
     sample_shadowing,
-    zf_gain_pdf,
 )
 from .config import DEFAULTS, ExperimentConfig, config_from_dict, load_config, validate_config
 from .energy import (
     EnergyModel,
     TrafficModel,
-    avg_bs_power,
     energy_efficiency_mc,
     energy_efficiency_quad,
     links_per_bs,
     required_link_power,
-    traffic_mean,
     traffic_pdf,
     traffic_sample,
 )
@@ -41,7 +36,6 @@ from .interference import (
     mc_interference,
     mc_interference_ppp,
     model_interference,
-    ring_mean_decay,
 )
 from .point_process import (
     HcppParams,
@@ -57,13 +51,10 @@ from .point_process import (
 from .zf_capacity import (
     AntennaConfig,
     sample_zf_gains,
-    sinr_factor,
     spectral_efficiency_bound,
     spectral_efficiency_exact,
     spectral_efficiency_mc,
     subchannel_capacity,
-    tx_power,
-    zf_precoder,
 )
 
 __all__ = [
@@ -83,7 +74,6 @@ __all__ = [
     "ResultTable",
     "TrafficModel",
     "Window",
-    "avg_bs_power",
     "avg_interference_hcpp",
     "avg_interference_ppp",
     "config_from_dict",
@@ -91,7 +81,6 @@ __all__ = [
     "energy_efficiency_mc",
     "energy_efficiency_quad",
     "first_moment",
-    "linear_to_db",
     "links_per_bs",
     "load_config",
     "matern2_thin",
@@ -102,26 +91,19 @@ __all__ = [
     "pair_retention",
     "path_gain",
     "required_link_power",
-    "ring_mean_decay",
     "run_figure",
-    "sample_fading_matrix",
     "sample_fading_power",
     "sample_hcpp",
     "sample_ppp",
     "sample_shadowing",
     "sample_zf_gains",
     "second_moment",
-    "sinr_factor",
     "spectral_efficiency_bound",
     "spectral_efficiency_exact",
     "spectral_efficiency_mc",
     "subchannel_capacity",
-    "traffic_mean",
     "traffic_pdf",
     "traffic_sample",
-    "tx_power",
     "union_area",
     "validate_config",
-    "zf_gain_pdf",
-    "zf_precoder",
 ]

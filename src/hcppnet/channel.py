@@ -1,8 +1,7 @@
 """Link-level channel primitives.
 
 Covers the large-scale pieces (power-law distance loss, lognormal
-shadowing), small-scale Rayleigh fading matrices, and the effective-gain
-distribution seen by each stream after zero-forcing reception.
+shadowing) and small-scale Rayleigh fading power gains.
 """
 
 from __future__ import annotations
@@ -10,20 +9,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError
 
 __all__ = [
     "ChannelParams",
     "db_to_linear",
-    "linear_to_db",
     "path_gain",
     "sample_shadowing",
     "mean_shadowing",
     "sample_fading_power",
-    "sample_fading_matrix",
-    "zf_gain_pdf",
 ]
 
 _LN10_OVER_10 = np.log(10.0) / 10.0
@@ -62,13 +57,6 @@ def db_to_linear(x_db):
     return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)[()]
 
 
-def linear_to_db(x):
-    x_arr = np.asarray(x, dtype=float)
-    if np.any(x_arr <= 0):
-        raise ParameterError("dB conversion needs positive values")
-    return (10.0 * np.log10(x_arr))[()]
-
-
 def path_gain(params: ChannelParams, distance):
     """Deterministic power loss ``beta * distance**(-alpha)``; vectorized over distance."""
     d = np.asarray(distance, dtype=float)
@@ -96,34 +84,3 @@ def mean_shadowing(sigma_s_db: float) -> float:
 def sample_fading_power(rng: np.random.Generator, size=None):
     """Squared-envelope Rayleigh fading: unit-mean exponential power gains."""
     return rng.exponential(1.0, size)
-
-
-def sample_fading_matrix(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:
-    """Rayleigh fading matrix with i.i.d. unit-variance complex Gaussian entries.
-
-    Real and imaginary parts each carry variance 1/2 so the per-entry power
-    E|h|^2 equals one.
-    """
-    if n_rows < 1 or n_cols < 1:
-        raise ParameterError(f"matrix dimensions must be positive, got {n_rows}x{n_cols}")
-    re = rng.standard_normal((n_rows, n_cols))
-    im = rng.standard_normal((n_rows, n_cols))
-    return (re + 1j * im) / np.sqrt(2.0)
-
-
-def zf_gain_pdf(ell, n_t: int, s: int):
-    """Density of the per-stream effective power gain after zero forcing.
-
-    With ``n_t`` receive antennas spatially nulling ``s - 1`` co-scheduled
-    streams, the surviving gain is Gamma-distributed with shape
-    ``n_t - s + 1`` and unit rate, written in closed form (exact at
-    ``ell = 0`` for shape 1).  Vectorized over ``ell``.
-    """
-    if s < 1 or n_t < s:
-        raise ParameterError(f"need n_t >= s >= 1, got n_t={n_t}, s={s}")
-    ell_arr = np.asarray(ell, dtype=float)
-    if np.any(ell_arr < 0):
-        raise ParameterError("gain argument must be nonnegative")
-    a = n_t - s + 1
-    return np.exp(special.xlogy(a - 1, ell_arr) - ell_arr - special.gammaln(a))[()]
-

@@ -1,6 +1,7 @@
 """Command-line front end: figure sweeps, single-point queries, config checks.
 
-Exit codes: 0 success, 2 usage error, 3 configuration error, 4 numerical or
+Exit codes: 0 success, 2 usage error, 3 configuration error (including an
+unreadable config file or an unwritable output path), 4 numerical or
 divergence error.
 """
 
@@ -124,8 +125,11 @@ def _cmd_figure(args) -> int:
     table = run_figure(args.id, cfg, reps=args.reps, seed=args.seed, workers=args.workers)
     out = args.out or (cfg.out_path or f"figure{args.id}.csv")
     meta = out[:-4] + ".meta.json" if out.endswith(".csv") else out + ".meta.json"
-    table.write_csv(out)
-    table.write_metadata(meta)
+    try:
+        table.write_csv(out)
+        table.write_metadata(meta)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write figure output: {exc}") from exc
     print(f"wrote {out} ({len(table.rows)} rows) and {meta}")
     return EXIT_OK
 

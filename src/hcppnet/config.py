@@ -210,8 +210,8 @@ def _read_yaml(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigurationError(f"config file not found: {path}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file is not valid YAML: {exc}") from exc
     return {} if data is None else data

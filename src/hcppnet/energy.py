@@ -25,11 +25,9 @@ __all__ = [
     "TrafficModel",
     "EnergyModel",
     "traffic_pdf",
-    "traffic_mean",
     "traffic_sample",
     "required_link_power",
     "links_per_bs",
-    "avg_bs_power",
     "energy_efficiency_mc",
     "energy_efficiency_quad",
 ]
@@ -94,11 +92,6 @@ def traffic_pdf(x, tm: TrafficModel):
     return out if out.ndim else float(out)
 
 
-def traffic_mean(tm: TrafficModel) -> float:
-    """Mean rate demand ``theta rho_min / (theta - 1)``."""
-    return tm.theta * tm.rho_min / (tm.theta - 1.0)
-
-
 def traffic_sample(tm: TrafficModel, rng: np.random.Generator, size=None):
     """Inverse-CDF Pareto draws ``rho_min * u**(-1/theta)``, never below the floor."""
     u = 1.0 - rng.random(size)  # in (0, 1]: u = 1 hits the floor exactly
@@ -141,7 +134,7 @@ def required_link_power(
     return out if out.ndim else float(out)
 
 
-def links_per_bs(energy: EnergyModel, station_intensity: float | None = None) -> float:
+def links_per_bs(energy: EnergyModel, station_intensity: float | None) -> float:
     """Average simultaneously served links per station."""
     if energy.n_link is not None:
         return energy.n_link
@@ -150,28 +143,12 @@ def links_per_bs(energy: EnergyModel, station_intensity: float | None = None) ->
     return energy.lambda_m / station_intensity
 
 
-def avg_bs_power(
-    e_pik: float,
-    cfg: AntennaConfig,
-    energy: EnergyModel,
-    station_intensity: float | None = None,
-) -> float:
-    """Total station draw: links times (amplifier input + RF chains) plus the static floor."""
-    if e_pik < 0:
-        raise ParameterError(f"e_pik must be nonnegative, got {e_pik}")
-    n_link = links_per_bs(energy, station_intensity)
-    return n_link * (e_pik / energy.eta + cfg.n_t * energy.p_rf_chain) + energy.p_sta
-
-
-def _efficiency(mean_traffic, mean_power, outage, cfg, tm, energy, station_intensity):
-    if outage >= 1.0:
-        return 0.0
-    per_link_watts = (
+def _per_link_watts(mean_power, cfg, energy, station_intensity):
+    return (
         mean_power / energy.eta
         + cfg.n_t * energy.p_rf_chain
         + energy.p_sta / links_per_bs(energy, station_intensity)
     )
-    return (mean_traffic / tm.b_w) / per_link_watts
 
 
 def energy_efficiency_mc(
@@ -206,17 +183,14 @@ def energy_efficiency_mc(
     n_ok = int(served.sum())
     if n_ok == 0:
         return Estimate(mean=0.0, std_error=0.0, replications=draws)
-    outage = 1.0 - n_ok / draws
     t_mean = float(rho[served].mean())
     p_mean = float(p[served].mean())
-    ee = _efficiency(t_mean, p_mean, outage, cfg, tm, energy, station_intensity)
+    watts = _per_link_watts(p_mean, cfg, energy, station_intensity)
+    ee = (t_mean / tm.b_w) / watts
 
     if n_ok >= 2:
-        denom = p_mean / energy.eta + cfg.n_t * energy.p_rf_chain + energy.p_sta / links_per_bs(
-            energy, station_intensity
-        )
-        grad_t = 1.0 / (tm.b_w * denom)
-        grad_p = -ee / (denom * energy.eta)
+        grad_t = 1.0 / (tm.b_w * watts)
+        grad_p = -ee / (watts * energy.eta)
         cov = np.cov(rho[served], p[served], ddof=1) / n_ok
         var = grad_t**2 * cov[0, 0] + 2.0 * grad_t * grad_p * cov[0, 1] + grad_p**2 * cov[1, 1]
         std_error = float(np.sqrt(max(var, 0.0)))
@@ -314,8 +288,8 @@ def energy_efficiency_quad(
 
     wt2d = np.outer(w_weights, g_weights)
     p_served = float((wt2d * p_ok).sum())
-    if p_served <= 0.0:
+    if 1.0 - p_served >= 1.0:  # no node serves, or too few to register against 1
         return 0.0
     mean_traffic = float((wt2d * e_rho).sum()) / p_served
     mean_power = float((wt2d * e_pow).sum()) / p_served
-    return _efficiency(mean_traffic, mean_power, 1.0 - p_served, cfg, tm, energy, station_intensity)
+    return (mean_traffic / tm.b_w) / _per_link_watts(mean_power, cfg, energy, station_intensity)

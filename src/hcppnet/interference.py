@@ -29,7 +29,6 @@ from .point_process import (
 __all__ = [
     "InterferenceScenario",
     "Estimate",
-    "ring_mean_decay",
     "avg_interference_hcpp",
     "avg_interference_ppp",
     "mc_interference",
@@ -84,31 +83,6 @@ class Estimate:
         return cls(mean=float(values.mean()), std_error=std_error, replications=n)
 
 
-def ring_mean_decay(r, d: float, alpha: float):
-    """Angular mean of ``dist**-alpha`` from a point to a circle.
-
-    For a receiver on a circle of radius ``d`` around a center at distance
-    ``r`` from the transmitter, averaging the power law over a uniform
-    circle angle gives ``max(r,d)**-alpha * F(alpha/2, alpha/2; 1; (min/max)**2)``
-    with ``F`` the Gauss hypergeometric function.  Singular at ``r == d``
-    (the circle passes through the transmitter).  Vectorized over ``r``.
-    """
-    if alpha <= 2:
-        raise ParameterError(f"alpha must exceed 2, got {alpha}")
-    if d < 0:
-        raise ParameterError(f"d must be nonnegative, got {d}")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ParameterError("r must be nonnegative")
-    if np.any(r_arr == d):
-        raise DivergenceError(f"angular mean diverges at r == d == {d} for alpha > 2")
-    a = alpha / 2.0
-    lo = np.minimum(r_arr, d)
-    hi = np.maximum(r_arr, d)
-    out = hi**-alpha * special.hyp2f1(a, a, 1.0, (lo / hi) ** 2)
-    return out if out.ndim else float(out)
-
-
 def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
     # int_{r_start}^inf r^{1-alpha} F(a,a;1;(d/r)^2) dr as a positive power
     # series; valid for d < r_start, terms shrink geometrically in (d/r_start)^2.
@@ -132,11 +106,14 @@ def avg_interference_hcpp(scenario: InterferenceScenario, r_max: float | None = 
     """Mean aggregate interference under the hard-core deployment.
 
     Integrates the pair-intensity-weighted power law radially from the
-    exclusion radius outward, with the exact angular average folded in via
-    :func:`ring_mean_decay` and an analytic power-law tail beyond ``r_max``
-    (where the pair intensity is constant).  Requires ``x_off`` strictly
-    inside the exclusion radius; at or beyond it an interferer can sit on
-    top of the user and the mean diverges.
+    exclusion radius outward, with an analytic power-law tail beyond
+    ``r_max`` (where the pair intensity is constant).  At radius ``r`` from
+    the serving station the user, on a circle of radius ``x_off`` around
+    it, sees the power law averaged over a uniform angle, which is exactly
+    ``r**-alpha * F(alpha/2, alpha/2; 1; (x_off/r)**2)`` with ``F`` the
+    Gauss hypergeometric function.  Requires ``x_off`` strictly inside the
+    exclusion radius; at or beyond it an interferer can sit on top of the
+    user and the mean diverges.
     """
     hcpp = scenario.hcpp
     ch = scenario.channel

@@ -1,9 +1,11 @@
-"""Zero-forcing multi-user downlink: precoding, power split, and spectral efficiency.
+"""Zero-forcing multi-user downlink: per-stream gains, stream rate and spectral efficiency.
 
 A station with ``n_t`` antennas serves ``s`` single-antenna users at once by
 inverting the aggregate channel.  The per-stream effective gain then follows
 a Gamma law (shape ``n_t - s + 1``), which gives a fast sampling shortcut
-for the spectral efficiency and a closed-form Jensen upper bound.
+for the spectral efficiency, an exact Gauss-Laguerre quadrature, and a
+closed-form Jensen upper bound; :func:`sample_zf_gains` draws the gains
+from explicit channel matrices to check that law.
 """
 
 from __future__ import annotations
@@ -14,23 +16,18 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .channel import ChannelParams, path_gain, sample_fading_matrix
+from .channel import ChannelParams, path_gain
 from .errors import ParameterError
 from .interference import Estimate
 
 __all__ = [
     "AntennaConfig",
-    "zf_precoder",
-    "tx_power",
     "subchannel_capacity",
-    "sinr_factor",
     "sample_zf_gains",
     "spectral_efficiency_mc",
     "spectral_efficiency_exact",
     "spectral_efficiency_bound",
 ]
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -48,44 +45,6 @@ class AntennaConfig:
     def gain_shape(self) -> int:
         """Shape of the Gamma law of the per-stream zero-forcing gain."""
         return self.n_t - self.s + 1
-
-
-def _gram(h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h)
-    if h.ndim != 2 or h.shape[0] > h.shape[1]:
-        raise ParameterError(f"need an s x n_t matrix with n_t >= s, got shape {h.shape}")
-    gram = h @ h.conj().T
-    if np.linalg.cond(gram) > _COND_LIMIT:
-        raise np.linalg.LinAlgError("channel Gram matrix is ill-conditioned; redraw the channel")
-    return gram
-
-
-def zf_precoder(h: np.ndarray) -> np.ndarray:
-    """Right pseudo-inverse ``h^+ (h h^+)^{-1}``: the transmit filter nulling cross-streams.
-
-    ``h @ zf_precoder(h)`` is the identity up to roundoff.
-    """
-    h = np.asarray(h)
-    gram = _gram(h)
-    return h.conj().T @ np.linalg.solve(gram, np.eye(h.shape[0]))
-
-
-def tx_power(h: np.ndarray, per_stream_rx_power) -> tuple[float, np.ndarray]:
-    """Transmit power needed to deliver the requested per-stream receive powers.
-
-    Stream ``k`` costs its receive power divided by the zero-forcing gain
-    ``1 / (h h^+)^{-1}_{kk}``.  Returns the total and the per-stream split.
-    """
-    q = np.asarray(per_stream_rx_power, dtype=float)
-    gram = _gram(np.asarray(h))
-    s = gram.shape[0]
-    if q.shape != (s,):
-        raise ParameterError(f"need one receive power per stream, got {q.shape} for s={s}")
-    if np.any(q < 0):
-        raise ParameterError("receive powers must be nonnegative")
-    inv_diag = np.diag(np.linalg.solve(gram, np.eye(s))).real
-    per_stream = q * inv_diag
-    return float(per_stream.sum()), per_stream
 
 
 def subchannel_capacity(
@@ -122,53 +81,23 @@ def subchannel_capacity(
     return out if out.ndim else float(out)
 
 
-def sinr_factor(
-    p_ik: float,
-    cfg: AntennaConfig,
-    channel: ChannelParams,
-    w_ii: float,
-    x_off: float,
-    i_avg: float,
-) -> float:
-    """Large-scale SINR factor: stream power times ``s`` times link gain over interference."""
-    if i_avg <= 0:
-        raise ParameterError(f"i_avg must be positive, got {i_avg}")
-    if p_ik <= 0:
-        raise ParameterError(f"p_ik must be positive, got {p_ik}")
-    if w_ii <= 0:
-        raise ParameterError(f"w_ii must be positive, got {w_ii}")
-    return p_ik * cfg.s * path_gain(channel, x_off) * w_ii / i_avg
-
-
 def sample_zf_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) -> np.ndarray:
     """Per-stream zero-forcing gains from explicit channel draws, shape (draws, s).
 
-    The direct route: sample the fading matrix, invert its Gram matrix, read
-    the diagonal.  Kept alongside the Gamma shortcut so the two can be
-    checked against each other.  Singular draws (measure zero) are redrawn.
+    The direct route: draw every Rayleigh fading matrix at once (unit-power
+    complex Gaussian entries), invert the batch of Gram matrices, read the
+    diagonals.  Kept alongside the Gamma shortcut so the two can be checked
+    against each other.  A singular Gram matrix has probability zero and
+    raises :class:`numpy.linalg.LinAlgError`.
     """
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
-    out = np.empty((draws, cfg.s))
     h = (
         rng.standard_normal((draws, cfg.s, cfg.n_t))
         + 1j * rng.standard_normal((draws, cfg.s, cfg.n_t))
     ) / np.sqrt(2.0)
     gram = h @ np.conj(np.swapaxes(h, -1, -2))
-    try:
-        inv = np.linalg.inv(gram)
-        out[:] = 1.0 / np.einsum("...kk->...k", inv).real
-    except np.linalg.LinAlgError:
-        for i in range(draws):
-            while True:
-                try:
-                    hi = sample_fading_matrix(cfg.s, cfg.n_t, rng)
-                    inv_i = np.linalg.inv(hi @ hi.conj().T)
-                    out[i] = 1.0 / np.diag(inv_i).real
-                    break
-                except np.linalg.LinAlgError:
-                    continue
-    return out
+    return 1.0 / np.einsum("...kk->...k", np.linalg.inv(gram)).real
 
 
 def spectral_efficiency_mc(

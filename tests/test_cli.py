@@ -110,6 +110,19 @@ def test_validate_reports_each_problem(capsys, tmp_path):
     assert err.count("error:") == 2
 
 
+def test_validate_unreadable_config_exits_3(capsys, tmp_path):
+    code, _, err = run_cli(["validate", "--config", str(tmp_path)], capsys)
+    assert code == 3
+    assert err.startswith("error:") and str(tmp_path) in err
+
+
+def test_figure_unwritable_output_exits_3(capsys, tmp_path):
+    out = tmp_path / "missing" / "f.csv"
+    code, _, err = run_cli(["figure", "6", "--reps", "10", "--out", str(out)], capsys)
+    assert code == 3
+    assert err.startswith("error:") and str(out) in err
+
+
 def test_figure_csv_deterministic_across_runs(capsys, tmp_path):
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"

@@ -15,7 +15,6 @@ from hcppnet import (
     InterferenceScenario,
     ParameterError,
     TrafficModel,
-    avg_bs_power,
     db_to_linear,
     energy_efficiency_mc,
     energy_efficiency_quad,
@@ -25,7 +24,6 @@ from hcppnet import (
     required_link_power,
     sample_shadowing,
     subchannel_capacity,
-    traffic_mean,
     traffic_pdf,
     traffic_sample,
 )
@@ -58,8 +56,7 @@ def test_traffic_pdf_normalizes_and_matches_mean():
     total, _ = integrate.quad(lambda x: traffic_pdf(x, tm), tm.rho_min, np.inf)
     assert total == pytest.approx(1.0, abs=1e-6)
     mean, _ = integrate.quad(lambda x: x * traffic_pdf(x, tm), tm.rho_min, np.inf)
-    assert traffic_mean(tm) == pytest.approx(mean, rel=1e-6)
-    assert traffic_mean(tm) == pytest.approx(1.8 / 0.8 * 2e4, rel=1e-12)
+    assert mean == pytest.approx(tm.theta * tm.rho_min / (tm.theta - 1.0), rel=1e-6)
 
 
 def test_traffic_samples_match_distribution():
@@ -115,14 +112,6 @@ def test_links_per_bs_from_user_intensity():
         links_per_bs(en, None)
 
 
-def test_avg_bs_power_example():
-    # 30 links at 1 W amplifier input, 8 RF chains, static floor.
-    en = EnergyModel(eta=0.38, p_rf_chain=0.05, p_sta=45.5, p_link_max=2.0, n_link=30)
-    cfg = AntennaConfig(8, 4)
-    total = avg_bs_power(0.5, cfg, en)
-    assert total == pytest.approx(30 * (0.5 / 0.38 + 8 * 0.05) + 45.5, rel=1e-12)
-
-
 def test_avg_link_power_outage_fraction_reasonable():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 8)
@@ -152,6 +141,7 @@ def test_avg_link_power_all_outage_degenerate():
     assert est.mean == 0.0
     assert est.std_error == 0.0
     assert est.replications == 200
+    assert energy_efficiency_quad(cfg, tm, sc, en, 1.0, intensity) == 0.0
 
 
 def test_energy_efficiency_quad_matches_mc():

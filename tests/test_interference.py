@@ -21,7 +21,7 @@ from hcppnet import (
     mean_shadowing,
     second_moment,
 )
-from hcppnet.interference import _one_realization, ring_mean_decay
+from hcppnet.interference import _one_realization
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -33,47 +33,72 @@ def scenario(x_off=300.0, delta=500.0, alpha=3.8, lambda_p=LAMBDA_P, power=2.0, 
     )
 
 
-def test_ring_mean_decay_reduces_to_power_law_at_center():
-    assert ring_mean_decay(700.0, 0.0, 3.8) == pytest.approx(700.0**-3.8, rel=1e-12)
-
-
-def test_ring_mean_decay_matches_direct_angular_quadrature():
-    r, d, alpha = 900.0, 400.0, 3.8
-
-    def integrand(phi):
-        return (r**2 + d**2 + 2 * r * d * math.cos(phi)) ** (-alpha / 2) / (2 * math.pi)
-
-    direct, _ = integrate.quad(integrand, 0.0, 2.0 * math.pi, epsrel=1e-12)
-    assert ring_mean_decay(r, d, alpha) == pytest.approx(direct, rel=1e-9)
-
-
-def test_ring_mean_decay_singular_on_the_ring():
-    with pytest.raises(DivergenceError):
-        ring_mean_decay(400.0, 400.0, 3.8)
-
-
 def test_analytic_value_is_stable():
     # Hand-checked reference values for the default geometry.
-    assert avg_interference_hcpp(scenario(300.0)) == pytest.approx(1.6100152016359728e-13, rel=1e-8)
-    assert avg_interference_hcpp(scenario(0.0)) == pytest.approx(7.40041415506636e-14, rel=1e-8)
+    # abs=0.0 throughout: pytest.approx otherwise also accepts any gap below
+    # 1e-12, which exceeds every interference value here (~1e-13 W).
+    assert avg_interference_hcpp(scenario(300.0)) == pytest.approx(
+        1.6100152016359728e-13, rel=1e-8, abs=0.0
+    )
+    assert avg_interference_hcpp(scenario(0.0)) == pytest.approx(
+        7.40041415506636e-14, rel=1e-8, abs=0.0
+    )
 
 
-def test_analytic_centered_case_matches_radial_oracle():
-    # At x_off = 0 the angular average collapses and a plain 1-D quadrature
-    # of the pair density against the power law is an independent oracle.
-    s = scenario(0.0)
+def _radial_oracle(s, ring_mean):
+    # The pair density against a caller-given ring average of the power law,
+    # integrated over log-spaced quad panels from delta out to 3e6 m (the
+    # tail beyond is below 1e-6): an oracle independent of the hyp2f1 kernel.
+    from hcppnet.point_process import first_moment
+
     params, ch = s.hcpp, s.channel
 
     def radial(r):
-        return second_moment(np.array([r]), params)[0] * r ** (1.0 - ch.alpha)
+        return second_moment(np.array([r]), params)[0] * r * ring_mean(r)
 
-    inner, _ = integrate.quad(radial, params.delta, 2 * params.delta, epsrel=1e-11)
-    outer, _ = integrate.quad(radial, 2 * params.delta, 3e6, epsrel=1e-11)
-    from hcppnet.point_process import first_moment
-
+    edges = np.unique(np.append(np.geomspace(params.delta, 3e6, 40), 2 * params.delta))
+    total = sum(
+        integrate.quad(radial, lo, hi, epsabs=0.0, epsrel=1e-10)[0]
+        for lo, hi in zip(edges[:-1], edges[1:])
+    )
     pref = ch.beta * mean_shadowing(ch.sigma_s_db) * s.mean_tx_power / first_moment(params)
-    oracle = pref * 2.0 * math.pi * (inner + outer)
-    assert avg_interference_hcpp(s) == pytest.approx(oracle, rel=1e-4)
+    return pref * 2.0 * math.pi * total
+
+
+def test_analytic_centered_case_matches_radial_oracle():
+    # At x_off = 0 the angular average collapses to the plain power law.
+    s = scenario(0.0)
+    oracle = _radial_oracle(s, lambda r: r ** -s.channel.alpha)
+    assert avg_interference_hcpp(s) == pytest.approx(oracle, rel=1e-6, abs=0.0)
+
+
+def test_ring_mean_decay_reduces_to_power_law_at_center():
+    # F(a, a; 1; z) = 1 + a^2 z + O(z^2): as the user nears the serving
+    # station the ring kernel tends to the power law, quadratically in x_off.
+    center = avg_interference_hcpp(scenario(0.0))
+    assert avg_interference_hcpp(scenario(1e-3)) == pytest.approx(center, rel=1e-9, abs=0.0)
+    rise_1 = avg_interference_hcpp(scenario(1.0)) - center
+    rise_2 = avg_interference_hcpp(scenario(2.0)) - center
+    assert rise_1 > 0.0
+    assert rise_2 / rise_1 == pytest.approx(4.0, rel=1e-3)
+
+
+def test_ring_mean_decay_matches_direct_angular_quadrature():
+    # Off center, the ring average of the power law is taken by direct
+    # angular quadrature instead of the hypergeometric kernel.
+    x_off = 300.0
+    s = scenario(x_off)
+    alpha = s.channel.alpha
+
+    def ring_mean(r):
+        def decay(phi):
+            return (r * r + x_off * x_off - 2.0 * r * x_off * math.cos(phi)) ** (-alpha / 2)
+
+        half, _ = integrate.quad(decay, 0.0, math.pi, epsabs=0.0, epsrel=1e-12)
+        return half / math.pi
+
+    oracle = _radial_oracle(s, ring_mean)
+    assert avg_interference_hcpp(s) == pytest.approx(oracle, rel=1e-6, abs=0.0)
 
 
 def test_analytic_rejects_singular_offsets():
@@ -92,18 +117,19 @@ def test_analytic_monotonicity():
 
 def test_analytic_scale_linearity():
     base = avg_interference_hcpp(scenario(250.0))
-    assert avg_interference_hcpp(scenario(250.0, power=4.0)) == pytest.approx(2 * base, rel=1e-12)
+    doubled_power = avg_interference_hcpp(scenario(250.0, power=4.0))
+    assert doubled_power == pytest.approx(2 * base, rel=1e-12, abs=0.0)
     doubled_beta = InterferenceScenario(
         HcppParams(LAMBDA_P, 500.0), ChannelParams(2 * BETA, 3.8, 6.0), 250.0, 2.0
     )
-    assert avg_interference_hcpp(doubled_beta) == pytest.approx(2 * base, rel=1e-12)
+    assert avg_interference_hcpp(doubled_beta) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
 
 
 def test_analytic_truncation_converged():
     s = scenario(300.0)
     default = avg_interference_hcpp(s)
     doubled = avg_interference_hcpp(s, r_max=80.0 / math.sqrt(LAMBDA_P))
-    assert doubled == pytest.approx(default, rel=1e-4)
+    assert doubled == pytest.approx(default, rel=1e-4, abs=0.0)
 
 
 def test_mc_matches_analytic_spot():
@@ -124,7 +150,7 @@ def test_mc_matches_analytic_on_stated_window():
 def test_mc_linearity_in_power_with_paired_seeds():
     a = mc_interference(scenario(300.0, power=2.0), 200, np.random.default_rng(7))
     b = mc_interference(scenario(300.0, power=4.0), 200, np.random.default_rng(7))
-    assert b.mean == pytest.approx(2 * a.mean, rel=1e-12)
+    assert b.mean == pytest.approx(2 * a.mean, rel=1e-12, abs=0.0)
 
 
 def test_mc_stream_stability_under_extension():
@@ -164,8 +190,8 @@ def test_ppp_closed_form_value():
         * 300.0 ** (2 - 3.8)
         / (3.8 - 2)
     )
-    assert avg_interference_ppp(s) == pytest.approx(direct, rel=1e-12)
-    assert avg_interference_ppp(s) == pytest.approx(2.1991485704122095e-13, rel=1e-10)
+    assert avg_interference_ppp(s) == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert avg_interference_ppp(s) == pytest.approx(2.1991485704122095e-13, rel=1e-10, abs=0.0)
 
 
 def test_ppp_diverges_at_zero_offset():
