@@ -1,7 +1,7 @@
 """Average downlink interference: quadrature against Monte Carlo, and the
 Poisson baseline that loses its protection distance.
 
-Run:  python3 demos/interference_validation.py   (about half a minute)
+Run:  python3 demos/interference_validation.py   (a few seconds)
 """
 
 import math

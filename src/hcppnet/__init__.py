@@ -12,7 +12,6 @@ from .channel import (
     db_to_linear,
     mean_shadowing,
     path_gain,
-    sample_fading_power,
     sample_shadowing,
 )
 from .config import DEFAULTS, ExperimentConfig, config_from_dict, load_config, validate_config
@@ -92,7 +91,6 @@ __all__ = [
     "path_gain",
     "required_link_power",
     "run_figure",
-    "sample_fading_power",
     "sample_hcpp",
     "sample_ppp",
     "sample_shadowing",

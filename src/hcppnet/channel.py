@@ -1,7 +1,7 @@
-"""Link-level channel primitives.
+"""Link-level channel primitives: power-law distance loss and lognormal shadowing.
 
-Covers the large-scale pieces (power-law distance loss, lognormal
-shadowing) and small-scale Rayleigh fading power gains.
+Rayleigh fading enters only through its unit mean and the zero-forcing
+gain law in :mod:`hcppnet.zf_capacity`.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "path_gain",
     "sample_shadowing",
     "mean_shadowing",
-    "sample_fading_power",
 ]
 
 _LN10_OVER_10 = np.log(10.0) / 10.0
@@ -80,7 +79,3 @@ def mean_shadowing(sigma_s_db: float) -> float:
     mu = sigma_s_db * _LN10_OVER_10
     return float(np.exp(mu**2 / 2.0))
 
-
-def sample_fading_power(rng: np.random.Generator, size=None):
-    """Squared-envelope Rayleigh fading: unit-mean exponential power gains."""
-    return rng.exponential(1.0, size)

@@ -20,8 +20,8 @@ import yaml
 from .channel import ChannelParams, db_to_linear
 from .energy import EnergyModel, TrafficModel
 from .errors import ConfigurationError, ParameterError
-from .interference import InterferenceScenario
-from .point_process import HcppParams, first_moment
+from .interference import InterferenceScenario, interaction_window
+from .point_process import HcppParams, Window
 from .zf_capacity import AntennaConfig
 
 __all__ = ["ExperimentConfig", "DEFAULTS", "load_config", "config_from_dict", "validate_config"]
@@ -212,6 +212,8 @@ def _read_yaml(path: str):
             data = yaml.safe_load(fh)
     except OSError as exc:  # missing, a directory, unreadable
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config file is not valid YAML: {exc}") from exc
     return {} if data is None else data
@@ -253,10 +255,8 @@ def validate_config(source: str | dict | None) -> list[str]:
             "energy-efficiency runs need the analytic interference mean"
         )
     if cfg.window_side is not None:
-        expected = first_moment(cfg.hcpp) * cfg.window_side**2
-        if expected < 100.0:
-            diagnostics.append(
-                f"interference.window_side={cfg.window_side} supports only "
-                f"{expected:.1f} expected stations; need >= 100"
-            )
+        try:
+            interaction_window(cfg.scenario(), Window.square(cfg.window_side))
+        except ConfigurationError as exc:
+            diagnostics.append(f"interference.window_side={cfg.window_side}: {exc}")
     return diagnostics

@@ -3,7 +3,7 @@
 Three routes to the same quantity: an analytic radial quadrature for the
 hard-core deployment, a closed form for the Poisson baseline, and a Monte
 Carlo estimator that replays the physical model (sample a deployment, drop
-a user, add up faded powers).  The analytic and Monte Carlo routes are
+a user, add up mean received powers).  The analytic and Monte Carlo routes are
 independent and are held to agree in the test suite.
 """
 
@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import integrate, special
 
-from .channel import ChannelParams, mean_shadowing, sample_fading_power, sample_shadowing
+from .channel import ChannelParams, mean_shadowing
 from .errors import ConfigurationError, DivergenceError, ParameterError
 from .point_process import (
     HcppParams,
     Window,
     first_moment,
     sample_hcpp,
-    sample_ppp,
     second_moment,
 )
 
@@ -33,6 +32,7 @@ __all__ = [
     "avg_interference_ppp",
     "mc_interference",
     "mc_interference_ppp",
+    "interaction_window",
     "MODELS",
     "model_interference",
 ]
@@ -172,15 +172,48 @@ def avg_interference_ppp(scenario: InterferenceScenario) -> float:
 _MAX_RESAMPLES = 100
 
 
+def interaction_window(
+    scenario: InterferenceScenario, window: Window | None = None
+) -> tuple[Window, Window, float]:
+    """Simulation window, selection region and truncation radius of the tagged-station estimator.
+
+    The closed-form far field is exact beyond ``rho = 2 * (delta + x_off)``:
+    past ``2 * delta`` the pair density is flat, past ``2 * x_off`` a
+    Poisson user's exclusion disc lies inside the truncation disc, and past
+    ``x_off`` the tail series converges.  The default truncation radius is
+    ``rho + 2 / sqrt(lambda_p)`` on a square window of four times that side;
+    a given window gets a quarter of its shorter side and must clear
+    ``rho``.  The selection region is the central square of side twice the
+    truncation radius, so every tagged station's truncation disc lies in the
+    window.
+    """
+    rho = 2.0 * (scenario.hcpp.delta + scenario.x_off)
+    if window is None:
+        r_trunc = rho + 2.0 / math.sqrt(scenario.hcpp.lambda_p)
+        window = Window.square(4.0 * r_trunc)
+    else:
+        r_trunc = min(window.x_max - window.x_min, window.y_max - window.y_min) / 4.0
+        if r_trunc <= rho:
+            raise ConfigurationError(
+                f"truncation radius {r_trunc:.0f} m (a quarter of the window side) does not exceed "
+                f"2 * (delta + x_off) = {rho:.0f} m; enlarge the window"
+            )
+    return window, Window.square(2.0 * r_trunc, center=tuple(window.center)), r_trunc
+
+
 def _one_realization(
     scenario: InterferenceScenario,
     window: Window,
     selection: Window,
     r_trunc: float,
     rng: np.random.Generator,
+    nearest: bool = False,
 ) -> tuple[float, int]:
-    """Summed truncated interference over every tagged station, and their count."""
-    ch = scenario.channel
+    """Summed truncated path loss ``d**-alpha`` over every tagged station, and their count.
+
+    ``nearest`` also drops interferers within ``x_off`` of the user
+    (nearest-station association, for the Poisson baseline).
+    """
     for _ in range(_MAX_RESAMPLES):  # an empty selection region is possible only for tiny windows
         pts = sample_hcpp(scenario.hcpp, window, rng)
         sel_mask = selection.contains(pts)
@@ -194,15 +227,42 @@ def _one_realization(
     theta = rng.uniform(0.0, 2.0 * np.pi, len(tagged))
     users = tagged + scenario.x_off * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     diff = pts[None, :, :] - tagged[:, None, :]
-    d_serving = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
-    inplay = d_serving <= r_trunc
+    inplay = np.einsum("ijk,ijk->ij", diff, diff) <= r_trunc**2
     inplay[np.arange(len(tagged)), np.flatnonzero(sel_mask)] = False  # a station never jams itself
-    diff = pts[None, :, :] - users[:, None, :]
-    d_user = np.where(inplay, np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)), 1.0)
-    w = sample_shadowing(ch.sigma_s_db, rng, d_user.shape)
-    g = sample_fading_power(rng, d_user.shape)
-    powers = ch.beta * w * g * scenario.mean_tx_power * d_user**-ch.alpha * inplay
-    return float(powers.sum()), len(tagged)
+    user_idx, station_idx = np.nonzero(inplay)
+    diff = pts[station_idx] - users[user_idx]
+    d2_user = np.einsum("ij,ij->i", diff, diff)
+    if nearest:
+        d2_user = d2_user[d2_user > scenario.x_off**2]
+    return float(np.sum(d2_user ** (-scenario.channel.alpha / 2.0))), len(tagged)
+
+
+def _tagged_station_mc(
+    scenario: InterferenceScenario,
+    realizations: int,
+    rng: np.random.Generator,
+    window: Window | None,
+    nearest: bool,
+) -> Estimate:
+    if realizations < 1:
+        raise ParameterError(f"realizations must be >= 1, got {realizations}")
+    window, selection, r_trunc = interaction_window(scenario, window)
+    totals = np.empty(realizations)
+    counts = np.empty(realizations)
+    for i, stream in enumerate(rng.spawn(realizations)):
+        totals[i], counts[i] = _one_realization(scenario, window, selection, r_trunc, stream, nearest)
+    ch = scenario.channel
+    # shadowing and fading are independent of the layout: each w * g enters by its mean
+    scale = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power
+    plateau = first_moment(scenario.hcpp)  # pair density / intensity beyond the truncation radius
+    tail = 2.0 * math.pi * plateau * _tail_radial_integral(r_trunc, scenario.x_off, ch.alpha)
+    mean = float(totals.sum() / counts.sum())
+    if realizations >= 2:
+        resid = totals - mean * counts
+        std_error = float(np.sqrt(np.sum(resid**2)) / counts.sum())
+    else:
+        std_error = float("inf")
+    return Estimate(mean=scale * (mean + tail), std_error=scale * std_error, replications=realizations)
 
 
 def mc_interference(
@@ -211,69 +271,28 @@ def mc_interference(
     rng: np.random.Generator,
     window: Window | None = None,
 ) -> Estimate:
-    """Monte Carlo mean interference, one deployment per realization.
+    """Monte Carlo mean interference under the hard-core deployment, one deployment per realization.
 
-    Each realization samples a hard-core station pattern on ``window``
-    (default side ``20 / sqrt(lambda_p)``) and tags every station in a
-    central selection region as a serving station in turn: the user sits at
-    ``x_off`` in a uniform direction, and lognormal- and Rayleigh-faded
-    powers are summed from each station within ``0.35 * side`` of the
-    serving one, a disc the window fully contains.  Averaging over all
-    tagged stations (ratio of sums across realizations) is what makes the
-    estimate unbiased for the typical-station mean; singling out one
-    station by any fixed rule, e.g. the one nearest the window center,
-    favours stations with emptier surroundings and underestimates badly.
-    The expected far-field contribution beyond the truncation radius, where
-    the pair density has exactly its plateau value, is added in closed
-    form; it is a sub-percent additive term at the default geometry.  The
-    standard error comes from the usual ratio-estimator linearization over
-    realizations.  Replication ``i`` always consumes stream ``i`` spawned
-    from ``rng``, so enlarging ``realizations`` extends a run without
-    perturbing earlier draws.
+    Each realization samples a hard-core station pattern on the window of
+    :func:`interaction_window` and tags every station in its central
+    selection region as a serving station in turn: the user sits at
+    ``x_off`` in a uniform direction, and the path loss is summed from each
+    station within the truncation radius of the serving one.  Shadowing and
+    fading are independent of the layout, so each faded power enters by its
+    conditional mean ``mean_shadowing(sigma_s_db)`` (conditional Monte
+    Carlo): no shadowing or fading is drawn, and the user's angle is the
+    only randomness besides the layout.  Averaging over all tagged stations
+    (ratio of sums across realizations) is what makes the estimate unbiased
+    for the typical-station mean; singling out one station by any fixed
+    rule, e.g. the one nearest the window center, favours stations with
+    emptier surroundings and underestimates badly.  The expected far field
+    beyond the truncation radius, where the pair density has exactly its
+    plateau value, is added in closed form.  The standard error comes from
+    the usual ratio-estimator linearization over realizations.  Replication
+    ``i`` always consumes stream ``i`` spawned from ``rng``, so enlarging
+    ``realizations`` extends a run without perturbing earlier draws.
     """
-    if realizations < 1:
-        raise ParameterError(f"realizations must be >= 1, got {realizations}")
-    if window is None:
-        window = Window.square(20.0 / math.sqrt(scenario.hcpp.lambda_p))
-    expected = first_moment(scenario.hcpp) * window.area
-    if expected < 100.0:
-        raise ConfigurationError(
-            f"window supports only {expected:.1f} expected stations; need >= 100 for a usable annulus"
-        )
-    side = min(window.x_max - window.x_min, window.y_max - window.y_min)
-    r_trunc = 0.35 * side
-    if r_trunc <= 2.0 * scenario.hcpp.delta:
-        raise ConfigurationError(
-            f"truncation radius {r_trunc:.0f} m does not clear the pair-density plateau at "
-            f"{2 * scenario.hcpp.delta:.0f} m; enlarge the window"
-        )
-    selection = Window(
-        window.x_min + r_trunc,
-        window.x_max - r_trunc,
-        window.y_min + r_trunc,
-        window.y_max - r_trunc,
-    )
-    totals = np.empty(realizations)
-    counts = np.empty(realizations)
-    for i, stream in enumerate(rng.spawn(realizations)):
-        totals[i], counts[i] = _one_realization(scenario, window, selection, r_trunc, stream)
-    ch = scenario.channel
-    tail = (
-        ch.beta
-        * mean_shadowing(ch.sigma_s_db)
-        * scenario.mean_tx_power
-        * first_moment(scenario.hcpp)
-        * 2.0
-        * math.pi
-        * _tail_radial_integral(r_trunc, scenario.x_off, ch.alpha)
-    )
-    mean = float(totals.sum() / counts.sum())
-    if realizations >= 2:
-        resid = totals - mean * counts
-        std_error = float(np.sqrt(np.sum(resid**2)) / counts.sum())
-    else:
-        std_error = float("inf")
-    return Estimate(mean=mean + tail, std_error=std_error, replications=realizations)
+    return _tagged_station_mc(scenario, realizations, rng, window, nearest=False)
 
 
 def mc_interference_ppp(
@@ -284,40 +303,17 @@ def mc_interference_ppp(
 ) -> Estimate:
     """Monte Carlo mean interference for the Poisson baseline.
 
-    Stations form a Poisson pattern of the parent intensity; the user sits
-    at the window center and hears every station farther than ``x_off``
-    (nearest-station association keeps closer ones out) out to the largest
-    disc the window contains; the expected contribution beyond that disc is
-    added in closed form.  Independent check of the
-    :func:`avg_interference_ppp` closed form.
+    Runs the estimator of :func:`mc_interference` on Poisson stations of
+    the parent intensity (the hard-core process with no spacing), tagging
+    every station in the selection region, and drops the interferers within
+    ``x_off`` of each user (nearest-station association); by Slivnyak's
+    theorem the other stations of a tagged one are again Poisson.
+    Independent check of the :func:`avg_interference_ppp` closed form.
     """
-    if realizations < 1:
-        raise ParameterError(f"realizations must be >= 1, got {realizations}")
     if scenario.x_off <= 0:
         raise DivergenceError("the Poisson mean interference diverges at x_off = 0")
-    if window is None:
-        window = Window.square(20.0 / math.sqrt(scenario.hcpp.lambda_p))
-    cx, cy = window.center
-    r_trunc = min(window.x_max - cx, cx - window.x_min, window.y_max - cy, cy - window.y_min)
-    if r_trunc <= scenario.x_off:
-        raise ConfigurationError(
-            f"window inscribed radius {r_trunc:.0f} m does not clear x_off = {scenario.x_off:.0f} m"
-        )
-    ch = scenario.channel
-    tail = avg_interference_ppp(replace(scenario, x_off=r_trunc))
-    values = np.empty(realizations)
-    for i, stream in enumerate(rng.spawn(realizations)):
-        diff = sample_ppp(scenario.hcpp.lambda_p, window, stream) - window.center
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-        dist = dist[(dist > scenario.x_off) & (dist <= r_trunc)]
-        if dist.size == 0:
-            values[i] = 0.0
-            continue
-        w = sample_shadowing(ch.sigma_s_db, stream, dist.size)
-        g = sample_fading_power(stream, dist.size)
-        values[i] = float(np.sum(ch.beta * w * g * scenario.mean_tx_power * dist**-ch.alpha))
-    est = Estimate.from_samples(values)
-    return Estimate(mean=est.mean + tail, std_error=est.std_error, replications=est.replications)
+    poisson = replace(scenario, hcpp=HcppParams(scenario.hcpp.lambda_p, 0.0))
+    return _tagged_station_mc(poisson, realizations, rng, window, nearest=True)
 
 
 def model_interference(

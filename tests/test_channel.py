@@ -40,9 +40,9 @@ def test_channel_params_validation():
 def test_path_gain_values_and_scaling():
     ch = ChannelParams(BETA, 3.8, 6.0)
     g100 = path_gain(ch, 100.0)
-    assert g100 == pytest.approx(BETA * 100.0**-3.8, rel=1e-12)
+    assert g100 == pytest.approx(BETA * 100.0**-3.8, rel=1e-12, abs=0.0)
     # Doubling the distance divides the gain by 2^alpha.
-    assert path_gain(ch, 200.0) == pytest.approx(g100 / 2**3.8, rel=1e-12)
+    assert path_gain(ch, 200.0) == pytest.approx(g100 / 2**3.8, rel=1e-12, abs=0.0)
 
 
 def test_path_gain_rejects_nonpositive_distance():

@@ -29,7 +29,7 @@ def test_interference_analytic_json(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["model"] == "hcpp"
-    assert payload["analytic_w"] == pytest.approx(1.6100152016359728e-13, rel=1e-8)
+    assert payload["analytic_w"] == pytest.approx(1.6100152016359728e-13, rel=1e-8, abs=0.0)
 
 
 def test_interference_divergent_point_exits_4(capsys):
@@ -115,6 +115,14 @@ def test_validate_unreadable_config_exits_3(capsys, tmp_path):
     assert code == 3
     assert err.startswith("error:") and str(tmp_path) in err
 
+
+
+def test_validate_non_utf8_config_exits_3(capsys, tmp_path):
+    p = tmp_path / "binary.yaml"
+    p.write_bytes(b"\x7fELF\x02\x01\x01\x00" + bytes(range(128, 256)) + bytes(64))
+    code, _, err = run_cli(["validate", "--config", str(p)], capsys)
+    assert code == 3
+    assert err.startswith("error:") and "UTF-8" in err
 
 def test_figure_unwritable_output_exits_3(capsys, tmp_path):
     out = tmp_path / "missing" / "f.csv"

@@ -96,8 +96,11 @@ def test_validate_config_flags_divergent_offsets():
 
 
 def test_validate_config_flags_small_window():
-    diags = validate_config({"interference": {"window_side": 5000.0}})
-    assert any("window_side" in d for d in diags)
+    # the estimator's rule: side / 4 must exceed 2 * (delta + x_off), 1600 m at the defaults
+    for side in (5000.0, 6400.0):
+        diags = validate_config({"interference": {"window_side": side}})
+        assert any("window_side" in d for d in diags)
+    assert validate_config({"interference": {"window_side": 6500.0}}) == []
 
 
 def test_validate_config_reports_structural_errors_as_text():

@@ -15,19 +15,19 @@ from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
 
 GOLDEN = {
     2: (
-        "6ff07c824eb2e91674250e8f51e387f79cabe2c981b76f0baf091ea2beb5fed3",
+        "e0eae9599987a7c8e8b02cc417c6a8f18f535d4a9179c147cd90da24c7289199",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
-        "dd24701bf75eb8c98876fb1197972aecbdf478d3e727566636dc4ea97eb02900",
+        "0a42ec1ddb9f07b0d8bb1979a13809e1a2ae77ab572582d4c596b58fc28f8b59",
         24,
         "x_off",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500"],
     ),
     4: (
-        "a38b87b6027808f3aa25fd500f600ad5cd31711830f7bfa4e58b9d15b189b1c9",
+        "32e9fadf3f7ec6936966e0f2709a07792d16882765079e99072b00bec39b918f",
         27,
         "x_off",
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],

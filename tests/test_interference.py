@@ -19,6 +19,7 @@ from hcppnet import (
     mc_interference,
     mc_interference_ppp,
     mean_shadowing,
+    model_interference,
     second_moment,
 )
 from hcppnet.interference import _one_realization
@@ -169,6 +170,38 @@ def test_mc_rejects_undersized_window():
     with pytest.raises(ConfigurationError):
         mc_interference(scenario(300.0), 10, np.random.default_rng(1), window=Window.square(5000.0))
 
+
+
+def test_mc_shadowing_enters_by_its_mean_with_paired_seeds():
+    # conditional Monte Carlo: no shadowing is drawn, so the same streams see
+    # the same layouts and angles, and the shadowing mean is an exact factor
+    shadowed = mc_interference(scenario(300.0, sigma=6.0), 30, np.random.default_rng(8))
+    plain = mc_interference(scenario(300.0, sigma=0.0), 30, np.random.default_rng(8))
+    assert shadowed.mean / plain.mean == pytest.approx(mean_shadowing(6.0), rel=1e-12, abs=0.0)
+    assert shadowed.std_error / plain.std_error == pytest.approx(mean_shadowing(6.0), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("model, delta", [("hcpp", 500.0), ("ppp", 0.0)])
+def test_mc_window_must_clear_the_exactness_radius(model, delta):
+    # the truncation radius side / 4 must exceed 2 * (delta + x_off), with
+    # delta the spacing of the station model (none for Poisson stations)
+    s = scenario(300.0)
+    rho = 2.0 * (delta + 300.0)
+    with pytest.raises(ConfigurationError, match="2 \\* \\(delta \\+ x_off\\)"):
+        model_interference(model, s, 2, np.random.default_rng(5), window=Window.square(4.0 * rho))
+    _, _, est = model_interference(model, s, 2, np.random.default_rng(5), window=Window.square(4.04 * rho))
+    assert est.replications == 2 and est.mean > 0
+
+
+@pytest.mark.parametrize("model, x_off", [("hcpp", 300.0), ("ppp", 200.0)])
+def test_mc_z_scores_calibrated_at_small_reps(model, x_off):
+    # at 50 realizations the analytic-minus-MC z-scores over 20 seeds must
+    # spread like a standard normal, not with the heavy tail of drawn shadowing
+    z = []
+    for seed in range(20):
+        analytic, _, est = model_interference(model, scenario(x_off), 50, np.random.default_rng(seed))
+        z.append((analytic - est.mean) / est.std_error)
+    assert np.std(z, ddof=1) <= 1.5
 
 def test_empty_selection_region_gives_up_after_bounded_resamples():
     # a selection region no station can reach: the sampler must stop retrying

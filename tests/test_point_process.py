@@ -137,8 +137,8 @@ def test_first_moment_matches_direct_formula():
     params = HcppParams(LAMBDA_P, 500.0)
     x = LAMBDA_P * math.pi * 500.0**2
     direct = (1.0 - math.exp(-x)) / (math.pi * 500.0**2)
-    assert first_moment(params) == pytest.approx(direct, rel=1e-12)
-    assert first_moment(params) == pytest.approx(4.1172257449580084e-07, rel=1e-12)
+    assert first_moment(params) == pytest.approx(direct, rel=1e-12, abs=0.0)
+    assert first_moment(params) == pytest.approx(4.1172257449580084e-07, rel=1e-12, abs=0.0)
 
 
 def test_first_moment_delta_zero_is_parent_intensity():
@@ -229,6 +229,40 @@ def test_no_close_pairs_after_thinning_kdtree():
     tree = cKDTree(pts)
     assert len(tree.query_pairs(350.0)) == 0
 
+
+
+def _matern2_brute_force(pts, delta, marks, window):
+    # O(n^2) definition: point i dies iff some other point within delta
+    # (inclusive) has a smaller mark, or an equal mark and an earlier index
+    kept = []
+    for i, (xi, yi) in enumerate(pts):
+        beaten = delta > 0 and any(
+            j != i
+            and (xi - xj) ** 2 + (yi - yj) ** 2 <= delta**2
+            and (marks[j] < marks[i] or (marks[j] == marks[i] and j < i))
+            for j, (xj, yj) in enumerate(pts)
+        )
+        if not beaten and window.x_min <= xi <= window.x_max and window.y_min <= yi <= window.y_max:
+            kept.append((xi, yi))
+    return np.array(kept, dtype=float).reshape(-1, 2)
+
+
+# Integer coordinates keep every squared distance exact, so points exactly
+# delta apart are decided the same way by both sides; four mark values force ties.
+_points = st.lists(
+    st.tuples(st.integers(0, 12), st.integers(0, 12), st.sampled_from([0.0, 0.25, 0.5, 1.0])),
+    max_size=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_points, st.integers(0, 5), st.integers(0, 4), st.integers(8, 12))
+def test_matern_thinning_matches_brute_force(marked, delta, lo, hi):
+    pts = np.array([(x, y) for x, y, _ in marked], dtype=float).reshape(-1, 2)
+    marks = np.array([m for _, _, m in marked])
+    window = Window(float(lo), float(hi), float(lo), float(hi))
+    expected = _matern2_brute_force(pts, float(delta), marks, window)
+    assert np.array_equal(matern2_thin(pts, float(delta), marks, window), expected)
 
 # Pair retention over wide parameter ranges.  The closed form cancels for
 # small lambda_p * pi * delta^2; these pin the result against its invariants
