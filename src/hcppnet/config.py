@@ -20,8 +20,8 @@ import yaml
 from .channel import ChannelParams, db_to_linear
 from .energy import EnergyModel, TrafficModel
 from .errors import ConfigurationError, ParameterError
-from .interference import InterferenceScenario, interaction_window
-from .point_process import HcppParams, Window
+from .interference import InterferenceScenario
+from .point_process import HcppParams
 from .zf_capacity import AntennaConfig
 
 __all__ = ["ExperimentConfig", "DEFAULTS", "load_config", "config_from_dict", "validate_config"]
@@ -41,7 +41,6 @@ DEFAULTS: dict = {
         "x_off": 300.0,
         "mean_tx_power": 2.0,
         "realizations": 10000,
-        "window_side": None,
     },
     "antennas": {
         "n_t": 8,
@@ -81,7 +80,6 @@ class ExperimentConfig:
     x_off: float
     mean_tx_power: float
     realizations: int
-    window_side: float | None
     antennas: AntennaConfig
     traffic: TrafficModel
     energy: EnergyModel
@@ -192,7 +190,6 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
         x_off=float(itf["x_off"]),
         mean_tx_power=float(itf["mean_tx_power"]),
         realizations=int(itf["realizations"]),
-        window_side=None if itf["window_side"] is None else float(itf["window_side"]),
         antennas=antennas,
         traffic=traffic,
         energy=energy,
@@ -228,8 +225,8 @@ def validate_config(source: str | dict | None) -> list[str]:
     """Collect every problem with a config; an empty list means runnable.
 
     Covers structural errors (all of them at once), parameter-range
-    violations, divergence conditions of the analytic interference mean,
-    and Monte Carlo window adequacy.
+    violations, and divergence conditions of the analytic interference
+    mean.
     """
     diagnostics: list[str] = []
     try:
@@ -254,9 +251,4 @@ def validate_config(source: str | dict | None) -> list[str]:
             f"energy.x_off={cfg.ee_x_off} is not below delta={cfg.hcpp.delta}; "
             "energy-efficiency runs need the analytic interference mean"
         )
-    if cfg.window_side is not None:
-        try:
-            interaction_window(cfg.scenario(), Window.square(cfg.window_side))
-        except ConfigurationError as exc:
-            diagnostics.append(f"interference.window_side={cfg.window_side}: {exc}")
     return diagnostics

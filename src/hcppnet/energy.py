@@ -244,6 +244,10 @@ def _pareto_capped_moments(theta: float, rho_min: float, b: float, rho_star: np.
     return p_ok, e_rho, e_exp
 
 
+_N_SHADOW = 96
+_N_GAIN = 128
+
+
 def energy_efficiency_quad(
     cfg: AntennaConfig,
     tm: TrafficModel,
@@ -251,20 +255,19 @@ def energy_efficiency_quad(
     energy: EnergyModel,
     i_avg: float,
     station_intensity: float,
-    n_shadow: int = 96,
-    n_gain: int = 128,
 ) -> float:
     """Deterministic energy efficiency: quadrature twin of :func:`energy_efficiency_mc`.
 
     Gauss-Hermite nodes cover the lognormal shadowing, generalized
     Gauss-Laguerre nodes the Gamma stream gain, and the capped Pareto rate
     integrals are evaluated in closed form per node.  The power cap creates
-    kinks in the per-node integrands, so the node counts default high;
-    halving them moves results by well under a percent.
+    kinks in the per-node integrands, so the node counts
+    (``_N_SHADOW`` x ``_N_GAIN``) are high; halving them moves results by
+    well under a percent.
     """
     sigma = scenario.channel.sigma_s_db
     if sigma > 0:
-        t, wt = special.roots_hermite(n_shadow)
+        t, wt = special.roots_hermite(_N_SHADOW)
         w_nodes = np.exp(math.sqrt(2.0) * sigma * t * (math.log(10.0) / 10.0))
         w_weights = wt / math.sqrt(math.pi)
     else:
@@ -272,7 +275,7 @@ def energy_efficiency_quad(
         w_weights = np.array([1.0])
 
     m = cfg.gain_shape
-    g_nodes, g_wt = special.roots_genlaguerre(n_gain, m - 1)
+    g_nodes, g_wt = special.roots_genlaguerre(_N_GAIN, m - 1)
     g_weights = g_wt / special.gamma(m)
 
     pg = path_gain(scenario.channel, scenario.x_off)

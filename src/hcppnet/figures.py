@@ -21,7 +21,7 @@ from .config import ExperimentConfig, load_config
 from .energy import EnergyModel, TrafficModel, energy_efficiency_mc, energy_efficiency_quad
 from .errors import ConfigurationError, ParameterError
 from .interference import MODELS, InterferenceScenario, model_interference
-from .point_process import HcppParams, Window
+from .point_process import HcppParams
 from .zf_capacity import AntennaConfig, spectral_efficiency_bound, spectral_efficiency_mc
 
 __all__ = ["FIGURE_IDS", "ResultRow", "ResultTable", "run_figure"]
@@ -162,7 +162,6 @@ class Task:
     reps: int
     model: str
     scenario: InterferenceScenario
-    window: Window | None
     antennas: AntennaConfig | None
     traffic: TrafficModel
     energy: EnergyModel
@@ -173,7 +172,7 @@ class Task:
 def _eval_task(task: Task) -> ResultRow:
     rng = _rng_for(*task.seed_key)
     if task.kind == "itf":
-        analytic, _, est = model_interference(task.model, task.scenario, task.reps, rng, task.window)
+        analytic, _, est = model_interference(task.model, task.scenario, task.reps, rng)
     elif task.kind == "se":
         analytic = spectral_efficiency_bound(task.antennas, task.sweep_value)
         est = spectral_efficiency_mc(task.antennas, task.sweep_value, task.reps, rng)
@@ -225,7 +224,6 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None, master_seed:
     grid = _grid(cfg, spec.axis, spec.grid)
     base = cfg.ee_scenario() if spec.kind == "ee" else cfg.scenario()
     reps = reps or {"itf": cfg.realizations, "se": cfg.se_draws, "ee": cfg.ee_draws}[spec.kind]
-    window = Window.square(cfg.window_side) if cfg.window_side else None
     tasks: list[Task] = []
     for series_idx, series in enumerate(spec.series):
         hcpp = HcppParams(base.hcpp.lambda_p * series.lambda_scale, series.delta or base.hcpp.delta)
@@ -258,7 +256,6 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None, master_seed:
                     reps=reps,
                     model=series.model,
                     scenario=point_scenario,
-                    window=window,
                     antennas=antennas,
                     traffic=traffic,
                     energy=cfg.energy,

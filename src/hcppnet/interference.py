@@ -16,7 +16,7 @@ import numpy as np
 from scipy import integrate, special
 
 from .channel import ChannelParams, mean_shadowing
-from .errors import ConfigurationError, DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError
 from .point_process import (
     HcppParams,
     Window,
@@ -169,60 +169,39 @@ def avg_interference_ppp(scenario: InterferenceScenario) -> float:
     )
 
 
-_MAX_RESAMPLES = 100
-
-
-def interaction_window(
-    scenario: InterferenceScenario, window: Window | None = None
-) -> tuple[Window, Window, float]:
+def interaction_window(scenario: InterferenceScenario) -> tuple[Window, Window, float]:
     """Simulation window, selection region and truncation radius of the tagged-station estimator.
 
     The closed-form far field is exact beyond ``rho = 2 * (delta + x_off)``:
     past ``2 * delta`` the pair density is flat, past ``2 * x_off`` a
     Poisson user's exclusion disc lies inside the truncation disc, and past
-    ``x_off`` the tail series converges.  The default truncation radius is
-    ``rho + 2 / sqrt(lambda_p)`` on a square window of four times that side;
-    a given window gets a quarter of its shorter side and must clear
-    ``rho``.  The selection region is the central square of side twice the
-    truncation radius, so every tagged station's truncation disc lies in the
-    window.
+    ``x_off`` the tail series converges.  The truncation radius is
+    ``rho + 2 / sqrt(lambda_p)`` on a square window of four times that side.
+    The selection region is the central square of side twice the truncation
+    radius, so every tagged station's truncation disc lies in the window.
     """
-    rho = 2.0 * (scenario.hcpp.delta + scenario.x_off)
-    if window is None:
-        r_trunc = rho + 2.0 / math.sqrt(scenario.hcpp.lambda_p)
-        window = Window.square(4.0 * r_trunc)
-    else:
-        r_trunc = min(window.x_max - window.x_min, window.y_max - window.y_min) / 4.0
-        if r_trunc <= rho:
-            raise ConfigurationError(
-                f"truncation radius {r_trunc:.0f} m (a quarter of the window side) does not exceed "
-                f"2 * (delta + x_off) = {rho:.0f} m; enlarge the window"
-            )
+    r_trunc = 2.0 * (scenario.hcpp.delta + scenario.x_off) + 2.0 / math.sqrt(scenario.hcpp.lambda_p)
+    window = Window.square(4.0 * r_trunc)
     return window, Window.square(2.0 * r_trunc, center=tuple(window.center)), r_trunc
 
 
 def _one_realization(
     scenario: InterferenceScenario,
-    window: Window,
-    selection: Window,
-    r_trunc: float,
+    geometry: tuple[Window, Window, float],
     rng: np.random.Generator,
     nearest: bool = False,
 ) -> tuple[float, int]:
     """Summed truncated path loss ``d**-alpha`` over every tagged station, and their count.
 
-    ``nearest`` also drops interferers within ``x_off`` of the user
-    (nearest-station association, for the Poisson baseline).
+    ``geometry`` is what :func:`interaction_window` returns.  ``nearest``
+    also drops interferers within ``x_off`` of the user (nearest-station
+    association, for the Poisson baseline).  An empty selection region
+    gives ``(0.0, 0)``, which leaves the ratio of sums over realizations
+    unbiased.
     """
-    for _ in range(_MAX_RESAMPLES):  # an empty selection region is possible only for tiny windows
-        pts = sample_hcpp(scenario.hcpp, window, rng)
-        sel_mask = selection.contains(pts)
-        if sel_mask.any():
-            break
-    else:
-        raise ConfigurationError(
-            f"no station fell in the selection region in {_MAX_RESAMPLES} deployments; enlarge the window"
-        )
+    window, selection, r_trunc = geometry
+    pts = sample_hcpp(scenario.hcpp, window, rng)
+    sel_mask = selection.contains(pts)
     tagged = pts[sel_mask]
     theta = rng.uniform(0.0, 2.0 * np.pi, len(tagged))
     users = tagged + scenario.x_off * np.stack([np.cos(theta), np.sin(theta)], axis=1)
@@ -241,16 +220,16 @@ def _tagged_station_mc(
     scenario: InterferenceScenario,
     realizations: int,
     rng: np.random.Generator,
-    window: Window | None,
     nearest: bool,
 ) -> Estimate:
     if realizations < 1:
         raise ParameterError(f"realizations must be >= 1, got {realizations}")
-    window, selection, r_trunc = interaction_window(scenario, window)
+    geometry = interaction_window(scenario)
+    r_trunc = geometry[2]
     totals = np.empty(realizations)
     counts = np.empty(realizations)
     for i, stream in enumerate(rng.spawn(realizations)):
-        totals[i], counts[i] = _one_realization(scenario, window, selection, r_trunc, stream, nearest)
+        totals[i], counts[i] = _one_realization(scenario, geometry, stream, nearest)
     ch = scenario.channel
     # shadowing and fading are independent of the layout: each w * g enters by its mean
     scale = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power
@@ -269,7 +248,6 @@ def mc_interference(
     scenario: InterferenceScenario,
     realizations: int,
     rng: np.random.Generator,
-    window: Window | None = None,
 ) -> Estimate:
     """Monte Carlo mean interference under the hard-core deployment, one deployment per realization.
 
@@ -292,14 +270,13 @@ def mc_interference(
     ``i`` always consumes stream ``i`` spawned from ``rng``, so enlarging
     ``realizations`` extends a run without perturbing earlier draws.
     """
-    return _tagged_station_mc(scenario, realizations, rng, window, nearest=False)
+    return _tagged_station_mc(scenario, realizations, rng, nearest=False)
 
 
 def mc_interference_ppp(
     scenario: InterferenceScenario,
     realizations: int,
     rng: np.random.Generator,
-    window: Window | None = None,
 ) -> Estimate:
     """Monte Carlo mean interference for the Poisson baseline.
 
@@ -313,7 +290,7 @@ def mc_interference_ppp(
     if scenario.x_off <= 0:
         raise DivergenceError("the Poisson mean interference diverges at x_off = 0")
     poisson = replace(scenario, hcpp=HcppParams(scenario.hcpp.lambda_p, 0.0))
-    return _tagged_station_mc(poisson, realizations, rng, window, nearest=True)
+    return _tagged_station_mc(poisson, realizations, rng, nearest=True)
 
 
 def model_interference(
@@ -321,7 +298,6 @@ def model_interference(
     scenario: InterferenceScenario,
     realizations: int | None = None,
     rng: np.random.Generator | None = None,
-    window: Window | None = None,
 ) -> tuple[float, float, Estimate | None]:
     """Analytic mean interference, station intensity and Monte Carlo estimate for a station model.
 
@@ -338,4 +314,4 @@ def model_interference(
     if realizations is None:
         return analytic, intensity, None
     runner = mc_interference if hcpp else mc_interference_ppp
-    return analytic, intensity, runner(scenario, realizations, rng, window=window)
+    return analytic, intensity, runner(scenario, realizations, rng)

@@ -77,7 +77,7 @@ def subchannel_capacity(
     if np.any(g_arr < 0):
         raise ParameterError("gain must be nonnegative")
     snr = p_ik * path_gain(channel, x_off) * w_arr * g_arr / i_avg
-    out = cfg.s * b_w * np.log2(1.0 + snr)
+    out = cfg.s * b_w * np.log1p(snr) / math.log(2.0)  # log1p: exact at small SNR
     return out if out.ndim else float(out)
 
 

@@ -1,11 +1,15 @@
 """Config loading, schema validation, and diagnostics tests."""
 
+import copy
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hcppnet import ConfigurationError
-from hcppnet.config import config_from_dict, load_config, validate_config
+from hcppnet.cli import main
+from hcppnet.config import DEFAULTS, _deep_merge, _schema, config_from_dict, load_config, validate_config
 
 
 def test_defaults_load_and_are_consistent():
@@ -44,7 +48,7 @@ def test_out_of_range_values_rejected():
     "user",
     [
         {"interference": {"realizations": 0}},
-        {"interference": {"window_side": 0.0}},
+        {"antennas": {"n_t": 0}},
         {"sweep": {"axis": "s", "values": []}},
         {"mc": {"se_draws": 0}},
         {"mc": {"ee_draws": 0}},
@@ -95,12 +99,43 @@ def test_validate_config_flags_divergent_offsets():
     assert any("energy.x_off" in d for d in diags)
 
 
-def test_validate_config_flags_small_window():
-    # the estimator's rule: side / 4 must exceed 2 * (delta + x_off), 1600 m at the defaults
-    for side in (5000.0, 6400.0):
-        diags = validate_config({"interference": {"window_side": side}})
-        assert any("window_side" in d for d in diags)
-    assert validate_config({"interference": {"window_side": 6500.0}}) == []
+def test_window_side_is_rejected_by_every_entry_point(capsys, tmp_path):
+    # the Monte Carlo window is derived, so a leftover window_side key is a
+    # config error for validate and for each command that runs the estimator
+    p = tmp_path / "window.yaml"
+    p.write_text("interference:\n  window_side: 6500\n")
+    out = str(tmp_path / "fig.csv")
+    for argv in (
+        ["validate", "--config", str(p)],
+        ["interference", "--mc", "--reps", "2", "--config", str(p)],
+        ["figure", "2", "--reps", "1", "--workers", "1", "--out", out, "--config", str(p)],
+    ):
+        assert main(argv) == 3, argv
+        assert "window_side" in capsys.readouterr().err, argv
+
+
+def test_schema_and_defaults_name_the_same_keys():
+    props = _schema()["properties"]
+    assert set(props) == set(DEFAULTS)
+    for section, default in DEFAULTS.items():
+        if isinstance(default, dict):
+            assert set(props[section]["properties"]) == set(default), section
+
+
+_leaves = st.none() | st.integers(0, 3)
+_mappings = st.recursive(
+    st.dictionaries(st.sampled_from("abc"), _leaves, max_size=3),
+    lambda inner: st.dictionaries(st.sampled_from("abc"), _leaves | inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(_mappings, _mappings)
+def test_deep_merge_is_idempotent_and_leaves_inputs_alone(a, b):
+    a_before, b_before = copy.deepcopy(a), copy.deepcopy(b)
+    once = _deep_merge(a, b)
+    assert _deep_merge(once, b) == once
+    assert a == a_before and b == b_before
 
 
 def test_validate_config_reports_structural_errors_as_text():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from hcppnet import (
@@ -27,6 +29,7 @@ from hcppnet import (
     traffic_pdf,
     traffic_sample,
 )
+from hcppnet import energy
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -78,6 +81,22 @@ def test_required_link_power_inverts_capacity():
     rho = subchannel_capacity(cfg, tm.b_w, p, sc.channel, 1.5, 215.0, 2.5, i_avg)
     back = required_link_power(rho, cfg, tm, sc.channel, 1.5, 215.0, 2.5, i_avg)
     assert back == pytest.approx(p, rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1e-6, 1e6),
+    st.integers(1, 8),
+    st.floats(1e-2, 1e2),
+    st.floats(1e-3, 1e2),
+    st.floats(1e-16, 1e-10),
+)
+def test_capacity_of_required_power_returns_the_rate(rho, s, w, g, i_avg):
+    tm, _, sc = default_models()
+    cfg = AntennaConfig(8, s)
+    p = required_link_power(rho, cfg, tm, sc.channel, w, 215.0, g, i_avg)
+    back = subchannel_capacity(cfg, tm.b_w, p, sc.channel, w, 215.0, g, i_avg)
+    assert back == pytest.approx(rho, rel=1e-9, abs=0.0)
 
 
 def test_required_link_power_zero_gain_is_unreachable():
@@ -154,13 +173,19 @@ def test_energy_efficiency_quad_matches_mc():
         assert est.std_error < 0.01 * est.mean
 
 
-def test_energy_efficiency_quad_node_convergence():
+def test_energy_efficiency_quad_node_convergence(monkeypatch):
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 4)
     i_avg, intensity, _ = model_interference("hcpp", sc)
-    coarse = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity, n_shadow=48, n_gain=64)
-    fine = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity, n_shadow=144, n_gain=192)
     default = energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity)
+
+    def with_nodes(n_shadow, n_gain):
+        monkeypatch.setattr(energy, "_N_SHADOW", n_shadow)
+        monkeypatch.setattr(energy, "_N_GAIN", n_gain)
+        return energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity)
+
+    coarse = with_nodes(48, 64)
+    fine = with_nodes(144, 192)
     assert default == pytest.approx(fine, rel=2e-3)
     assert coarse == pytest.approx(fine, rel=1e-2)
 

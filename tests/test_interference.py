@@ -8,7 +8,6 @@ from scipy import integrate
 
 from hcppnet import (
     ChannelParams,
-    ConfigurationError,
     DivergenceError,
     HcppParams,
     InterferenceScenario,
@@ -141,13 +140,6 @@ def test_mc_matches_analytic_spot():
     assert est.std_error < 0.05 * est.mean
 
 
-def test_mc_matches_analytic_on_stated_window():
-    # 20 km x 20 km window exercise with the user 300 m out.
-    s = scenario(300.0)
-    est = mc_interference(s, 2500, np.random.default_rng(102), window=Window.square(20000.0))
-    assert abs(avg_interference_hcpp(s) - est.mean) <= 3.0 * est.std_error
-
-
 def test_mc_linearity_in_power_with_paired_seeds():
     a = mc_interference(scenario(300.0, power=2.0), 200, np.random.default_rng(7))
     b = mc_interference(scenario(300.0, power=4.0), 200, np.random.default_rng(7))
@@ -166,12 +158,6 @@ def test_mc_stream_stability_under_extension():
     assert again.mean == short.mean and again.std_error == short.std_error
 
 
-def test_mc_rejects_undersized_window():
-    with pytest.raises(ConfigurationError):
-        mc_interference(scenario(300.0), 10, np.random.default_rng(1), window=Window.square(5000.0))
-
-
-
 def test_mc_shadowing_enters_by_its_mean_with_paired_seeds():
     # conditional Monte Carlo: no shadowing is drawn, so the same streams see
     # the same layouts and angles, and the shadowing mean is an exact factor
@@ -179,18 +165,6 @@ def test_mc_shadowing_enters_by_its_mean_with_paired_seeds():
     plain = mc_interference(scenario(300.0, sigma=0.0), 30, np.random.default_rng(8))
     assert shadowed.mean / plain.mean == pytest.approx(mean_shadowing(6.0), rel=1e-12, abs=0.0)
     assert shadowed.std_error / plain.std_error == pytest.approx(mean_shadowing(6.0), rel=1e-12, abs=0.0)
-
-
-@pytest.mark.parametrize("model, delta", [("hcpp", 500.0), ("ppp", 0.0)])
-def test_mc_window_must_clear_the_exactness_radius(model, delta):
-    # the truncation radius side / 4 must exceed 2 * (delta + x_off), with
-    # delta the spacing of the station model (none for Poisson stations)
-    s = scenario(300.0)
-    rho = 2.0 * (delta + 300.0)
-    with pytest.raises(ConfigurationError, match="2 \\* \\(delta \\+ x_off\\)"):
-        model_interference(model, s, 2, np.random.default_rng(5), window=Window.square(4.0 * rho))
-    _, _, est = model_interference(model, s, 2, np.random.default_rng(5), window=Window.square(4.04 * rho))
-    assert est.replications == 2 and est.mean > 0
 
 
 @pytest.mark.parametrize("model, x_off", [("hcpp", 300.0), ("ppp", 200.0)])
@@ -203,12 +177,14 @@ def test_mc_z_scores_calibrated_at_small_reps(model, x_off):
         z.append((analytic - est.mean) / est.std_error)
     assert np.std(z, ddof=1) <= 1.5
 
-def test_empty_selection_region_gives_up_after_bounded_resamples():
-    # a selection region no station can reach: the sampler must stop retrying
-    window = Window.square(10000.0)
-    unreachable = Window(1e9, 1e9 + 1.0, 0.0, 1.0)
-    with pytest.raises(ConfigurationError, match="selection region"):
-        _one_realization(scenario(300.0), window, unreachable, 3500.0, np.random.default_rng(4))
+
+def test_empty_selection_region_adds_nothing():
+    # a selection region no station can reach: no redraw, and a (0, 0) term
+    # leaves the ratio of sums over realizations unchanged
+    geometry = (Window.square(10000.0), Window(1e9, 1e9 + 1.0, 0.0, 1.0), 3500.0)
+    for nearest in (False, True):
+        rng = np.random.default_rng(4)
+        assert _one_realization(scenario(300.0), geometry, rng, nearest) == (0.0, 0)
 
 
 def test_ppp_closed_form_value():

@@ -167,6 +167,20 @@ def test_union_area_saturates_beyond_two_delta():
     assert union_area(2.5 * delta, delta) == pytest.approx(far, rel=1e-14)
 
 
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(1e-2, 1e5),
+    st.floats(0.0, 3.0),
+    st.floats(0.0, 3.0),
+)
+@example(500.0, 0.0, 2.0)
+def test_union_area_monotone_between_one_and_two_disks(delta, a, b):
+    near, far = union_area(delta * min(a, b), delta), union_area(delta * max(a, b), delta)
+    assert near <= far
+    disk = math.pi * delta**2
+    assert disk <= near and far <= 2.0 * disk
+
+
 def test_pair_retention_hard_core_zero():
     params = HcppParams(LAMBDA_P, 500.0)
     r = np.array([0.0, 100.0, 499.999, 500.0])
