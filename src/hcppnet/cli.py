@@ -137,7 +137,7 @@ def _cmd_figure(args) -> int:
 def _cmd_interference(args) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.default_rng(cfg.seed)
     reps = (args.reps or cfg.realizations) if args.mc else None
     analytic, _, est = model_interference(args.model, scenario, reps, rng)
     payload = {
@@ -161,7 +161,7 @@ def _cmd_se(args) -> int:
     antennas = cfg.antennas
     xi = args.xi
     draws = args.draws or cfg.se_draws
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.default_rng(cfg.seed)
     est = spectral_efficiency_mc(antennas, xi, draws, rng)
     _emit(
         {
@@ -183,7 +183,7 @@ def _cmd_ee(args) -> int:
     scenario = cfg.ee_scenario()
     i_avg, intensity, _ = model_interference(args.model, scenario)
     draws = args.draws or cfg.ee_draws
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed)))
+    rng = np.random.default_rng(cfg.seed)
     est = energy_efficiency_mc(
         cfg.antennas, cfg.traffic, scenario, cfg.energy, draws, rng,
         i_avg=i_avg, station_intensity=intensity,

@@ -84,30 +84,20 @@ class Estimate:
 
 
 def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
-    # int_{r_start}^inf r^{1-alpha} F(a,a;1;(d/r)^2) dr as a positive power
-    # series; valid for d < r_start, terms shrink geometrically in (d/r_start)^2.
+    # int_{r_start}^inf r^{1-alpha} F(a,a;1;(d/r)^2) dr for d < r_start.
+    # Integrating the series of F term by term gives (a)_n^2 z^n / (n!^2 (alpha-2+2n)),
+    # and (alpha-2)/(alpha-2+2n) = (a-1)_n/(a)_n folds it into one F(a, a-1; 1; z).
     a = alpha / 2.0
     z = (d / r_start) ** 2
-    scale = r_start ** (2.0 - alpha)
-    coeff = 1.0  # [(a)_n / n!]^2
-    zn = 1.0
-    total = 0.0
-    for n in range(200):
-        term = coeff * zn * scale / (alpha - 2.0 + 2.0 * n)
-        total += term
-        if term < 1e-16 * total:
-            return total
-        coeff *= ((a + n) / (n + 1.0)) ** 2
-        zn *= z
-    raise DivergenceError("tail series did not converge; offset too close to the exclusion radius")
+    return r_start ** (2.0 - alpha) / (alpha - 2.0) * special.hyp2f1(a, a - 1.0, 1.0, z)
 
 
-def avg_interference_hcpp(scenario: InterferenceScenario, r_max: float | None = None) -> float:
+def avg_interference_hcpp(scenario: InterferenceScenario) -> float:
     """Mean aggregate interference under the hard-core deployment.
 
     Integrates the pair-intensity-weighted power law radially from the
-    exclusion radius outward, with an analytic power-law tail beyond
-    ``r_max`` (where the pair intensity is constant).  At radius ``r`` from
+    exclusion radius to ``2 * delta``, and adds the far field beyond it,
+    where the pair intensity is flat, in closed form.  At radius ``r`` from
     the serving station the user, on a circle of radius ``x_off`` around
     it, sees the power law averaged over a uniform angle, which is exactly
     ``r**-alpha * F(alpha/2, alpha/2; 1; (x_off/r)**2)`` with ``F`` the
@@ -124,23 +114,20 @@ def avg_interference_hcpp(scenario: InterferenceScenario, r_max: float | None = 
         raise DivergenceError(
             f"analytic mean interference needs x_off < delta, got x_off={d}, delta={delta}"
         )
-    if r_max is None:
-        r_max = max(4.0 * delta, 40.0 / math.sqrt(hcpp.lambda_p))
 
     a = alpha / 2.0
 
     def radial(r):
         return second_moment(r, hcpp) * r ** (1.0 - alpha) * special.hyp2f1(a, a, 1.0, (d / r) ** 2)
 
-    # pair intensity has a kink at 2*delta where the two exclusion discs separate
-    mid = 2.0 * delta
-    part1, _ = integrate.quad(radial, delta, mid, epsabs=0.0, epsrel=1e-10, limit=200)
-    part2, _ = integrate.quad(radial, mid, r_max, epsabs=0.0, epsrel=1e-10, limit=200)
+    # the exclusion discs of two stations separate at 2*delta; beyond it the
+    # pair intensity is the plateau zeta1**2
+    near, _ = integrate.quad(radial, delta, 2.0 * delta, epsabs=0.0, epsrel=1e-10, limit=200)
     zeta1 = first_moment(hcpp)
-    tail = zeta1**2 * _tail_radial_integral(r_max, d, alpha)
+    far = zeta1**2 * _tail_radial_integral(2.0 * delta, d, alpha)
 
     prefactor = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power / zeta1
-    return prefactor * 2.0 * np.pi * (part1 + part2 + tail)
+    return prefactor * 2.0 * np.pi * (near + far)
 
 
 def avg_interference_ppp(scenario: InterferenceScenario) -> float:
@@ -173,16 +160,15 @@ def interaction_window(scenario: InterferenceScenario) -> tuple[Window, Window, 
     """Simulation window, selection region and truncation radius of the tagged-station estimator.
 
     The closed-form far field is exact beyond ``rho = 2 * (delta + x_off)``:
-    past ``2 * delta`` the pair density is flat, past ``2 * x_off`` a
-    Poisson user's exclusion disc lies inside the truncation disc, and past
-    ``x_off`` the tail series converges.  The truncation radius is
+    past ``2 * delta`` the pair density is flat, and past ``2 * x_off`` a
+    Poisson user's exclusion disc lies inside the truncation disc and the
+    argument of the far-field ``F`` is below 1/4.  The truncation radius is
     ``rho + 2 / sqrt(lambda_p)`` on a square window of four times that side.
     The selection region is the central square of side twice the truncation
     radius, so every tagged station's truncation disc lies in the window.
     """
     r_trunc = 2.0 * (scenario.hcpp.delta + scenario.x_off) + 2.0 / math.sqrt(scenario.hcpp.lambda_p)
-    window = Window.square(4.0 * r_trunc)
-    return window, Window.square(2.0 * r_trunc, center=tuple(window.center)), r_trunc
+    return Window.square(4.0 * r_trunc), Window.square(2.0 * r_trunc), r_trunc
 
 
 def _one_realization(

@@ -119,17 +119,20 @@ def spectral_efficiency_mc(
     return Estimate.from_samples(np.log2(1.0 + (xi / cfg.s) * gains).sum(axis=1))
 
 
-def spectral_efficiency_exact(cfg: AntennaConfig, xi: float, n_nodes: int = 96) -> float:
+_N_NODES = 96
+
+
+def spectral_efficiency_exact(cfg: AntennaConfig, xi: float) -> float:
     """Deterministic spectral efficiency by Gamma-weighted quadrature.
 
     Evaluates ``s * E[log2(1 + (xi/s) G)]`` with ``G`` Gamma-distributed
-    using generalized Gauss-Laguerre nodes; the randomness-free twin of
-    :func:`spectral_efficiency_mc`.
+    using ``_N_NODES`` generalized Gauss-Laguerre nodes; the randomness-free
+    twin of :func:`spectral_efficiency_mc`.
     """
     if xi <= 0:
         raise ParameterError(f"xi must be positive, got {xi}")
     m = cfg.gain_shape
-    nodes, weights = special.roots_genlaguerre(n_nodes, m - 1)
+    nodes, weights = special.roots_genlaguerre(_N_NODES, m - 1)
     mean_log = (weights * np.log1p((xi / cfg.s) * nodes)).sum() / special.gamma(m)
     return cfg.s * float(mean_log) / math.log(2.0)
 

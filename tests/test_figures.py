@@ -15,19 +15,19 @@ from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
 
 GOLDEN = {
     2: (
-        "e0eae9599987a7c8e8b02cc417c6a8f18f535d4a9179c147cd90da24c7289199",
+        "162e61fce192389cd9df4d73d59f832ef2b0b4208cbcaf89606dc16a91648817",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
-        "0a42ec1ddb9f07b0d8bb1979a13809e1a2ae77ab572582d4c596b58fc28f8b59",
+        "ede972f4017621de40daff3002fa32fc0f3638891d8b3db08bc5edf8583a280c",
         24,
         "x_off",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500"],
     ),
     4: (
-        "32e9fadf3f7ec6936966e0f2709a07792d16882765079e99072b00bec39b918f",
+        "4d853289aa135c027efec6d735143fa432b0238d7696999948de6be556e7e266",
         27,
         "x_off",
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
@@ -51,7 +51,7 @@ GOLDEN = {
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "a0d66036487a0e196320ec65164b49e67cf05917ab1c4e0d462f737dcd8ba0c2",
+        "68e46699662092d39b20e77f50ecafe0f5534d66549b6b96f16694c75456da03",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
@@ -63,7 +63,7 @@ GOLDEN = {
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "1434458050f32506643c27343738e3c72d18eccfa5106ddc7b44e38f2bf5b734",
+        "ed0d9b48d80a0192add840b55f48dc9e7e3b0d67c2239249c9207d8f49a926f4",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],

@@ -2,8 +2,11 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from hcppnet import (
@@ -21,7 +24,7 @@ from hcppnet import (
     model_interference,
     second_moment,
 )
-from hcppnet.interference import _one_realization
+from hcppnet.interference import _one_realization, _tail_radial_integral
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -125,11 +128,27 @@ def test_analytic_scale_linearity():
     assert avg_interference_hcpp(doubled_beta) == pytest.approx(2 * base, rel=1e-12, abs=0.0)
 
 
-def test_analytic_truncation_converged():
-    s = scenario(300.0)
-    default = avg_interference_hcpp(s)
-    doubled = avg_interference_hcpp(s, r_max=80.0 / math.sqrt(LAMBDA_P))
-    assert doubled == pytest.approx(default, rel=1e-4, abs=0.0)
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=4.0),
+    st.floats(min_value=0.0, max_value=0.95),
+    st.floats(min_value=2.1, max_value=6.0),
+)
+@example(3.0, 0.95, 3.8)  # a power series in (d/R)**2 needs hundreds of terms here
+@example(3.0, 0.95, 2.1)
+def test_far_field_closed_form_matches_mpmath_quadrature(log_r, ratio, alpha):
+    # int_R^inf r^(1-alpha) F(a, a; 1; (d/r)^2) dr at 40 digits.  Substituting
+    # u = (R/r)^(alpha-2) turns it into R^(2-alpha)/(alpha-2) times the
+    # integral over [0, 1] of a bounded F, which tanh-sinh resolves even for
+    # alpha near 2, where the r^(1-alpha) tail is too heavy for it.
+    r_start = 10.0**log_r
+    d = ratio * r_start
+    with mpmath.workdps(40):
+        big_r, a, al = mpmath.mpf(r_start), mpmath.mpf(alpha) / 2, mpmath.mpf(alpha)
+        z, p = (mpmath.mpf(d) / big_r) ** 2, 2 / (al - 2)
+        ring = mpmath.quad(lambda u: mpmath.hyp2f1(a, a, 1, z * u**p), [0, 1])
+        expected = float(big_r ** (2 - al) / (al - 2) * ring)
+    assert _tail_radial_integral(r_start, d, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_mc_matches_analytic_spot():
