@@ -199,49 +199,51 @@ def energy_efficiency_mc(
     return Estimate(mean=ee, std_error=std_error, replications=draws)
 
 
-def _pareto_capped_moments(theta: float, rho_min: float, b: float, rho_star: np.ndarray):
-    """Moments of the Pareto rate truncated at per-node caps ``rho_star``.
+def _exp_moment(theta: float, u_min: float, u_star: np.ndarray) -> np.ndarray:
+    """Integral of ``theta u_min^theta (e^u - 1) u^(-theta-1)`` from ``u_min`` to ``u_star``.
 
-    Returns ``(P(served), E[rho; served], E[e^(b rho) - 1; served])`` for
-    each entry of ``rho_star``; nodes with ``rho_star < rho_min`` cannot
-    serve even the minimum rate and get zeros.  The exponential moment is a
-    positive power series in ``b`` (no closed form); terms are accumulated
-    until they fall below 1e-16 of the running sum.
+    By parts twice down to ``int e^u u^(a-1) du = u^a/a 1F1(a; a+1; u)``, ``a = 2 - theta``, which
+    is ``Ei(u)`` at ``theta = 2``; at ``theta = 1`` the antiderivative is ``u_min (Ei(u) - (e^u - 1)/u)``.
     """
-    rho_star = np.asarray(rho_star, dtype=float)
-    served = rho_star >= rho_min
-    p_ok = np.where(served, 1.0 - (rho_min / np.maximum(rho_star, rho_min)) ** theta, 0.0)
-    e_rho = np.where(
-        served,
-        theta
-        * rho_min**theta
-        / (theta - 1.0)
-        * (rho_min ** (1.0 - theta) - np.maximum(rho_star, rho_min) ** (1.0 - theta)),
-        0.0,
-    )
+    def antiderivative(u):
+        if theta == 1.0:
+            return u_min * (special.expi(u) - np.expm1(u) / u)
+        a, r = 2.0 - theta, u_min / u
+        g = special.expi(u) if a == 0.0 else u**a / a * special.hyp1f1(a, a + 1.0, u)
+        tail = u_min ** (theta - 1.0) * g - np.exp(u) * r ** (theta - 1.0)
+        return u_min / (theta - 1.0) * tail - np.expm1(u) * r**theta
 
+    return antiderivative(u_star) - antiderivative(u_min)
+
+
+_EDGE_BAND = 3e-4  # nearer theta = 1 or 2 than this, _exp_moment loses digits to cancellation
+
+
+def _pareto_capped_moments(theta: float, rho_min: float, b: float, rho_star: np.ndarray):
+    """Moments of the Pareto rate truncated at per-node caps ``rho_star``, all closed-form.
+
+    Returns ``(P(served), E[rho; served], E[e^(b rho) - 1; served])`` per entry of ``rho_star``, zeros
+    where ``rho_star < rho_min`` (not even the minimum rate is served).  With ``l = ln(rho_star / rho_min)``,
+    ``P(served) = -expm1(-theta l)`` and ``E[rho; served] = theta rho_min l exprel(-(theta-1) l)``, exact
+    as ``theta -> 1`` and ``rho_star -> rho_min``.  The last is :func:`_exp_moment` (``Ei`` at ``theta = 2``);
+    within ``_EDGE_BAND`` of ``theta = 1`` or ``2``, the quadratic through the endpoint and two band points.
+    """
     rs = np.maximum(rho_star, rho_min)
-    u_star = b * rs  # exponent at the cap; bounded by log(1 + max SNR)
-    u_min = b * rho_min
-    pow_star = np.ones_like(rs)  # u_star^n / n!
-    pow_min = 1.0
-    total = np.zeros_like(rs)
-    rs_t = rs**-theta
-    rm_t = rho_min**-theta
-    for n in range(1, 600):
-        pow_star = pow_star * u_star / n
-        pow_min = pow_min * u_min / n
-        if n == 2 and theta == 2.0:
-            term = (b**2 / 2.0) * np.log(rs / rho_min)
-        else:
-            term = (rs_t * pow_star - rm_t * pow_min) / (n - theta)
-        total += term
-        if np.all(np.abs(term) <= 1e-16 * np.abs(total)) and np.all(u_star < n):
-            break
+    served = np.asarray(rho_star) >= rho_min
+    ell = np.log(rs / rho_min)
+    p_ok = np.where(served, -np.expm1(-theta * ell), 0.0)
+    e_rho = np.where(served, theta * rho_min * ell * special.exprel(-(theta - 1.0) * ell), 0.0)
+    u_min, u_star = b * rho_min, b * rs
+    edge = 1.0 if theta < 1.5 else 2.0
+    t = abs(theta - edge) / _EDGE_BAND
+    if 0.0 < t < 1.0:
+        step = math.copysign(_EDGE_BAND, 1.5 - edge)
+        e0, e1 = _exp_moment(edge, u_min, u_star), _exp_moment(edge + step, u_min, u_star)
+        e_half = _exp_moment(edge + step / 2.0, u_min, u_star)
+        e_exp = (2.0 * t - 1.0) * ((t - 1.0) * e0 + t * e1) + 4.0 * t * (1.0 - t) * e_half
     else:
-        raise ParameterError("capped-power series did not converge; parameters are extreme")
-    e_exp = np.where(served, theta * rho_min**theta * total, 0.0)
-    return p_ok, e_rho, e_exp
+        e_exp = _exp_moment(theta, u_min, u_star)
+    return p_ok, e_rho, np.where(served, e_exp, 0.0)
 
 
 _N_SHADOW = 96
@@ -258,12 +260,12 @@ def energy_efficiency_quad(
 ) -> float:
     """Deterministic energy efficiency: quadrature twin of :func:`energy_efficiency_mc`.
 
-    Gauss-Hermite nodes cover the lognormal shadowing, generalized
-    Gauss-Laguerre nodes the Gamma stream gain, and the capped Pareto rate
-    integrals are evaluated in closed form per node.  The power cap creates
-    kinks in the per-node integrands, so the node counts
-    (``_N_SHADOW`` x ``_N_GAIN``) are high; halving them moves results by
-    well under a percent.
+    Gauss-Hermite nodes cover the lognormal shadowing, generalized Gauss-Laguerre
+    nodes the Gamma stream gain; at each node the capped Pareto rate moments are
+    closed-form: elementary for the traffic, one ``1F1(a; a+1; u)`` antiderivative
+    with ``a = 2 - theta`` for the power, ``Ei`` at ``theta = 2``.  The power cap creates
+    kinks in the per-node integrands, so the node counts (``_N_SHADOW`` x ``_N_GAIN``)
+    are high; halving them moves results by well under a percent.
     """
     sigma = scenario.channel.sigma_s_db
     if sigma > 0:
@@ -281,8 +283,9 @@ def energy_efficiency_quad(
     pg = path_gain(scenario.channel, scenario.x_off)
     # peak SNR reachable at the power cap, per (shadowing, gain) node
     x_peak = energy.p_link_max * pg * np.outer(w_nodes, g_nodes) / i_avg
+    if not x_peak.max() < 1e300:  # the e^(b rho) terms of the power moment would overflow
+        raise ParameterError(f"peak SNR at the power cap reaches {x_peak.max():.3g}; interference too weak")
     rho_star = cfg.s * tm.b_w * np.log1p(x_peak) / math.log(2.0)
-
     b = math.log(2.0) / (cfg.s * tm.b_w)
     p_ok, e_rho, e_exp = _pareto_capped_moments(tm.theta, tm.rho_min, b, rho_star)
     # required power is (e^(b rho) - 1) * cap / x_peak

@@ -206,10 +206,10 @@ def _point(axis: str, series: Series, scenario: InterferenceScenario, value: flo
     """Scenario and antenna counts at one value of the sweep axis."""
     if axis == "x_off":
         return replace(scenario, x_off=value), None
-    if axis == "n":
-        return scenario, AntennaConfig(int(value), int(value))
-    if axis == "s":
-        return scenario, AntennaConfig(series.n_t, int(value))
+    if axis in ("n", "s"):
+        if not float(value).is_integer():
+            raise ConfigurationError(f"sweep axis {axis!r} counts antennas; {value!r} is not an integer")
+        return scenario, AntennaConfig(int(value) if axis == "n" else series.n_t, int(value))
     return scenario, AntennaConfig(series.n_t, series.s)  # xi: the curve fixes the antennas
 
 

@@ -42,20 +42,16 @@ class Window:
             raise ParameterError(f"degenerate window: {self}")
 
     @classmethod
-    def square(cls, side: float, center: tuple[float, float] = (0.0, 0.0)) -> "Window":
+    def square(cls, side: float) -> "Window":
+        """Square of edge ``side`` centred at the origin."""
         if side <= 0:
             raise ParameterError(f"side must be positive, got {side}")
-        cx, cy = center
         h = side / 2.0
-        return cls(cx - h, cx + h, cy - h, cy + h)
+        return cls(-h, h, -h, h)
 
     @property
     def area(self) -> float:
         return (self.x_max - self.x_min) * (self.y_max - self.y_min)
-
-    @property
-    def center(self) -> np.ndarray:
-        return np.array([(self.x_min + self.x_max) / 2.0, (self.y_min + self.y_max) / 2.0])
 
     def expand(self, margin: float) -> "Window":
         """Window grown by ``margin`` on every side."""

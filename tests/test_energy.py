@@ -1,10 +1,12 @@
 """Traffic, link-power, and energy-efficiency unit tests."""
 
 import math
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -21,6 +23,7 @@ from hcppnet import (
     energy_efficiency_mc,
     energy_efficiency_quad,
     links_per_bs,
+    load_config,
     model_interference,
     path_gain,
     required_link_power,
@@ -163,6 +166,15 @@ def test_avg_link_power_all_outage_degenerate():
     assert energy_efficiency_quad(cfg, tm, sc, en, 1.0, intensity) == 0.0
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_energy_efficiency_quad_rejects_overflowing_peak_snr():
+    # past e^709 the power moment overflows, and scipy's hyp1f1 never returns at an infinite argument
+    tm, en, sc = default_models()
+    _, intensity, _ = model_interference("hcpp", sc)
+    with pytest.raises(ParameterError, match="peak SNR"):
+        energy_efficiency_quad(AntennaConfig(8, 4), tm, sc, en, 1e-305, intensity)
+
+
 def test_energy_efficiency_quad_matches_mc():
     tm, en, sc = default_models()
     for cfg in (AntennaConfig(8, 4), AntennaConfig(8, 8), AntennaConfig(4, 4)):
@@ -220,3 +232,61 @@ def test_energy_efficiency_heavier_traffic_tail_carries_more_bits():
     assert energy_efficiency_quad(cfg, tm_heavy, sc, en, i_avg, intensity) > energy_efficiency_quad(
         cfg, tm_light, sc, en, i_avg, intensity
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(1.01, 2.0), st.integers(1, 16), st.floats(0.0, 1.0))
+@example(2.0, 1, 0.0)
+@example(2.0, 16, 1.0)
+@example(1.01, 4, 1.0)
+def test_capped_moments_match_mpmath_quadrature(theta, s, x):
+    # u = b rho from 1.01 b rho_min to 60, log-uniform in x
+    rho_min, b_w = 2e4, 1e4
+    b = math.log(2.0) / (s * b_w)
+    u_lo = 1.01 * b * rho_min
+    u_star = u_lo * (60.0 / u_lo) ** x
+    p_ok, e_rho, e_exp = energy._pareto_capped_moments(theta, rho_min, b, np.array([u_star / b]))
+    with mpmath.workdps(40):
+        th, u_min, u_hi = mpmath.mpf(theta), mpmath.mpf(b * rho_min), mpmath.mpf(u_star)
+
+        def moment(f):
+            # theta rho_min^theta rho^(-theta-1) drho is theta u_min^theta u^(-theta-1) du
+            return th * u_min**th * mpmath.quad(lambda u: f(u) * u ** (-th - 1), [u_min, u_hi])
+
+        want = (moment(lambda u: 1), moment(lambda u: u / b), moment(mpmath.expm1))
+    for got, ref in zip((p_ok, e_rho, e_exp), want):
+        assert got[0] == pytest.approx(float(ref), rel=1e-9, abs=0.0)
+
+
+def _default_ee(theta, n_t, s):
+    cfg = load_config(None)
+    sc = cfg.ee_scenario()
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+    tm = replace(cfg.traffic, theta=theta)
+    return energy_efficiency_quad(AntennaConfig(n_t, s), tm, sc, cfg.energy, i_avg, intensity)
+
+
+@pytest.mark.parametrize(
+    ("theta", "n_t", "s", "expected"),
+    [
+        # values of the power-series evaluation this closed form replaced
+        (1.0 + 1e-6, 8, 1, 1.453515764434452),
+        (1.0 + 1e-6, 8, 4, 2.658699437482927),
+        (1.0 + 1e-6, 16, 16, 2.7204815049680224),
+        (2.0 - 1e-6, 8, 1, 1.3362214002700967),
+        (2.0 - 1e-6, 8, 4, 1.8365029489302402),
+        (2.0 - 1e-6, 16, 16, 1.5200088365395343),
+        (2.0, 8, 1, 1.3362212965121039),
+        (2.0, 8, 4, 1.8365024363690812),
+        (2.0, 16, 16, 1.5200082867042317),
+    ],
+)
+def test_energy_efficiency_quad_at_theta_edges(theta, n_t, s, expected):
+    assert _default_ee(theta, n_t, s) == pytest.approx(expected, rel=1e-8, abs=0.0)
+
+
+def test_energy_efficiency_quad_is_continuous_at_theta_edges():
+    # one ulp inside (1, 2], where the 1/(theta - 1) and 1/(2 - theta) terms
+    # of the closed form would cancel to no correct digit
+    assert _default_ee(math.nextafter(2.0, 1.0), 8, 1) == pytest.approx(_default_ee(2.0, 8, 1), rel=1e-12, abs=0.0)
+    assert _default_ee(math.nextafter(1.0, 2.0), 8, 1) == pytest.approx(_default_ee(1.0 + 1e-6, 8, 1), rel=1e-6, abs=0.0)

@@ -11,6 +11,8 @@ import hashlib
 
 import pytest
 
+from hcppnet import ConfigurationError, config_from_dict
+from hcppnet.cli import main
 from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
 
 GOLDEN = {
@@ -45,25 +47,25 @@ GOLDEN = {
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "87b5c9cad449af8a901bbb5ffc6552443a6082f6fc9e05b5b73fbaf33213faab",
+        "2a6982740736dce62846d8813c3cd300243fed62d1c0c757eb1331a6c098b27d",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "68e46699662092d39b20e77f50ecafe0f5534d66549b6b96f16694c75456da03",
+        "ab6fab162bc6c7b9da955095811cb1e0664a73f9e745ccb2261c67c99f76e670",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "ea2abb8e0f591992acbd0d5e49fc5b3f5a49e59989af2f3f3630b85eb939dcf9",
+        "b5d685f4b3c766cdc598a7cb5f15962a06d8514a8f086525917eb12de2f61524",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "ed0d9b48d80a0192add840b55f48dc9e7e3b0d67c2239249c9207d8f49a926f4",
+        "867a5525f68572a69fa775c4a48ff3dc22ff9a7737a7a65c14f526e82c866647",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],
@@ -92,3 +94,19 @@ def test_worker_count_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("HCPPNET_WORKERS", "not a number")
     assert _resolve_workers(None, 6, 39) == 1
     assert _resolve_workers(3, 6, 39) == 3
+
+
+@pytest.mark.parametrize(("figure_id", "axis", "values"), [(9, "n", [1.5, 2.0]), (8, "s", [2.7])])
+def test_fractional_antenna_sweep_is_rejected(figure_id, axis, values):
+    cfg = config_from_dict({"sweep": {"axis": axis, "values": values}})
+    with pytest.raises(ConfigurationError, match="not an integer"):
+        run_figure(figure_id, cfg, reps=3, seed=7, workers=1)
+
+
+def test_fractional_antenna_sweep_exits_3(tmp_path, capsys):
+    config = tmp_path / "sweep.yaml"
+    config.write_text("sweep:\n  axis: n\n  values: [1.5, 2.0]\n")
+    out = tmp_path / "f.csv"
+    assert main(["figure", "9", "--config", str(config), "--reps", "3", "--out", str(out)]) == 3
+    assert "not an integer" in capsys.readouterr().err
+    assert not out.exists()

@@ -26,12 +26,12 @@ LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 
 
 def test_window_geometry():
-    w = Window.square(100.0, center=(50.0, -20.0))
+    w = Window(0.0, 100.0, -70.0, 30.0)
     assert w.area == pytest.approx(10000.0)
-    assert np.allclose(w.center, [50.0, -20.0])
     bigger = w.expand(10.0)
     assert bigger.area == pytest.approx(120.0**2)
-    assert np.allclose(bigger.center, w.center)
+    assert (bigger.x_min, bigger.x_max, bigger.y_min, bigger.y_max) == (-10.0, 110.0, -80.0, 40.0)
+    assert Window.square(100.0) == Window(-50.0, 50.0, -50.0, 50.0)
     inside = w.contains(np.array([[50.0, -20.0], [0.0, -70.0], [100.1, 0.0]]))
     assert inside.tolist() == [True, True, False]
 
