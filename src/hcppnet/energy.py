@@ -19,7 +19,7 @@ from scipy import special
 from .channel import path_gain, sample_shadowing
 from .errors import ConfigurationError, ParameterError
 from .interference import Estimate, InterferenceScenario
-from .zf_capacity import AntennaConfig
+from .zf_capacity import AntennaConfig, _gauss_nodes
 
 __all__ = [
     "TrafficModel",
@@ -269,7 +269,7 @@ def energy_efficiency_quad(
     """
     sigma = scenario.channel.sigma_s_db
     if sigma > 0:
-        t, wt = special.roots_hermite(_N_SHADOW)
+        t, wt = _gauss_nodes(special.roots_hermite, _N_SHADOW)
         w_nodes = np.exp(math.sqrt(2.0) * sigma * t * (math.log(10.0) / 10.0))
         w_weights = wt / math.sqrt(math.pi)
     else:
@@ -277,12 +277,13 @@ def energy_efficiency_quad(
         w_weights = np.array([1.0])
 
     m = cfg.gain_shape
-    g_nodes, g_wt = special.roots_genlaguerre(_N_GAIN, m - 1)
+    g_nodes, g_wt = _gauss_nodes(special.roots_genlaguerre, _N_GAIN, m - 1)
     g_weights = g_wt / special.gamma(m)
 
     pg = path_gain(scenario.channel, scenario.x_off)
     # peak SNR reachable at the power cap, per (shadowing, gain) node
-    x_peak = energy.p_link_max * pg * np.outer(w_nodes, g_nodes) / i_avg
+    with np.errstate(over="ignore"):  # an overflow to inf is caught by the guard below
+        x_peak = energy.p_link_max * pg * np.outer(w_nodes, g_nodes) / i_avg
     if not x_peak.max() < 1e300:  # the e^(b rho) terms of the power moment would overflow
         raise ParameterError(f"peak SNR at the power cap reaches {x_peak.max():.3g}; interference too weak")
     rho_star = cfg.s * tm.b_w * np.log1p(x_peak) / math.log(2.0)

@@ -10,6 +10,7 @@ from explicit channel matrices to check that law.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -119,6 +120,14 @@ def spectral_efficiency_mc(
     return Estimate.from_samples(np.log2(1.0 + (xi / cfg.s) * gains).sum(axis=1))
 
 
+@functools.cache
+def _gauss_nodes(roots, n: int, *shape) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights ``roots(n, *shape)`` of a :mod:`scipy.special` rule, computed once."""
+    nodes, weights = roots(n, *shape)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 _N_NODES = 96
 
 
@@ -132,7 +141,7 @@ def spectral_efficiency_exact(cfg: AntennaConfig, xi: float) -> float:
     if xi <= 0:
         raise ParameterError(f"xi must be positive, got {xi}")
     m = cfg.gain_shape
-    nodes, weights = special.roots_genlaguerre(_N_NODES, m - 1)
+    nodes, weights = _gauss_nodes(special.roots_genlaguerre, _N_NODES, m - 1)
     mean_log = (weights * np.log1p((xi / cfg.s) * nodes)).sum() / special.gamma(m)
     return cfg.s * float(mean_log) / math.log(2.0)
 

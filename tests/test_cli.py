@@ -94,6 +94,21 @@ def test_ee_divergent_energy_offset_exits_4(capsys):
     assert code == 4
 
 
+def test_ee_too_weak_interference_prints_only_the_error(tmp_path):
+    # in a child interpreter, so that a numpy warning would reach stderr instead of pytest's log
+    config = tmp_path / "tiny.yaml"
+    config.write_text("interference:\n  mean_tx_power: 1.0e-300\n")
+    child = subprocess.run(
+        [sys.executable, "-m", "hcppnet.cli", "ee", "--config", str(config)],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+    )
+    assert child.returncode == 3
+    lines = child.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), child.stderr
+
+
 def test_validate_ok(capsys, tmp_path):
     p = tmp_path / "ok.yaml"
     p.write_text("seed: 3\n")
@@ -201,8 +216,9 @@ def test_console_entry_point_subprocess(tmp_path):
     assert out.read_bytes() == content_a
 
 
-def test_cli_import_does_not_load_scipy_stats():
-    code = "import sys, hcppnet.cli; print('scipy.stats' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
+def test_cli_import_does_not_load_scipy_module(module):
+    code = f"import sys, hcppnet.cli; print({module!r} in sys.modules)"
     child = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )

@@ -166,13 +166,15 @@ def test_avg_link_power_all_outage_degenerate():
     assert energy_efficiency_quad(cfg, tm, sc, en, 1.0, intensity) == 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
 def test_energy_efficiency_quad_rejects_overflowing_peak_snr():
-    # past e^709 the power moment overflows, and scipy's hyp1f1 never returns at an infinite argument
+    # past e^709 the power moment overflows, and scipy's hyp1f1 never returns at an infinite argument;
+    # at 1e-315 the peak SNR itself overflows to inf, and the ParameterError is still the only report
     tm, en, sc = default_models()
     _, intensity, _ = model_interference("hcpp", sc)
-    with pytest.raises(ParameterError, match="peak SNR"):
-        energy_efficiency_quad(AntennaConfig(8, 4), tm, sc, en, 1e-305, intensity)
+    for i_avg in (1e-305, 1e-315):
+        with pytest.raises(ParameterError, match="peak SNR"):
+            energy_efficiency_quad(AntennaConfig(8, 4), tm, sc, en, i_avg, intensity)
 
 
 def test_energy_efficiency_quad_matches_mc():

@@ -17,19 +17,19 @@ from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
 
 GOLDEN = {
     2: (
-        "162e61fce192389cd9df4d73d59f832ef2b0b4208cbcaf89606dc16a91648817",
+        "062ff036c31c32b9e6f517e9cf69cd356f362ebef15f29e49a6128377acb8249",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
-        "ede972f4017621de40daff3002fa32fc0f3638891d8b3db08bc5edf8583a280c",
+        "d90422570d2d11bf465f97f0f54fd977bd2d0664a6df90515d2040d43e02660f",
         24,
         "x_off",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500"],
     ),
     4: (
-        "4d853289aa135c027efec6d735143fa432b0238d7696999948de6be556e7e266",
+        "4df1079c5cab91e044750329886ae96bc0ce7af1901ec07dad8c431eb5c70ca4",
         27,
         "x_off",
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
@@ -47,25 +47,25 @@ GOLDEN = {
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "2a6982740736dce62846d8813c3cd300243fed62d1c0c757eb1331a6c098b27d",
+        "f8bd4f741f35501e216625eae4b7e2929a4500df7ee14d5d73732c723f7093ce",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "ab6fab162bc6c7b9da955095811cb1e0664a73f9e745ccb2261c67c99f76e670",
+        "000f5082f46d11fee80444ca3ea77fdb04130f64f2e75d3f552d8266786ef8a6",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "b5d685f4b3c766cdc598a7cb5f15962a06d8514a8f086525917eb12de2f61524",
+        "283b2057fb21db8541b5af224cfb09e6e860b4b54c48da990c50f8b79985aae7",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "867a5525f68572a69fa775c4a48ff3dc22ff9a7737a7a65c14f526e82c866647",
+        "79c367b5cced81510feacab369d1f717a628604d2eddd1d9fba8f9b8bbaa9238",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from hcppnet import (
     ChannelParams,
@@ -25,6 +25,7 @@ from hcppnet import (
     second_moment,
 )
 from hcppnet.interference import _one_realization, _tail_radial_integral
+from hcppnet.point_process import first_moment
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -52,8 +53,6 @@ def _radial_oracle(s, ring_mean):
     # The pair density against a caller-given ring average of the power law,
     # integrated over log-spaced quad panels from delta out to 3e6 m (the
     # tail beyond is below 1e-6): an oracle independent of the hyp2f1 kernel.
-    from hcppnet.point_process import first_moment
-
     params, ch = s.hcpp, s.channel
 
     def radial(r):
@@ -109,6 +108,84 @@ def test_analytic_rejects_singular_offsets():
         avg_interference_hcpp(scenario(500.0, delta=500.0))
     with pytest.raises(DivergenceError):
         avg_interference_hcpp(scenario(650.0, delta=500.0))
+
+
+def _with_far_field(s, near):
+    # Mean interference from a caller-given integral over [delta, 2 delta] plus the closed-form far field.
+    zeta1 = first_moment(s.hcpp)
+    far = zeta1**2 * _tail_radial_integral(2.0 * s.hcpp.delta, s.x_off, s.channel.alpha)
+    pref = s.channel.beta * mean_shadowing(s.channel.sigma_s_db) * s.mean_tx_power / zeta1
+    return pref * 2.0 * math.pi * (near + far)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(min_value=100.0, max_value=1000.0),
+    st.floats(min_value=0.125, max_value=8.0),
+    st.floats(min_value=2.2, max_value=5.0, exclude_min=True, exclude_max=True),
+    st.floats(min_value=0.0, max_value=0.99),
+)
+@example(500.0, 1.0, 3.8, 0.99)
+@example(300.0, 2.0, 4.2, 0.8)
+def test_analytic_matches_adaptive_quadrature(delta, lambda_scale, alpha, ratio):
+    # The fixed-node rule against adaptive quad over [delta, 2 delta] on the
+    # untransformed kernel r^(1-alpha) F(a, a; 1; (d/r)^2).
+    s = scenario(ratio * delta, delta=delta, alpha=alpha, lambda_p=lambda_scale * LAMBDA_P)
+    d, a = s.x_off, alpha / 2.0
+
+    def radial(r):
+        return second_moment(r, s.hcpp) * r ** (1.0 - alpha) * special.hyp2f1(a, a, 1.0, (d / r) ** 2)
+
+    near, _ = integrate.quad(radial, delta, 2.0 * delta, epsabs=0.0, epsrel=1e-12, limit=200)
+    assert avg_interference_hcpp(s) == pytest.approx(_with_far_field(s, near), rel=1e-10, abs=0.0)
+
+
+def _near_edge_reference(s):
+    # The integral over [delta, 2 delta] in t = ln(r - x_off), so the offset
+    # keeps all its digits however near x_off is to delta: quad on unit-width
+    # panels in t, and F(a, a; 1; z) itself, no Euler transform, from mpmath
+    # at 30 digits with r = x_off + e^t formed exactly.
+    hcpp, d, alpha = s.hcpp, s.x_off, s.channel.alpha
+
+    def radial(t):
+        gap = math.exp(t)
+        r = d + gap
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha) / 2
+            ring = float(mpmath.hyp2f1(a, a, 1, (mpmath.mpf(d) / (mpmath.mpf(d) + mpmath.mpf(gap))) ** 2))
+        return gap * second_moment(np.array([r]), hcpp)[0] * r ** (1.0 - alpha) * ring
+
+    lo, hi = math.log(hcpp.delta - d), math.log(2.0 * hcpp.delta - d)
+    edges = np.linspace(lo, hi, math.ceil(hi - lo) + 1)
+    panels = zip(edges[:-1], edges[1:])
+    near = sum(integrate.quad(radial, t0, t1, epsabs=0.0, epsrel=1e-12)[0] for t0, t1 in panels)
+    return _with_far_field(s, near)
+
+
+@pytest.mark.parametrize("alpha", [2.5, 4.6])
+@pytest.mark.parametrize("gap", [1e-3, 1e-6, 1e-9])
+def test_analytic_near_exclusion_edge_matches_offset_reference(gap, alpha):
+    s = scenario(500.0 * (1.0 - gap), delta=500.0, alpha=alpha)
+    assert avg_interference_hcpp(s) == pytest.approx(_near_edge_reference(s), rel=1e-10, abs=0.0)
+
+
+def test_analytic_power_law_growth_holds_to_the_last_float_before_delta():
+    # As x_off -> delta the mean grows like (delta - x_off)^(2 - alpha), up to
+    # relative terms of order (delta - x_off) / delta.  That must hold at the
+    # last floats below delta too, where x_off + (r - x_off) rounds onto delta
+    # for the nodes nearest the edge.
+    delta, alpha = 500.0, 3.8
+    base_x_off = delta * (1.0 - 1e-12)
+    base = avg_interference_hcpp(scenario(base_x_off, delta=delta, alpha=alpha))
+    for x_off in (math.nextafter(delta, 0.0), delta * (1.0 - 1e-15)):
+        growth = ((delta - x_off) / (delta - base_x_off)) ** (2.0 - alpha)
+        value = avg_interference_hcpp(scenario(x_off, delta=delta, alpha=alpha))
+        assert value / base == pytest.approx(growth, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+def test_analytic_near_exclusion_edge_warns_nothing():
+    assert avg_interference_hcpp(scenario(499.999, delta=500.0)) > avg_interference_hcpp(scenario(499.9))
 
 
 def test_analytic_monotonicity():
