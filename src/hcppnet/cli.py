@@ -111,7 +111,7 @@ def _load(args: argparse.Namespace):
     merged = base
     over = _overrides(args)
     if over:
-        # re-validate the merged mapping so overrides obey the same schema
+        # re-validate the merged mapping so overrides obey the same structure checks
         merged = _deep_merge(base, over)
     return config_from_dict(merged)
 

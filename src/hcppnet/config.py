@@ -3,18 +3,19 @@
 A config file is a YAML document with nested sections; anything omitted
 falls back to the built-in defaults, so an empty file (or none at all) is a
 complete, runnable configuration.  Structure is checked against the
-packaged JSON schema, value ranges by the model types themselves.
+defaults themselves: each key must be one of theirs and each value must
+have the type of its default, or be null where that is allowed.  Numbers
+must be finite and within a small table of bounds, which the model types
+check again for library callers.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import math
+import operator
 from dataclasses import dataclass
-from importlib import resources
 
-import jsonschema
 import yaml
 
 from .channel import ChannelParams, db_to_linear
@@ -100,22 +101,108 @@ class ExperimentConfig:
         return InterferenceScenario(self.hcpp, self.channel, self.ee_x_off, self.mean_tx_power)
 
 
-def _schema() -> dict:
-    text = resources.files("hcppnet").joinpath("config.schema.json").read_text()
-    return json.loads(text)
+# keys whose value may be null, and the type a non-null value must have
+_NULLABLE = {"energy/n_link": float, "energy/lambda_m": float, "output/path": str}
+
+# every bound a config number must meet; the model types check them again
+_BOUNDS = (
+    ("seed", ">=", 0),
+    ("point_process/lambda_p", ">", 0),
+    ("point_process/delta", ">=", 0),
+    ("channel/alpha", ">", 2),
+    ("channel/sigma_s_db", ">=", 0),
+    ("interference/x_off", ">=", 0),
+    ("interference/mean_tx_power", ">", 0),
+    ("interference/realizations", ">=", 1),
+    ("antennas/n_t", ">=", 1),
+    ("antennas/s", ">=", 1),
+    ("traffic/theta", ">", 1),
+    ("traffic/theta", "<=", 2),
+    ("traffic/rho_min", ">", 0),
+    ("traffic/b_w", ">", 0),
+    ("energy/eta", ">", 0),
+    ("energy/eta", "<=", 1),
+    ("energy/p_rf_chain", ">=", 0),
+    ("energy/p_sta", ">=", 0),
+    ("energy/p_link_max", ">", 0),
+    ("energy/n_link", ">", 0),
+    ("energy/lambda_m", ">", 0),
+    ("energy/x_off", ">", 0),
+    ("mc/se_draws", ">=", 1),
+    ("mc/ee_draws", ">=", 1),
+)
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _leaf_problem(value, kind: type, nullable: bool = False) -> str | None:
+    """Why ``value`` is not a ``kind`` (int, float or str), or None if it is."""
+    if value is None and nullable:
+        return None
+    if kind is str:
+        ok = isinstance(value, str)
+    elif isinstance(value, bool) or not isinstance(value, (int, float)):
+        ok = False
+    elif isinstance(value, float) and not math.isfinite(value):
+        return f"must be a finite number, got {value}"
+    else:  # an integral float such as 8.0 is an integer
+        ok = kind is float or isinstance(value, int) or value.is_integer()
+    return None if ok else f"must be {_TYPE_NAMES[kind]}{' or null' if nullable else ''}, got {value!r}"
+
+
+def _unknown_keys(mapping: dict, known, path: tuple) -> list[tuple[tuple, str]]:
+    return [(path, f"additional key {key!r} is not allowed") for key in mapping if key not in known]
+
+
+def _sweep_problems(sweep) -> list[tuple[tuple, str]]:
+    path = ("sweep",)
+    if not isinstance(sweep, dict):
+        return [(path, f"must be null or a mapping, got {type(sweep).__name__}")]
+    found = _unknown_keys(sweep, ("axis", "values"), path)
+    found += [(path, f"required key {key!r} is missing") for key in ("axis", "values") if key not in sweep]
+    axis, values = sweep.get("axis"), sweep.get("values")
+    if "axis" in sweep and not (isinstance(axis, str) and axis):
+        found.append(((*path, "axis"), f"must be a non-empty string, got {axis!r}"))
+    if "values" in sweep:
+        if not (isinstance(values, list) and values):
+            found.append(((*path, "values"), f"must be a non-empty list of numbers, got {values!r}"))
+        else:
+            for i, value in enumerate(values):
+                problem = _leaf_problem(value, float)
+                if problem:
+                    found.append(((*path, "values", str(i)), problem))
+    return found
+
+
+def _problems(value, default, path: tuple) -> list[tuple[tuple, str]]:
+    """Every (path, message) at which ``value`` departs from the shape of ``default``."""
+    name = "/".join(path)
+    if name == "sweep":
+        return [] if value is None else _sweep_problems(value)
+    if isinstance(default, dict):
+        if not isinstance(value, dict):
+            return [(path, f"must be a mapping, got {type(value).__name__}")]
+        found = _unknown_keys(value, default, path)
+        for key, item in value.items():
+            if key in default:
+                found += _problems(item, default[key], (*path, str(key)))
+        return found
+    problem = _leaf_problem(value, _NULLABLE.get(name, type(default)), name in _NULLABLE)
+    if problem:
+        return [(path, problem)]
+    return [
+        (path, f"must be {op} {bound}, got {value}")
+        for where, op, bound in _BOUNDS
+        if where == name and value is not None and not _COMPARE[op](value, bound)
+    ]
 
 
 def _structure_problems(user) -> list[str]:
-    """Every schema violation of a user mapping, in path order."""
+    """Every departure of a user mapping from the keys and types of DEFAULTS, in path order."""
     if not isinstance(user, dict):
         return [f"config root must be a mapping, got {type(user).__name__}"]
-    schema = _schema()
-    validator = jsonschema.validators.validator_for(schema)(schema)
-    errors = sorted(validator.iter_errors(user), key=lambda e: [str(p) for p in e.absolute_path])
-    return [
-        f"config structure invalid at {'/'.join(str(p) for p in e.absolute_path) or '(root)'}: {e.message}"
-        for e in errors
-    ]
+    found = sorted(_problems(user, DEFAULTS, ()), key=lambda problem: problem[0])
+    return [f"config structure invalid at {'/'.join(path) or '(root)'}: {message}" for path, message in found]
 
 
 def _deep_merge(base: dict, override: dict) -> dict:

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import ParameterError
 
@@ -140,6 +139,8 @@ def matern2_thin(points, delta: float, marks, window: Window) -> np.ndarray:
 
     keep = np.ones(pos.shape[0], dtype=bool)
     if delta > 0 and pos.shape[0] > 1:
+        from scipy.spatial import cKDTree  # slow to load, and only the Monte Carlo layer thins
+
         pairs = cKDTree(pos).query_pairs(delta, output_type="ndarray")
         if pairs.size:
             i, j = pairs[:, 0], pairs[:, 1]  # query_pairs yields i < j

@@ -38,6 +38,14 @@ def test_interference_divergent_point_exits_4(capsys):
     assert "diverge" in err.lower() or "x_off" in err
 
 
+def test_interference_non_finite_override_exits_3(capsys):
+    for flag, key in (("--alpha", "channel/alpha"), ("--x-off", "interference/x_off")):
+        code, _, err = run_cli(["interference", flag, "nan"], capsys)
+        assert code == 3, flag
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:") and key in lines[0], err
+
+
 def test_interference_bad_config_value_exits_3(capsys, tmp_path):
     p = tmp_path / "bad.yaml"
     p.write_text("traffic:\n  theta: 9\n")
@@ -224,3 +232,15 @@ def test_cli_import_does_not_load_scipy_module(module):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "False"
+
+
+def test_loading_the_defaults_needs_no_schema_or_spatial_module():
+    code = (
+        "import sys, hcppnet, hcppnet.cli; hcppnet.load_config(None); "
+        "print(sorted({'jsonschema', 'scipy.spatial'} & set(sys.modules)))"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"

@@ -1,4 +1,4 @@
-"""Config loading, schema validation, and diagnostics tests."""
+"""Config loading, structure validation, and diagnostics tests."""
 
 import copy
 import math
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hcppnet import ConfigurationError
 from hcppnet.cli import main
-from hcppnet.config import DEFAULTS, _deep_merge, _schema, config_from_dict, load_config, validate_config
+from hcppnet.config import DEFAULTS, _deep_merge, config_from_dict, load_config, validate_config
 
 
 def test_defaults_load_and_are_consistent():
@@ -52,6 +52,11 @@ def test_out_of_range_values_rejected():
         {"sweep": {"axis": "s", "values": []}},
         {"mc": {"se_draws": 0}},
         {"mc": {"ee_draws": 0}},
+        {"channel": {"alpha": math.nan}},
+        {"point_process": {"lambda_p": math.inf}},
+        {"sweep": {"axis": "x_off", "values": [math.nan]}},
+        {"antennas": {"n_t": 8.5}},
+        {"channel": {"alpha": True}},
     ],
 )
 def test_schema_rejects_empty_counts_and_sweeps(user):
@@ -114,12 +119,26 @@ def test_window_side_is_rejected_by_every_entry_point(capsys, tmp_path):
         assert "window_side" in capsys.readouterr().err, argv
 
 
-def test_schema_and_defaults_name_the_same_keys():
-    props = _schema()["properties"]
-    assert set(props) == set(DEFAULTS)
-    for section, default in DEFAULTS.items():
-        if isinstance(default, dict):
-            assert set(props[section]["properties"]) == set(default), section
+_LEAF_PATHS = [name for name, default in DEFAULTS.items() if not isinstance(default, dict)] + [
+    f"{name}/{key}" for name, default in DEFAULTS.items() if isinstance(default, dict) for key in default
+]
+
+
+def _user_setting(path, value):
+    *sections, key = path.split("/")
+    return {sections[0]: {key: value}} if sections else {key: value}
+
+
+@pytest.mark.parametrize("path", _LEAF_PATHS)
+def test_every_default_leaf_is_type_checked_and_accepts_its_default(path):
+    # a string is a valid output path, so that leaf gets a number instead
+    wrong = 1 if path == "output/path" else "x"
+    diags = validate_config(_user_setting(path, wrong))
+    assert len(diags) == 1 and f" {path}:" in diags[0], diags
+    default = DEFAULTS
+    for part in path.split("/"):
+        default = default[part]
+    assert validate_config(_user_setting(path, default)) == []
 
 
 _leaves = st.none() | st.integers(0, 3)
