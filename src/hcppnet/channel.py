@@ -69,7 +69,7 @@ def sample_shadowing(sigma_s_db: float, rng: np.random.Generator, size=None):
     if sigma_s_db < 0:
         raise ParameterError(f"sigma_s_db must be nonnegative, got {sigma_s_db}")
     s = rng.normal(0.0, sigma_s_db, size)
-    return np.power(10.0, s / 10.0)
+    return np.exp(s * _LN10_OVER_10)
 
 
 def mean_shadowing(sigma_s_db: float) -> float:

@@ -138,7 +138,7 @@ def _cmd_interference(args) -> int:
     cfg = _load(args)
     scenario = cfg.scenario()
     rng = np.random.default_rng(cfg.seed)
-    reps = (args.reps or cfg.realizations) if args.mc else None
+    reps = (cfg.realizations if args.reps is None else args.reps) if args.mc else None
     analytic, _, est = model_interference(args.model, scenario, reps, rng)
     payload = {
         "model": args.model,
@@ -160,7 +160,7 @@ def _cmd_se(args) -> int:
     cfg = _load(args)
     antennas = cfg.antennas
     xi = args.xi
-    draws = args.draws or cfg.se_draws
+    draws = cfg.se_draws if args.draws is None else args.draws
     rng = np.random.default_rng(cfg.seed)
     est = spectral_efficiency_mc(antennas, xi, draws, rng)
     _emit(
@@ -182,7 +182,7 @@ def _cmd_ee(args) -> int:
     cfg = _load(args)
     scenario = cfg.ee_scenario()
     i_avg, intensity, _ = model_interference(args.model, scenario)
-    draws = args.draws or cfg.ee_draws
+    draws = cfg.ee_draws if args.draws is None else args.draws
     rng = np.random.default_rng(cfg.seed)
     est = energy_efficiency_mc(
         cfg.antennas, cfg.traffic, scenario, cfg.energy, draws, rng,

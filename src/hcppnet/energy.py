@@ -10,6 +10,7 @@ independent routes are provided: a Monte Carlo average over joint draws of
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -129,7 +130,7 @@ def required_link_power(
     with np.errstate(over="ignore"):  # huge rate demands overflow to inf = sure outage
         snr_needed = np.expm1(rho_arr * (math.log(2.0) / (cfg.s * tm.b_w)))
     link_gain = path_gain(channel, x_off) * w_arr * g_arr
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):  # inf: unreachable at any power
         out = snr_needed * i_avg / link_gain
     return out if out.ndim else float(out)
 
@@ -180,74 +181,131 @@ def energy_efficiency_mc(
     g = rng.gamma(cfg.gain_shape, 1.0, draws)
     p = required_link_power(rho, cfg, tm, scenario.channel, w, scenario.x_off, g, i_avg)
     served = p <= energy.p_link_max
-    n_ok = int(served.sum())
+    rho, p = rho[served], p[served]
+    n_ok = rho.size
     if n_ok == 0:
         return Estimate(mean=0.0, std_error=0.0, replications=draws)
-    t_mean = float(rho[served].mean())
-    p_mean = float(p[served].mean())
+    t_mean = float(rho.mean())
+    p_mean = float(p.mean())
     watts = _per_link_watts(p_mean, cfg, energy, station_intensity)
     ee = (t_mean / tm.b_w) / watts
 
     if n_ok >= 2:
+        # the gradient's quadratic form with the sample covariance, summed per draw
         grad_t = 1.0 / (tm.b_w * watts)
         grad_p = -ee / (watts * energy.eta)
-        cov = np.cov(rho[served], p[served], ddof=1) / n_ok
-        var = grad_t**2 * cov[0, 0] + 2.0 * grad_t * grad_p * cov[0, 1] + grad_p**2 * cov[1, 1]
-        std_error = float(np.sqrt(max(var, 0.0)))
+        dev = grad_t * (rho - t_mean) + grad_p * (p - p_mean)
+        std_error = math.sqrt(float(dev @ dev) / ((n_ok - 1) * n_ok))
     else:
         std_error = float("inf")
     return Estimate(mean=ee, std_error=std_error, replications=draws)
 
 
-def _exp_moment(theta: float, u_min: float, u_star: np.ndarray) -> np.ndarray:
+def _exp_kernel(theta: float, u):
+    """The special-function part of :func:`_exp_moment`'s antiderivative at ``u``.
+
+    ``u^a/a 1F1(a; a+1; u)`` with ``a = 2 - theta``, the integral of ``e^u u^(a-1)``; ``Ei(u)`` at
+    ``theta = 2`` (where that integral is ``Ei``) and at ``theta = 1`` (where the antiderivative needs it).
+    """
+    if theta == 1.0 or theta == 2.0:
+        return special.expi(u)
+    a = 2.0 - theta
+    return u**a / a * special.hyp1f1(a, a + 1.0, u)
+
+
+def _exp_moment(theta: float, u_min: float, u_star: np.ndarray, k_star: np.ndarray) -> np.ndarray:
     """Integral of ``theta u_min^theta (e^u - 1) u^(-theta-1)`` from ``u_min`` to ``u_star``.
 
     By parts twice down to ``int e^u u^(a-1) du = u^a/a 1F1(a; a+1; u)``, ``a = 2 - theta``, which
     is ``Ei(u)`` at ``theta = 2``; at ``theta = 1`` the antiderivative is ``u_min (Ei(u) - (e^u - 1)/u)``.
+    ``k_star`` is that kernel at ``u_star``, :func:`_exp_kernel`.  It alone needs a special function,
+    and it does not depend on ``u_min``; the elementary rest does, so one kernel serves every ``u_min``.
     """
-    def antiderivative(u):
+    def antiderivative(u, k):
         if theta == 1.0:
-            return u_min * (special.expi(u) - np.expm1(u) / u)
-        a, r = 2.0 - theta, u_min / u
-        g = special.expi(u) if a == 0.0 else u**a / a * special.hyp1f1(a, a + 1.0, u)
-        tail = u_min ** (theta - 1.0) * g - np.exp(u) * r ** (theta - 1.0)
+            return u_min * (k - np.expm1(u) / u)
+        r = u_min / u
+        tail = u_min ** (theta - 1.0) * k - np.exp(u) * r ** (theta - 1.0)
         return u_min / (theta - 1.0) * tail - np.expm1(u) * r**theta
 
-    return antiderivative(u_star) - antiderivative(u_min)
+    return antiderivative(u_star, k_star) - antiderivative(u_min, _exp_kernel(theta, u_min))
 
 
 _EDGE_BAND = 3e-4  # nearer theta = 1 or 2 than this, _exp_moment loses digits to cancellation
 
 
-def _pareto_capped_moments(theta: float, rho_min: float, b: float, rho_star: np.ndarray):
-    """Moments of the Pareto rate truncated at per-node caps ``rho_star``, all closed-form.
+def _moment_thetas(theta: float) -> tuple[float, ...]:
+    """The heaviness indices at which :func:`_exp_moment` is evaluated for a curve at ``theta``.
 
-    Returns ``(P(served), E[rho; served], E[e^(b rho) - 1; served])`` per entry of ``rho_star``, zeros
-    where ``rho_star < rho_min`` (not even the minimum rate is served).  With ``l = ln(rho_star / rho_min)``,
-    ``P(served) = -expm1(-theta l)`` and ``E[rho; served] = theta rho_min l exprel(-(theta-1) l)``, exact
-    as ``theta -> 1`` and ``rho_star -> rho_min``.  The last is :func:`_exp_moment` (``Ei`` at ``theta = 2``);
-    within ``_EDGE_BAND`` of ``theta = 1`` or ``2``, the quadratic through the endpoint and two band points.
+    ``theta`` itself; within ``_EDGE_BAND`` of ``theta = 1`` or ``2``, the edge and two band points
+    that :func:`_pareto_capped_moments` interpolates between.
     """
-    rs = np.maximum(rho_star, rho_min)
-    served = np.asarray(rho_star) >= rho_min
-    ell = np.log(rs / rho_min)
+    edge = 1.0 if theta < 1.5 else 2.0
+    if 0.0 < abs(theta - edge) / _EDGE_BAND < 1.0:
+        step = math.copysign(_EDGE_BAND, 1.5 - edge)
+        return edge, edge + step, edge + step / 2.0
+    return (theta,)
+
+
+def _pareto_capped_moments(theta: float, rho_min: float, b: float, u_star: np.ndarray, kernels):
+    """Moments of the Pareto rate truncated at per-node caps ``rho* = u_star / b``, all closed-form.
+
+    Returns ``(P(served), E[rho; served], E[e^(b rho) - 1; served])`` per entry of ``u_star``, zeros
+    where ``rho* < rho_min`` (not even the minimum rate is served).  With ``l = ln(rho* / rho_min)``,
+    ``P(served) = -expm1(-theta l)`` and ``E[rho; served] = theta rho_min l exprel(-(theta-1) l)``, exact
+    as ``theta -> 1`` and ``rho* -> rho_min``.  The last is :func:`_exp_moment` (``Ei`` at ``theta = 2``);
+    within ``_EDGE_BAND`` of ``theta = 1`` or ``2``, the quadratic through the endpoint and two band points.
+    ``kernels`` holds :func:`_exp_kernel` at ``u_star`` for each of :func:`_moment_thetas`.
+    """
+    u_min = b * rho_min
+    served = u_star >= u_min
+    u_cap = np.maximum(u_star, u_min)
+    ell = np.log(u_cap / u_min)
     p_ok = np.where(served, -np.expm1(-theta * ell), 0.0)
     e_rho = np.where(served, theta * rho_min * ell * special.exprel(-(theta - 1.0) * ell), 0.0)
-    u_min, u_star = b * rho_min, b * rs
-    edge = 1.0 if theta < 1.5 else 2.0
-    t = abs(theta - edge) / _EDGE_BAND
-    if 0.0 < t < 1.0:
-        step = math.copysign(_EDGE_BAND, 1.5 - edge)
-        e0, e1 = _exp_moment(edge, u_min, u_star), _exp_moment(edge + step, u_min, u_star)
-        e_half = _exp_moment(edge + step / 2.0, u_min, u_star)
-        e_exp = (2.0 * t - 1.0) * ((t - 1.0) * e0 + t * e1) + 4.0 * t * (1.0 - t) * e_half
-    else:
-        e_exp = _exp_moment(theta, u_min, u_star)
+    thetas = _moment_thetas(theta)
+    e_exp, *band = (_exp_moment(th, u_min, u_cap, k) for th, k in zip(thetas, kernels))
+    if band:
+        e1, e_half = band
+        t = abs(theta - thetas[0]) / _EDGE_BAND
+        e_exp = (2.0 * t - 1.0) * ((t - 1.0) * e_exp + t * e1) + 4.0 * t * (1.0 - t) * e_half
     return p_ok, e_rho, np.where(served, e_exp, 0.0)
 
 
 _N_SHADOW = 96
 _N_GAIN = 128
+
+
+@functools.lru_cache(maxsize=1)
+def _curve_nodes(theta: float, sigma: float, m: int, c: float, n_shadow: int, n_gain: int):
+    """Read-only node weights, peak SNRs ``x = c w g``, caps ``u* = ln(1 + x)`` and kernels at ``u*``.
+
+    ``w`` are the shadowing nodes, ``g`` the gain nodes and ``c = p_link_max path_gain / i_avg``.  The
+    stream count ``s`` cancels: the rate cap is ``rho* = s b_w log2(1 + x)`` and ``b = ln 2 / (s b_w)``,
+    so ``u* = b rho*`` does not depend on it, nor do the :func:`_exp_kernel` values at ``u*``, one per
+    :func:`_moment_thetas`.  Along a curve of figures 9-11 (``n = n_t = s``, gain shape 1) every
+    point shares one entry; the memo holds only the current curve's.
+    """
+    if sigma > 0:
+        t, wt = _gauss_nodes(special.roots_hermite, n_shadow)
+        w_nodes = np.exp(math.sqrt(2.0) * sigma * t * (math.log(10.0) / 10.0))
+        w_weights = wt / math.sqrt(math.pi)
+    else:
+        w_nodes = np.array([1.0])
+        w_weights = np.array([1.0])
+    g_nodes, g_wt = _gauss_nodes(special.roots_genlaguerre, n_gain, m - 1)
+    g_weights = g_wt / special.gamma(m)
+
+    with np.errstate(over="ignore"):  # an overflow to inf is caught by the guard below
+        x_peak = c * np.outer(w_nodes, g_nodes)
+    if not x_peak.max() < 1e300:  # the e^(b rho) terms of the power moment would overflow
+        raise ParameterError(f"peak SNR at the power cap reaches {x_peak.max():.3g}; interference too weak")
+    u_star = np.log1p(x_peak)
+    kernels = [_exp_kernel(th, u_star) for th in _moment_thetas(theta)]
+    arrays = (np.outer(w_weights, g_weights), x_peak, u_star, *kernels)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def energy_efficiency_quad(
@@ -266,34 +324,23 @@ def energy_efficiency_quad(
     with ``a = 2 - theta`` for the power, ``Ei`` at ``theta = 2``.  The power cap creates
     kinks in the per-node integrands, so the node counts (``_N_SHADOW`` x ``_N_GAIN``)
     are high; halving them moves results by well under a percent.
+
+    The nodes, peak SNRs and ``1F1`` kernels depend on ``theta``, the shadowing spread,
+    the gain shape and ``p_link_max path_gain / i_avg``, not on the stream count, whose
+    ``ln 2 / (s b_w)`` scale cancels in the cap ``u* = ln(1 + x)``.  They are computed
+    once per curve (:func:`_curve_nodes`); only the elementary, ``s``-dependent part of
+    the moments is evaluated per point.
     """
-    sigma = scenario.channel.sigma_s_db
-    if sigma > 0:
-        t, wt = _gauss_nodes(special.roots_hermite, _N_SHADOW)
-        w_nodes = np.exp(math.sqrt(2.0) * sigma * t * (math.log(10.0) / 10.0))
-        w_weights = wt / math.sqrt(math.pi)
-    else:
-        w_nodes = np.array([1.0])
-        w_weights = np.array([1.0])
-
-    m = cfg.gain_shape
-    g_nodes, g_wt = _gauss_nodes(special.roots_genlaguerre, _N_GAIN, m - 1)
-    g_weights = g_wt / special.gamma(m)
-
-    pg = path_gain(scenario.channel, scenario.x_off)
-    # peak SNR reachable at the power cap, per (shadowing, gain) node
-    with np.errstate(over="ignore"):  # an overflow to inf is caught by the guard below
-        x_peak = energy.p_link_max * pg * np.outer(w_nodes, g_nodes) / i_avg
-    if not x_peak.max() < 1e300:  # the e^(b rho) terms of the power moment would overflow
-        raise ParameterError(f"peak SNR at the power cap reaches {x_peak.max():.3g}; interference too weak")
-    rho_star = cfg.s * tm.b_w * np.log1p(x_peak) / math.log(2.0)
+    c = float(energy.p_link_max * path_gain(scenario.channel, scenario.x_off) / i_avg)
+    wt2d, x_peak, u_star, *kernels = _curve_nodes(
+        tm.theta, scenario.channel.sigma_s_db, cfg.gain_shape, c, _N_SHADOW, _N_GAIN
+    )
     b = math.log(2.0) / (cfg.s * tm.b_w)
-    p_ok, e_rho, e_exp = _pareto_capped_moments(tm.theta, tm.rho_min, b, rho_star)
+    p_ok, e_rho, e_exp = _pareto_capped_moments(tm.theta, tm.rho_min, b, u_star, kernels)
     # required power is (e^(b rho) - 1) * cap / x_peak
     with np.errstate(invalid="ignore"):
         e_pow = np.where(p_ok > 0, e_exp * energy.p_link_max / x_peak, 0.0)
 
-    wt2d = np.outer(w_weights, g_weights)
     p_served = float((wt2d * p_ok).sum())
     if 1.0 - p_served >= 1.0:  # no node serves, or too few to register against 1
         return 0.0

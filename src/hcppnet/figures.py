@@ -223,7 +223,8 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None, master_seed:
     spec = FIGURES[figure_id]
     grid = _grid(cfg, spec.axis, spec.grid)
     base = cfg.ee_scenario() if spec.kind == "ee" else cfg.scenario()
-    reps = reps or {"itf": cfg.realizations, "se": cfg.se_draws, "ee": cfg.ee_draws}[spec.kind]
+    if reps is None:
+        reps = {"itf": cfg.realizations, "se": cfg.se_draws, "ee": cfg.ee_draws}[spec.kind]
     tasks: list[Task] = []
     for series_idx, series in enumerate(spec.series):
         hcpp = HcppParams(base.hcpp.lambda_p * series.lambda_scale, series.delta or base.hcpp.delta)

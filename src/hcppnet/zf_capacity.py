@@ -101,6 +101,11 @@ def sample_zf_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) ->
     return 1.0 / np.einsum("...kk->...k", np.linalg.inv(gram)).real
 
 
+def _check_xi(xi: float) -> None:
+    if not 0.0 < xi < math.inf:  # also false for nan
+        raise ParameterError(f"xi must be positive and finite, got {xi}")
+
+
 def spectral_efficiency_mc(
     cfg: AntennaConfig,
     xi: float,
@@ -112,8 +117,7 @@ def spectral_efficiency_mc(
     The per-stream gains are drawn directly from their Gamma law; the
     matrix route :func:`sample_zf_gains` validates that shortcut.
     """
-    if xi <= 0:
-        raise ParameterError(f"xi must be positive, got {xi}")
+    _check_xi(xi)
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
     gains = rng.gamma(cfg.gain_shape, 1.0, size=(draws, cfg.s))
@@ -138,8 +142,7 @@ def spectral_efficiency_exact(cfg: AntennaConfig, xi: float) -> float:
     using ``_N_NODES`` generalized Gauss-Laguerre nodes; the randomness-free
     twin of :func:`spectral_efficiency_mc`.
     """
-    if xi <= 0:
-        raise ParameterError(f"xi must be positive, got {xi}")
+    _check_xi(xi)
     m = cfg.gain_shape
     nodes, weights = _gauss_nodes(special.roots_genlaguerre, _N_NODES, m - 1)
     mean_log = (weights * np.log1p((xi / cfg.s) * nodes)).sum() / special.gamma(m)
@@ -148,6 +151,5 @@ def spectral_efficiency_exact(cfg: AntennaConfig, xi: float) -> float:
 
 def spectral_efficiency_bound(cfg: AntennaConfig, xi: float) -> float:
     """Closed-form upper bound ``s * log2(1 + (xi/s)(n_t - s + 1))`` (mean gain inside the log)."""
-    if xi <= 0:
-        raise ParameterError(f"xi must be positive, got {xi}")
+    _check_xi(xi)
     return cfg.s * math.log2(1.0 + (xi / cfg.s) * cfg.gain_shape)

@@ -87,6 +87,28 @@ def test_se_rejects_more_streams_than_antennas(capsys):
     assert err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [["se", "--draws"], ["ee", "--draws"], ["interference", "--mc", "--reps"], ["figure", "6", "--reps"]],
+)
+def test_explicit_nonpositive_effort_exits_3(argv, value, capsys, tmp_path):
+    # an explicit 0 is not "unset": it reaches the >= 1 check instead of running the default effort
+    out = tmp_path / "f.csv"
+    code, stdout, err = run_cli([*argv, value] + (["--out", str(out)] if argv[0] == "figure" else []), capsys)
+    assert code == 3, err
+    assert not stdout and ">= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("xi", ["nan", "inf"])
+def test_se_non_finite_xi_exits_3(xi, capsys):
+    code, _, err = run_cli(["se", "--xi", xi], capsys)
+    assert code == 3
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "xi" in lines[0], err
+
+
 def test_ee_reports_quad_and_mc(capsys):
     code, out, _ = run_cli(
         ["ee", "--n-t", "8", "--s", "4", "--draws", "20000", "--seed", "2"], capsys

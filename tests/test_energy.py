@@ -33,6 +33,7 @@ from hcppnet import (
     traffic_sample,
 )
 from hcppnet import energy
+from hcppnet.figures import run_figure
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -116,6 +117,14 @@ def test_required_link_power_huge_demand_overflows_to_outage():
     assert math.isinf(p)  # an infinite requirement, not an exception
 
 
+@pytest.mark.filterwarnings("error")
+def test_required_link_power_subnormal_gain_overflows_to_outage():
+    # the requirement overflows to inf in the division by a subnormal link gain, without a warning
+    tm, _, sc = default_models()
+    p = required_link_power(1e5, AntennaConfig(8, 4), tm, sc.channel, 1.0, 215.0, 1e-310, 1e-13)
+    assert math.isinf(p)
+
+
 def test_energy_model_needs_exactly_one_link_count_source():
     EnergyModel(eta=0.38, p_rf_chain=0.05, p_sta=45.5, p_link_max=2.0, n_link=30)
     EnergyModel(eta=0.38, p_rf_chain=0.05, p_sta=45.5, p_link_max=2.0, lambda_m=1e-5)
@@ -152,6 +161,10 @@ def test_avg_link_power_outage_fraction_reasonable():
     est = energy_efficiency_mc(cfg, tm, sc, en, 40000, np.random.default_rng(32), i_avg, intensity)
     per_link_watts = mean_p / en.eta + cfg.n_t * en.p_rf_chain + en.p_sta / en.n_link
     assert est.mean == pytest.approx(rho[served].mean() / tm.b_w / per_link_watts, rel=1e-12)
+    # its standard error is the delta method's quadratic form with the sample covariance of the means
+    grad = np.array([1.0 / (tm.b_w * per_link_watts), -est.mean / (per_link_watts * en.eta)])
+    cov = np.cov(rho[served], p[served], ddof=1) / served.sum()
+    assert est.std_error == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-12, abs=0.0)
 
 
 def test_avg_link_power_all_outage_degenerate():
@@ -204,6 +217,50 @@ def test_energy_efficiency_quad_node_convergence(monkeypatch):
     assert coarse == pytest.approx(fine, rel=1e-2)
 
 
+def test_energy_efficiency_quad_is_independent_of_the_memo():
+    # the per-curve memo holds one entry; what it held before never changes a result's bits
+    tm, en, sc = default_models()
+    cfg = AntennaConfig(8, 4)
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+
+    def quad(cfg=cfg, tm=tm, sc=sc, i_avg=i_avg):
+        return energy_efficiency_quad(cfg, tm, sc, en, i_avg, intensity)
+
+    points = (
+        quad,
+        lambda: quad(tm=replace(tm, theta=1.2)),
+        lambda: quad(sc=replace(sc, channel=replace(sc.channel, sigma_s_db=4.0))),
+        lambda: quad(cfg=AntennaConfig(8, 2)),  # another gain shape
+        lambda: quad(i_avg=2.0 * i_avg),  # another c = p_link_max path_gain / i_avg
+        lambda: quad(cfg=AntennaConfig(9, 5)),  # another s on the same curve
+    )
+    cold = []
+    for point in points:
+        energy._curve_nodes.cache_clear()
+        cold.append(point())
+    for point, want in zip(points, cold):
+        for before in points:
+            before()
+            assert point() == want
+    assert len(set(cold)) == len(cold)
+    assert energy._curve_nodes.cache_info().currsize == 1
+
+
+def test_energy_efficiency_quad_evaluates_one_kernel_per_curve(monkeypatch):
+    # figure 9 sweeps n = n_t = s at gain shape 1: its 4 curves of 16 points need 4 full-grid 1F1 calls
+    calls = []
+    hyp1f1 = energy.special.hyp1f1
+
+    def counting(a, b, z):
+        calls.append(np.size(z))
+        return hyp1f1(a, b, z)
+
+    monkeypatch.setattr(energy.special, "hyp1f1", counting)
+    energy._curve_nodes.cache_clear()
+    run_figure(9, reps=3, seed=7, workers=1)
+    assert sum(n == energy._N_SHADOW * energy._N_GAIN for n in calls) == 4
+
+
 def test_energy_efficiency_float_wrapper():
     tm, en, sc = default_models()
     cfg = AntennaConfig(8, 4)
@@ -247,7 +304,9 @@ def test_capped_moments_match_mpmath_quadrature(theta, s, x):
     b = math.log(2.0) / (s * b_w)
     u_lo = 1.01 * b * rho_min
     u_star = u_lo * (60.0 / u_lo) ** x
-    p_ok, e_rho, e_exp = energy._pareto_capped_moments(theta, rho_min, b, np.array([u_star / b]))
+    u = np.array([u_star])
+    kernels = [energy._exp_kernel(th, u) for th in energy._moment_thetas(theta)]
+    p_ok, e_rho, e_exp = energy._pareto_capped_moments(theta, rho_min, b, u, kernels)
     with mpmath.workdps(40):
         th, u_min, u_hi = mpmath.mpf(theta), mpmath.mpf(b * rho_min), mpmath.mpf(u_star)
 

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from hcppnet import ConfigurationError, config_from_dict
+from hcppnet import ConfigurationError, ParameterError, config_from_dict
 from hcppnet.cli import main
 from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
 
@@ -47,25 +47,25 @@ GOLDEN = {
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "f8bd4f741f35501e216625eae4b7e2929a4500df7ee14d5d73732c723f7093ce",
+        "0c83e4a3257ce6b8c6f7d609e36b373c7c59ce0ece03503a5e766fe7b56f2c14",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "000f5082f46d11fee80444ca3ea77fdb04130f64f2e75d3f552d8266786ef8a6",
+        "ebc9ee46752aa42a405218591e3b3d53c67c58de06b1c8c8357cf10883b02a2c",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "283b2057fb21db8541b5af224cfb09e6e860b4b54c48da990c50f8b79985aae7",
+        "cf68a10757ffd18383581e9e85acf6a110d0044645193a232dfd7fdce1969038",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "79c367b5cced81510feacab369d1f717a628604d2eddd1d9fba8f9b8bbaa9238",
+        "9af262939662e2d5772318e2d7914fb4b5dbcac3c101e2e78dd15049f12660ba",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],
@@ -88,6 +88,11 @@ def test_figure_csv_bytes_are_golden(figure_id, tmp_path):
     assert table.metadata["series"] == series
     assert table.metadata["seed"] == 7
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_zero_reps_is_not_the_default_effort():
+    with pytest.raises(ParameterError, match=">= 1"):
+        run_figure(6, reps=0, seed=7, workers=1)
 
 
 def test_worker_count_ignores_the_environment(monkeypatch):

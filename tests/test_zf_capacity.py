@@ -128,3 +128,15 @@ def test_stream_count_tradeoff_flips_with_xi():
     high = [spectral_efficiency_exact(AntennaConfig(8, s), 1000.0) for s in (1, 2, 4, 8)]
     assert all(a > b for a, b in zip(low, low[1:]))
     assert all(a < b for a, b in zip(high, high[1:]))
+
+
+@pytest.mark.parametrize("xi", [0.0, -1.0, math.nan, math.inf])
+def test_spectral_efficiency_rejects_nonpositive_or_non_finite_xi(xi):
+    cfg = AntennaConfig(4, 2)
+    for route in (
+        lambda: spectral_efficiency_mc(cfg, xi, 10, np.random.default_rng(0)),
+        lambda: spectral_efficiency_exact(cfg, xi),
+        lambda: spectral_efficiency_bound(cfg, xi),
+    ):
+        with pytest.raises(ParameterError, match="xi"):
+            route()
