@@ -135,6 +135,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_interference(args) -> int:
+    if args.reps is not None and not args.mc:
+        print("error: --reps sets the Monte Carlo realizations and needs --mc", file=sys.stderr)
+        return EXIT_USAGE
     cfg = _load(args)
     scenario = cfg.scenario()
     rng = np.random.default_rng(cfg.seed)

@@ -32,7 +32,6 @@ __all__ = [
     "avg_interference_ppp",
     "mc_interference",
     "mc_interference_ppp",
-    "interaction_window",
     "MODELS",
     "model_interference",
 ]
@@ -166,50 +165,39 @@ def avg_interference_ppp(scenario: InterferenceScenario) -> float:
     return scale * d ** (2.0 - ch.alpha) / (ch.alpha - 2.0)
 
 
-def interaction_window(scenario: InterferenceScenario) -> tuple[Window, Window, float]:
-    """Simulation window, selection region and truncation radius of the tagged-station estimator.
-
-    The closed-form far field is exact beyond ``rho = 2 * (delta + x_off)``:
-    past ``2 * delta`` the pair density is flat, and past ``2 * x_off`` a
-    Poisson user's exclusion disc lies inside the truncation disc and the
-    argument of the far-field ``F`` is below 1/4.  The truncation radius is
-    ``rho + 2 / sqrt(lambda_p)`` on a square window of four times that side.
-    The selection region is the central square of side twice the truncation
-    radius, so every tagged station's truncation disc lies in the window.
-    """
-    r_trunc = 2.0 * (scenario.hcpp.delta + scenario.x_off) + 2.0 / math.sqrt(scenario.hcpp.lambda_p)
-    return Window.square(4.0 * r_trunc), Window.square(2.0 * r_trunc), r_trunc
+def _truncation_radius(scenario: InterferenceScenario) -> float:
+    # the closed-form far field is exact beyond 2 (delta + x_off): past 2 delta the pair density is flat, and past
+    # 2 x_off a Poisson user's exclusion disc lies inside the truncation disc and the far-field F argument is < 1/4
+    return 2.0 * (scenario.hcpp.delta + scenario.x_off) + 2.0 / math.sqrt(scenario.hcpp.lambda_p)
 
 
 def _one_realization(
     scenario: InterferenceScenario,
-    geometry: tuple[Window, Window, float],
+    r_trunc: float,
     rng: np.random.Generator,
     nearest: bool = False,
 ) -> tuple[float, int]:
-    """Summed truncated path loss ``d**-alpha`` over every tagged station, and their count.
+    """Summed truncated path loss ``d**-alpha`` over every station of one deployment, and their count.
 
-    ``geometry`` is what :func:`interaction_window` returns.  ``nearest``
-    also drops interferers within ``x_off`` of the user (nearest-station
-    association, for the Poisson baseline).  An empty selection region
-    gives ``(0.0, 0)``, which leaves the ratio of sums over realizations
-    unbiased.
+    The stations live on a torus of side ``2 * r_trunc`` and each is tagged
+    in turn, as :func:`mc_interference` describes.  ``nearest`` also drops
+    interferers within ``x_off`` of the user (nearest-station association,
+    for the Poisson baseline).
     """
-    window, selection, r_trunc = geometry
-    pts = sample_hcpp(scenario.hcpp, window, rng)
-    sel_mask = selection.contains(pts)
-    tagged = pts[sel_mask]
-    theta = rng.uniform(0.0, 2.0 * np.pi, len(tagged))
-    users = tagged + scenario.x_off * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    diff = pts[None, :, :] - tagged[:, None, :]
+    side = 2.0 * r_trunc
+    pts = sample_hcpp(scenario.hcpp, Window(0.0, side, 0.0, side), rng, periodic=True)
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(pts))
+    offsets = scenario.x_off * np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    diff = pts[None, :, :] - pts[:, None, :]
+    diff -= side * np.round(diff / side)  # minimum image
     inplay = np.einsum("ijk,ijk->ij", diff, diff) <= r_trunc**2
-    inplay[np.arange(len(tagged)), np.flatnonzero(sel_mask)] = False  # a station never jams itself
+    np.fill_diagonal(inplay, False)
     user_idx, station_idx = np.nonzero(inplay)
-    diff = pts[station_idx] - users[user_idx]
+    diff = diff[user_idx, station_idx] - offsets[user_idx]
     d2_user = np.einsum("ij,ij->i", diff, diff)
     if nearest:
         d2_user = d2_user[d2_user > scenario.x_off**2]
-    return float(np.sum(d2_user ** (-scenario.channel.alpha / 2.0))), len(tagged)
+    return float(np.sum(d2_user ** (-scenario.channel.alpha / 2.0))), len(pts)
 
 
 def _tagged_station_mc(
@@ -220,12 +208,11 @@ def _tagged_station_mc(
 ) -> Estimate:
     if realizations < 1:
         raise ParameterError(f"realizations must be >= 1, got {realizations}")
-    geometry = interaction_window(scenario)
-    r_trunc = geometry[2]
+    r_trunc = _truncation_radius(scenario)
     totals = np.empty(realizations)
     counts = np.empty(realizations)
     for i, stream in enumerate(rng.spawn(realizations)):
-        totals[i], counts[i] = _one_realization(scenario, geometry, stream, nearest)
+        totals[i], counts[i] = _one_realization(scenario, r_trunc, stream, nearest)
     ch = scenario.channel
     # shadowing and fading are independent of the layout: each w * g enters by its mean
     scale = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power
@@ -247,24 +234,28 @@ def mc_interference(
 ) -> Estimate:
     """Monte Carlo mean interference under the hard-core deployment, one deployment per realization.
 
-    Each realization samples a hard-core station pattern on the window of
-    :func:`interaction_window` and tags every station in its central
-    selection region as a serving station in turn: the user sits at
-    ``x_off`` in a uniform direction, and the path loss is summed from each
-    station within the truncation radius of the serving one.  Shadowing and
-    fading are independent of the layout, so each faded power enters by its
-    conditional mean ``mean_shadowing(sigma_s_db)`` (conditional Monte
-    Carlo): no shadowing or fading is drawn, and the user's angle is the
-    only randomness besides the layout.  Averaging over all tagged stations
-    (ratio of sums across realizations) is what makes the estimate unbiased
-    for the typical-station mean; singling out one station by any fixed
-    rule, e.g. the one nearest the window center, favours stations with
-    emptier surroundings and underestimates badly.  The expected far field
-    beyond the truncation radius, where the pair density has exactly its
-    plateau value, is added in closed form.  The standard error comes from
-    the usual ratio-estimator linearization over realizations.  Replication
-    ``i`` always consumes stream ``i`` spawned from ``rng``, so enlarging
-    ``realizations`` extends a run without perturbing earlier draws.
+    Each realization samples a hard-core station pattern on a torus of side
+    twice the truncation radius ``2 * (delta + x_off) + 2 / sqrt(lambda_p)``
+    and tags every station on it as a serving station in turn: the user sits
+    at ``x_off`` in a uniform direction, and the path loss is summed from
+    each station within the truncation radius of the serving one, by
+    minimum-image distance.  The torus is exact, not an edge approximation:
+    the truncation radius exceeds ``2 * delta``, so no exclusion disc meets
+    its own image and up to it the pair density is the planar one.
+    Shadowing and fading are independent of the layout, so each faded power
+    enters by its conditional mean ``mean_shadowing(sigma_s_db)``
+    (conditional Monte Carlo): no shadowing or fading is drawn, and the
+    user's angle is the only randomness besides the layout.  Averaging over
+    every station (ratio of sums across realizations) is what makes the
+    estimate unbiased for the typical-station mean; singling out one station
+    by any fixed rule, such as the one nearest the window center, favours
+    stations with emptier surroundings and underestimates badly.  The
+    expected far field beyond the truncation radius, where the pair density
+    has exactly its plateau value, is added in closed form.  The standard
+    error comes from the usual ratio-estimator linearization over
+    realizations.  Replication ``i`` always consumes stream ``i`` spawned
+    from ``rng``, so enlarging ``realizations`` extends a run without
+    perturbing earlier draws.
     """
     return _tagged_station_mc(scenario, realizations, rng, nearest=False)
 
@@ -278,7 +269,7 @@ def mc_interference_ppp(
 
     Runs the estimator of :func:`mc_interference` on Poisson stations of
     the parent intensity (the hard-core process with no spacing), tagging
-    every station in the selection region, and drops the interferers within
+    every station on the torus, and drops the interferers within
     ``x_off`` of each user (nearest-station association); by Slivnyak's
     theorem the other stations of a tagged one are again Poisson.
     Independent check of the :func:`avg_interference_ppp` closed form.

@@ -102,8 +102,9 @@ def sample_zf_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) ->
 
 
 def _check_xi(xi: float) -> None:
-    if not 0.0 < xi < math.inf:  # also false for nan
-        raise ParameterError(f"xi must be positive and finite, got {xi}")
+    # also false for nan; a larger xi overflows (xi / s) * gain in the draws
+    if not 0.0 < xi < 1e300:
+        raise ParameterError(f"xi must be positive and below 1e300, got {xi}")
 
 
 def spectral_efficiency_mc(

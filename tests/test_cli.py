@@ -54,6 +54,13 @@ def test_interference_bad_config_value_exits_3(capsys, tmp_path):
     assert "theta" in err
 
 
+def test_interference_reps_without_mc_is_a_usage_error(capsys):
+    code, out, err = run_cli(["interference", "--reps", "5"], capsys)
+    assert code == 2 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "--mc" in lines[0], err
+
+
 def test_interference_mc_estimate(capsys):
     code, out, _ = run_cli(
         ["interference", "--x-off", "300", "--mc", "--reps", "120", "--seed", "4"], capsys
@@ -101,9 +108,10 @@ def test_explicit_nonpositive_effort_exits_3(argv, value, capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("xi", ["nan", "inf"])
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("xi", ["nan", "inf", "1e308"])  # 1e308 is finite but overflows (xi / s) * gain
 def test_se_non_finite_xi_exits_3(xi, capsys):
-    code, _, err = run_cli(["se", "--xi", xi], capsys)
+    code, _, err = run_cli(["se", "--xi", xi, "--draws", "5"], capsys)
     assert code == 3
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:") and "xi" in lines[0], err

@@ -17,19 +17,19 @@ from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
 
 GOLDEN = {
     2: (
-        "062ff036c31c32b9e6f517e9cf69cd356f362ebef15f29e49a6128377acb8249",
+        "0698a22688a30570418ede187af82539b16649a0040e9de221a6f6e6e6cee25d",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
-        "d90422570d2d11bf465f97f0f54fd977bd2d0664a6df90515d2040d43e02660f",
+        "150ac3ed3af6fed8f71b07ad5eec9ec489e8d8f564204749a01767193d9a6ee4",
         24,
         "x_off",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500"],
     ),
     4: (
-        "4df1079c5cab91e044750329886ae96bc0ce7af1901ec07dad8c431eb5c70ca4",
+        "69a35d9ffa42117a0954a3e1f15e4d21b6b4c09f83ca12e6076046b9cb9fc081",
         27,
         "x_off",
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],

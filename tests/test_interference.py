@@ -14,7 +14,6 @@ from hcppnet import (
     DivergenceError,
     HcppParams,
     InterferenceScenario,
-    Window,
     avg_interference_hcpp,
     avg_interference_ppp,
     db_to_linear,
@@ -24,7 +23,7 @@ from hcppnet import (
     model_interference,
     second_moment,
 )
-from hcppnet.interference import _one_realization, _tail_radial_integral
+from hcppnet.interference import _tail_radial_integral
 from hcppnet.point_process import first_moment
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
@@ -272,15 +271,6 @@ def test_mc_z_scores_calibrated_at_small_reps(model, x_off):
         analytic, _, est = model_interference(model, scenario(x_off), 50, np.random.default_rng(seed))
         z.append((analytic - est.mean) / est.std_error)
     assert np.std(z, ddof=1) <= 1.5
-
-
-def test_empty_selection_region_adds_nothing():
-    # a selection region no station can reach: no redraw, and a (0, 0) term
-    # leaves the ratio of sums over realizations unchanged
-    geometry = (Window.square(10000.0), Window(1e9, 1e9 + 1.0, 0.0, 1.0), 3500.0)
-    for nearest in (False, True):
-        rng = np.random.default_rng(4)
-        assert _one_realization(scenario(300.0), geometry, rng, nearest) == (0.0, 0)
 
 
 def test_ppp_closed_form_value():

@@ -130,7 +130,7 @@ def test_stream_count_tradeoff_flips_with_xi():
     assert all(a < b for a, b in zip(high, high[1:]))
 
 
-@pytest.mark.parametrize("xi", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("xi", [0.0, -1.0, math.nan, math.inf, 1e300])
 def test_spectral_efficiency_rejects_nonpositive_or_non_finite_xi(xi):
     cfg = AntennaConfig(4, 2)
     for route in (
