@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from .config import _deep_merge, config_from_dict, load_config, validate_config
+from .config import config_from_dict, load_config, validate_config
 from .energy import energy_efficiency_mc, energy_efficiency_quad
 from .errors import ConfigurationError, DivergenceError, ParameterError
 from .figures import FIGURE_IDS, run_figure
@@ -30,6 +30,12 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 
+def _override(parser: argparse.ArgumentParser, flag: str, key: str, kind: type, text: str) -> None:
+    """Declare ``flag`` as the override of config ``key``, such as ``channel/alpha``, at dest ``/key``."""
+    metavar = flag.lstrip("-").upper().replace("-", "_")
+    parser.add_argument(flag, dest="/" + key, type=kind, metavar=metavar, help=f"{text}; sets {key}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcppnet",
@@ -37,83 +43,63 @@ def _build_parser() -> argparse.ArgumentParser:
         "for hard-core random cellular networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML config file (defaults are built in)")
+    _override(common, "--seed", "seed", int, "master seed")
 
-    fig = sub.add_parser("figure", help="run a full sweep and write CSV plus metadata")
+    fig = sub.add_parser("figure", parents=[common], help="run a full sweep and write CSV plus metadata")
+    fig.set_defaults(handler=_cmd_figure)
     fig.add_argument("id", type=int, choices=FIGURE_IDS, help="figure number")
-    fig.add_argument("--config", help="YAML config file (defaults are built in)")
-    fig.add_argument("--seed", type=int, help="master seed override")
     fig.add_argument("--out", help="output CSV path (default figure<id>.csv)")
     fig.add_argument("--reps", type=int, help="Monte Carlo effort per grid point")
     fig.add_argument("--workers", type=int, help="parallel worker processes")
 
-    itf = sub.add_parser("interference", help="mean interference at one operating point")
-    itf.add_argument("--config", help="YAML config file")
+    itf = sub.add_parser("interference", parents=[common], help="mean interference at one operating point")
+    itf.set_defaults(handler=_cmd_interference)
     itf.add_argument("--model", choices=MODELS, default="hcpp")
-    itf.add_argument("--x-off", type=float, help="user distance from its station, meters")
-    itf.add_argument("--delta", type=float, help="minimum station spacing, meters")
-    itf.add_argument("--alpha", type=float, help="path-loss exponent")
-    itf.add_argument("--lambda-p", type=float, help="parent station intensity per m^2")
+    _override(itf, "--x-off", "interference/x_off", float, "user distance from its station, meters")
+    _override(itf, "--delta", "point_process/delta", float, "minimum station spacing, meters")
+    _override(itf, "--alpha", "channel/alpha", float, "path-loss exponent")
+    _override(itf, "--lambda-p", "point_process/lambda_p", float, "parent station intensity per m^2")
     itf.add_argument("--mc", action="store_true", help="also run the Monte Carlo estimator")
     itf.add_argument("--reps", type=int, help="Monte Carlo realizations (with --mc)")
-    itf.add_argument("--seed", type=int, help="master seed override")
 
-    se = sub.add_parser("se", help="spectral efficiency at one operating point")
-    se.add_argument("--config", help="YAML config file")
-    se.add_argument("--n-t", type=int, help="station antennas")
-    se.add_argument("--s", type=int, help="streams (served single-antenna users)")
+    se = sub.add_parser("se", parents=[common], help="spectral efficiency at one operating point")
+    se.set_defaults(handler=_cmd_se)
+    _override(se, "--n-t", "antennas/n_t", int, "station antennas")
+    _override(se, "--s", "antennas/s", int, "streams (served single-antenna users)")
     se.add_argument("--xi", type=float, default=10.0, help="large-scale SINR factor")
     se.add_argument("--draws", type=int, help="Monte Carlo channel draws")
-    se.add_argument("--seed", type=int, help="master seed override")
 
-    ee = sub.add_parser("ee", help="energy efficiency at one operating point")
-    ee.add_argument("--config", help="YAML config file")
+    ee = sub.add_parser("ee", parents=[common], help="energy efficiency at one operating point")
+    ee.set_defaults(handler=_cmd_ee)
     ee.add_argument("--model", choices=MODELS, default="hcpp")
-    ee.add_argument("--n-t", type=int, help="station antennas")
-    ee.add_argument("--s", type=int, help="streams (served single-antenna users)")
-    ee.add_argument("--x-off", type=float, help="user distance for the energy model, meters")
-    ee.add_argument("--delta", type=float, help="minimum station spacing, meters")
-    ee.add_argument("--theta", type=float, help="traffic heaviness index")
-    ee.add_argument("--alpha", type=float, help="path-loss exponent")
+    _override(ee, "--n-t", "antennas/n_t", int, "station antennas")
+    _override(ee, "--s", "antennas/s", int, "streams (served single-antenna users)")
+    _override(ee, "--x-off", "energy/x_off", float, "user distance for the energy model, meters")
+    _override(ee, "--delta", "point_process/delta", float, "minimum station spacing, meters")
+    _override(ee, "--theta", "traffic/theta", float, "traffic heaviness index")
+    _override(ee, "--alpha", "channel/alpha", float, "path-loss exponent")
     ee.add_argument("--draws", type=int, help="Monte Carlo draws")
-    ee.add_argument("--seed", type=int, help="master seed override")
 
     val = sub.add_parser("validate", help="check a config file and report diagnostics")
+    val.set_defaults(handler=_cmd_validate)
     val.add_argument("--config", required=True, help="YAML config file")
 
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    over: dict = {}
-
-    def put(section: str, key: str, value):
-        if value is not None:
-            over.setdefault(section, {})[key] = value
-
-    put("interference", "x_off", getattr(args, "x_off", None) if args.command == "interference" else None)
-    put("point_process", "delta", getattr(args, "delta", None))
-    put("point_process", "lambda_p", getattr(args, "lambda_p", None))
-    put("channel", "alpha", getattr(args, "alpha", None))
-    put("antennas", "n_t", getattr(args, "n_t", None))
-    put("antennas", "s", getattr(args, "s", None))
-    put("traffic", "theta", getattr(args, "theta", None))
-    if args.command == "ee":
-        put("energy", "x_off", getattr(args, "x_off", None))
-    if getattr(args, "seed", None) is not None:
-        over["seed"] = args.seed
-    return over
-
-
 def _load(args: argparse.Namespace):
-    base = {}
-    if getattr(args, "config", None):
-        base = load_config(args.config).raw
-    merged = base
-    over = _overrides(args)
-    if over:
-        # re-validate the merged mapping so overrides obey the same structure checks
-        merged = _deep_merge(base, over)
-    return config_from_dict(merged)
+    """The config file (or the defaults) with every override flag given written over it, validated."""
+    raw = load_config(args.config).raw if args.config else {}
+    for dest, value in vars(args).items():
+        if dest.startswith("/") and value is not None:
+            *sections, key = dest[1:].split("/")
+            node = raw
+            for section in sections:
+                node = node.setdefault(section, {})
+            node[key] = value
+    return config_from_dict(raw)
 
 
 def _emit(payload: dict) -> None:
@@ -122,7 +108,7 @@ def _emit(payload: dict) -> None:
 
 def _cmd_figure(args) -> int:
     cfg = _load(args)
-    table = run_figure(args.id, cfg, reps=args.reps, seed=args.seed, workers=args.workers)
+    table = run_figure(args.id, cfg, reps=args.reps, workers=args.workers)
     out = args.out or (cfg.out_path or f"figure{args.id}.csv")
     meta = out[:-4] + ".meta.json" if out.endswith(".csv") else out + ".meta.json"
     try:
@@ -222,24 +208,13 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "figure": _cmd_figure,
-        "interference": _cmd_interference,
-        "se": _cmd_se,
-        "ee": _cmd_ee,
-        "validate": _cmd_validate,
-    }
+    args = _build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ParameterError as exc:
+    except (ConfigurationError, ParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

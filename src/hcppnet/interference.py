@@ -92,6 +92,7 @@ def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
 
 
 _PANEL_RATIO = 4.0  # largest ratio of outer to inner r - x_off on one near-field panel
+_SPAWN_CHUNK = 1024  # Monte Carlo child streams spawned at a time
 _GL_U, _GL_W = special.roots_sh_legendre(16)  # Gauss-Legendre nodes and weights of one panel, on [0, 1]
 
 
@@ -200,6 +201,16 @@ def _one_realization(
     return float(np.sum(d2_user ** (-scenario.channel.alpha / 2.0))), len(pts)
 
 
+def _child_streams(rng: np.random.Generator, n: int):
+    """Child streams ``0 .. n-1`` of ``rng``, as ``rng.spawn(n)`` gives them, spawned a chunk at a time.
+
+    Each child holds about 1 KB, so spawning them all up front costs memory in
+    proportion to ``n``; spawning them one by one slows the loop that uses them.
+    """
+    for start in range(0, n, _SPAWN_CHUNK):
+        yield from rng.spawn(min(_SPAWN_CHUNK, n - start))
+
+
 def _tagged_station_mc(
     scenario: InterferenceScenario,
     realizations: int,
@@ -211,7 +222,7 @@ def _tagged_station_mc(
     r_trunc = _truncation_radius(scenario)
     totals = np.empty(realizations)
     counts = np.empty(realizations)
-    for i, stream in enumerate(rng.spawn(realizations)):
+    for i, stream in enumerate(_child_streams(rng, realizations)):
         totals[i], counts[i] = _one_realization(scenario, r_trunc, stream, nearest)
     ch = scenario.channel
     # shadowing and fading are independent of the layout: each w * g enters by its mean

@@ -1,5 +1,6 @@
 """Command-line interface tests: exit codes, determinism, output shape."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,13 +10,59 @@ from pathlib import Path
 import pytest
 
 import hcppnet
-from hcppnet.cli import main
+from hcppnet.cli import _build_parser, _load, main
+from hcppnet.config import DEFAULTS
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def _override_actions():
+    """(command, flag, config key, action) for every override flag of every subcommand."""
+    (commands,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        (name, action.option_strings[0], action.dest[1:], action)
+        for name, sub in commands.choices.items()
+        for action in sub._actions
+        if action.dest.startswith("/")
+    ]
+
+
+def test_override_flags_are_declared_on_the_expected_commands():
+    declared = {(name, flag): key for name, flag, key, _ in _override_actions()}
+    assert declared == {
+        **{(name, "--seed"): "seed" for name in ("figure", "interference", "se", "ee")},
+        ("interference", "--x-off"): "interference/x_off",
+        ("ee", "--x-off"): "energy/x_off",
+        **{(name, "--delta"): "point_process/delta" for name in ("interference", "ee")},
+        **{(name, "--alpha"): "channel/alpha" for name in ("interference", "ee")},
+        ("interference", "--lambda-p"): "point_process/lambda_p",
+        **{(name, "--n-t"): "antennas/n_t" for name in ("se", "ee")},
+        **{(name, "--s"): "antennas/s" for name in ("se", "ee")},
+        ("ee", "--theta"): "traffic/theta",
+    }
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, action", [pytest.param(*row, id=f"{row[0]} {row[1]}") for row in _override_actions()]
+)
+def test_each_override_flag_reaches_the_config_key_it_names(command, flag, key, action):
+    default = DEFAULTS
+    for part in key.split("/"):
+        assert isinstance(default, dict) and part in default, f"{flag} names no DEFAULTS key {key}"
+        default = default[part]
+    assert isinstance(default, (int, float)) and not isinstance(default, bool), key
+    # a valid value other than the default: one more for counts, 10% less for the rest
+    value = default + 1 if action.type is int else default * 0.9
+    args = _build_parser().parse_args([command, *(["6"] if command == "figure" else []), flag, str(value)])
+    node = _load(args).raw
+    for part in key.split("/"):
+        node = node[part]
+    assert node == value != default
+    assert action.metavar == flag[2:].upper().replace("-", "_") and action.help.endswith(f"sets {key}")
 
 
 def test_usage_error_exits_2():

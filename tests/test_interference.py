@@ -23,6 +23,7 @@ from hcppnet import (
     model_interference,
     second_moment,
 )
+from hcppnet import interference
 from hcppnet.interference import _tail_radial_integral
 from hcppnet.point_process import first_moment
 
@@ -251,6 +252,20 @@ def test_mc_stream_stability_under_extension():
     # check by reproducing the short run exactly.
     again = mc_interference(s, 50, np.random.default_rng(33))
     assert again.mean == short.mean and again.std_error == short.std_error
+
+
+@pytest.mark.parametrize("chunk", [7, interference._SPAWN_CHUNK])
+@pytest.mark.parametrize("estimator", [mc_interference, mc_interference_ppp])
+def test_mc_spawns_exactly_one_child_stream_per_realization(estimator, chunk, monkeypatch):
+    # realization i consumes child i of rng however many children are spawned
+    # at a time, so the estimate does not depend on the chunk and the next child is child n
+    n, seed = 20, 44
+    reference = estimator(scenario(200.0), n, np.random.default_rng(seed))
+    monkeypatch.setattr(interference, "_SPAWN_CHUNK", chunk)
+    rng = np.random.default_rng(seed)
+    assert estimator(scenario(200.0), n, rng) == reference
+    expected = np.random.default_rng(seed).spawn(n + 1)[n]
+    assert np.array_equal(rng.spawn(1)[0].random(8), expected.random(8))
 
 
 def test_mc_shadowing_enters_by_its_mean_with_paired_seeds():
