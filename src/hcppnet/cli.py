@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
 
-from .config import config_from_dict, load_config, validate_config
+from .config import config_from_dict, key_type, load_config, validate_config
 from .energy import energy_efficiency_mc, energy_efficiency_quad
 from .errors import ConfigurationError, DivergenceError, ParameterError
 from .figures import FIGURE_IDS, run_figure
@@ -30,10 +31,13 @@ EXIT_CONFIG = 3
 EXIT_NUMERICAL = 4
 
 
-def _override(parser: argparse.ArgumentParser, flag: str, key: str, kind: type, text: str) -> None:
-    """Declare ``flag`` as the override of config ``key``, such as ``channel/alpha``, at dest ``/key``."""
+def _override(parser: argparse.ArgumentParser, flag: str, key: str, text: str) -> None:
+    """Declare ``flag`` as the override of config ``key``, such as ``channel/alpha``, at dest ``/key``.
+
+    The flag parses its value to the type the config states for ``key``.
+    """
     metavar = flag.lstrip("-").upper().replace("-", "_")
-    parser.add_argument(flag, dest="/" + key, type=kind, metavar=metavar, help=f"{text}; sets {key}")
+    parser.add_argument(flag, dest="/" + key, type=key_type(key), metavar=metavar, help=f"{text}; sets {key}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -45,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="YAML config file (defaults are built in)")
-    _override(common, "--seed", "seed", int, "master seed")
+    _override(common, "--seed", "seed", "master seed")
 
     fig = sub.add_parser("figure", parents=[common], help="run a full sweep and write CSV plus metadata")
     fig.set_defaults(handler=_cmd_figure)
@@ -57,30 +61,30 @@ def _build_parser() -> argparse.ArgumentParser:
     itf = sub.add_parser("interference", parents=[common], help="mean interference at one operating point")
     itf.set_defaults(handler=_cmd_interference)
     itf.add_argument("--model", choices=MODELS, default="hcpp")
-    _override(itf, "--x-off", "interference/x_off", float, "user distance from its station, meters")
-    _override(itf, "--delta", "point_process/delta", float, "minimum station spacing, meters")
-    _override(itf, "--alpha", "channel/alpha", float, "path-loss exponent")
-    _override(itf, "--lambda-p", "point_process/lambda_p", float, "parent station intensity per m^2")
+    _override(itf, "--x-off", "interference/x_off", "user distance from its station, meters")
+    _override(itf, "--delta", "point_process/delta", "minimum station spacing, meters")
+    _override(itf, "--alpha", "channel/alpha", "path-loss exponent")
+    _override(itf, "--lambda-p", "point_process/lambda_p", "parent station intensity per m^2")
     itf.add_argument("--mc", action="store_true", help="also run the Monte Carlo estimator")
-    itf.add_argument("--reps", type=int, help="Monte Carlo realizations (with --mc)")
+    _override(itf, "--reps", "interference/realizations", "Monte Carlo realizations (with --mc)")
 
     se = sub.add_parser("se", parents=[common], help="spectral efficiency at one operating point")
     se.set_defaults(handler=_cmd_se)
-    _override(se, "--n-t", "antennas/n_t", int, "station antennas")
-    _override(se, "--s", "antennas/s", int, "streams (served single-antenna users)")
+    _override(se, "--n-t", "antennas/n_t", "station antennas")
+    _override(se, "--s", "antennas/s", "streams (served single-antenna users)")
     se.add_argument("--xi", type=float, default=10.0, help="large-scale SINR factor")
-    se.add_argument("--draws", type=int, help="Monte Carlo channel draws")
+    _override(se, "--draws", "mc/se_draws", "Monte Carlo channel draws")
 
     ee = sub.add_parser("ee", parents=[common], help="energy efficiency at one operating point")
     ee.set_defaults(handler=_cmd_ee)
     ee.add_argument("--model", choices=MODELS, default="hcpp")
-    _override(ee, "--n-t", "antennas/n_t", int, "station antennas")
-    _override(ee, "--s", "antennas/s", int, "streams (served single-antenna users)")
-    _override(ee, "--x-off", "energy/x_off", float, "user distance for the energy model, meters")
-    _override(ee, "--delta", "point_process/delta", float, "minimum station spacing, meters")
-    _override(ee, "--theta", "traffic/theta", float, "traffic heaviness index")
-    _override(ee, "--alpha", "channel/alpha", float, "path-loss exponent")
-    ee.add_argument("--draws", type=int, help="Monte Carlo draws")
+    _override(ee, "--n-t", "antennas/n_t", "station antennas")
+    _override(ee, "--s", "antennas/s", "streams (served single-antenna users)")
+    _override(ee, "--x-off", "energy/x_off", "user distance for the energy model, meters")
+    _override(ee, "--delta", "point_process/delta", "minimum station spacing, meters")
+    _override(ee, "--theta", "traffic/theta", "traffic heaviness index")
+    _override(ee, "--alpha", "channel/alpha", "path-loss exponent")
+    _override(ee, "--draws", "mc/ee_draws", "Monte Carlo draws")
 
     val = sub.add_parser("validate", help="check a config file and report diagnostics")
     val.set_defaults(handler=_cmd_validate)
@@ -103,7 +107,9 @@ def _load(args: argparse.Namespace):
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print ``payload`` as JSON, with ``null`` for a non-finite number such as an unknown standard error."""
+    finite = {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in payload.items()}
+    print(json.dumps(finite, indent=2, sort_keys=True))
 
 
 def _cmd_figure(args) -> int:
@@ -121,14 +127,13 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_interference(args) -> int:
-    if args.reps is not None and not args.mc:
+    if vars(args)["/interference/realizations"] is not None and not args.mc:
         print("error: --reps sets the Monte Carlo realizations and needs --mc", file=sys.stderr)
         return EXIT_USAGE
     cfg = _load(args)
     scenario = cfg.scenario()
-    rng = np.random.default_rng(cfg.seed)
-    reps = (cfg.realizations if args.reps is None else args.reps) if args.mc else None
-    analytic, _, est = model_interference(args.model, scenario, reps, rng)
+    reps = cfg.realizations if args.mc else None
+    analytic, _, est = model_interference(args.model, scenario, reps, np.random.default_rng(cfg.seed))
     payload = {
         "model": args.model,
         "x_off_m": scenario.x_off,
@@ -138,20 +143,15 @@ def _cmd_interference(args) -> int:
         "analytic_w": analytic,
     }
     if est is not None:
-        payload.update(
-            {"mc_mean_w": est.mean, "mc_std_error_w": est.std_error, "replications": est.replications}
-        )
+        payload.update(mc_mean_w=est.mean, mc_std_error_w=est.std_error, replications=est.replications)
     _emit(payload)
     return EXIT_OK
 
 
 def _cmd_se(args) -> int:
     cfg = _load(args)
-    antennas = cfg.antennas
-    xi = args.xi
-    draws = cfg.se_draws if args.draws is None else args.draws
-    rng = np.random.default_rng(cfg.seed)
-    est = spectral_efficiency_mc(antennas, xi, draws, rng)
+    antennas, xi = cfg.antennas, args.xi
+    est = spectral_efficiency_mc(antennas, xi, cfg.se_draws, np.random.default_rng(cfg.seed))
     _emit(
         {
             "n_t": antennas.n_t,
@@ -171,12 +171,9 @@ def _cmd_ee(args) -> int:
     cfg = _load(args)
     scenario = cfg.ee_scenario()
     i_avg, intensity, _ = model_interference(args.model, scenario)
-    draws = cfg.ee_draws if args.draws is None else args.draws
-    rng = np.random.default_rng(cfg.seed)
-    est = energy_efficiency_mc(
-        cfg.antennas, cfg.traffic, scenario, cfg.energy, draws, rng,
-        i_avg=i_avg, station_intensity=intensity,
-    )
+    inputs = (cfg.antennas, cfg.traffic, scenario, cfg.energy)
+    per_curve = {"i_avg": i_avg, "station_intensity": intensity}
+    est = energy_efficiency_mc(*inputs, cfg.ee_draws, np.random.default_rng(cfg.seed), **per_curve)
     _emit(
         {
             "model": args.model,
@@ -185,10 +182,7 @@ def _cmd_ee(args) -> int:
             "x_off_m": scenario.x_off,
             "theta": cfg.traffic.theta,
             "alpha": scenario.channel.alpha,
-            "quad_bit_hz_j": energy_efficiency_quad(
-                cfg.antennas, cfg.traffic, scenario, cfg.energy,
-                i_avg=i_avg, station_intensity=intensity,
-            ),
+            "quad_bit_hz_j": energy_efficiency_quad(*inputs, **per_curve),
             "mc_bit_hz_j": est.mean,
             "mc_std_error": est.std_error,
             "draws": est.replications,

@@ -4,7 +4,8 @@ A config file is a YAML document with nested sections; anything omitted
 falls back to the built-in defaults, so an empty file (or none at all) is a
 complete, runnable configuration.  Structure is checked against the
 defaults themselves: each key must be one of theirs and each value must
-have the type of its default, or be null where that is allowed.  Numbers
+have the type of its default, or be null where that is allowed; it is
+then cast to that type once, so no other code restates it.  Numbers
 must be finite and within a small table of bounds, which the model types
 check again for library callers.
 """
@@ -227,67 +228,61 @@ def _merge_defaults(user: dict) -> dict:
     return merged
 
 
+def key_type(key: str) -> type:
+    """The type of config ``key``, such as ``channel/alpha``: its default's, or a value's where null is allowed."""
+    default = DEFAULTS
+    for part in key.split("/"):
+        default = default[part]
+    return _NULLABLE.get(key, type(default))
+
+
+def _typed(node, default=DEFAULTS, key: str = ""):
+    """A checked mapping with every value cast once, to the type of its key; a sweep is left as it is."""
+    if key == "sweep" or node is None:
+        return node
+    if isinstance(default, dict):
+        return {name: _typed(item, default[name], f"{key}/{name}" if key else name) for name, item in node.items()}
+    return _NULLABLE.get(key, type(default))(node)
+
+
+def _build(user: dict) -> ExperimentConfig:
+    """The config of a mapping whose structure has been checked."""
+    raw = _merge_defaults(user)
+    typed = _typed(raw)
+    channel, energy = typed["channel"], typed["energy"]
+    ee_x_off = energy.pop("x_off")  # the energy model's user distance, not a field of EnergyModel
+    sweep = raw["sweep"]
+    sweep_values = None
+    if sweep is not None:
+        sweep_values = tuple(float(v) for v in sweep["values"])
+        if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
+            raise ConfigurationError("sweep.values must be strictly increasing")
+
+    return ExperimentConfig(
+        seed=typed["seed"],
+        hcpp=HcppParams(**typed["point_process"]),
+        # the config gives the unit-distance gain in dB, the model takes it linear
+        channel=ChannelParams(beta=float(db_to_linear(channel.pop("beta_db"))), **channel),
+        antennas=AntennaConfig(**typed["antennas"]),
+        traffic=TrafficModel(**typed["traffic"]),
+        energy=EnergyModel(**energy),
+        ee_x_off=ee_x_off,
+        sweep_axis=None if sweep is None else sweep["axis"],
+        sweep_values=sweep_values,
+        out_path=typed["output"]["path"],
+        raw=raw,
+        **typed["interference"],  # x_off, mean_tx_power, realizations
+        **typed["mc"],  # se_draws, ee_draws
+    )
+
+
 def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     """Build a validated config from a (possibly partial) mapping."""
     user = user or {}
     problems = _structure_problems(user)
     if problems:
         raise ConfigurationError("; ".join(problems))
-    raw = _merge_defaults(user)
-
-    pp = raw["point_process"]
-    ch = raw["channel"]
-    itf = raw["interference"]
-    ant = raw["antennas"]
-    tr = raw["traffic"]
-    en = raw["energy"]
-    mc = raw["mc"]
-    sweep = raw.get("sweep")
-
-    hcpp = HcppParams(lambda_p=float(pp["lambda_p"]), delta=float(pp["delta"]))
-    channel = ChannelParams(
-        beta=float(db_to_linear(ch["beta_db"])),
-        alpha=float(ch["alpha"]),
-        sigma_s_db=float(ch["sigma_s_db"]),
-    )
-    antennas = AntennaConfig(n_t=int(ant["n_t"]), s=int(ant["s"]))
-    traffic = TrafficModel(theta=float(tr["theta"]), rho_min=float(tr["rho_min"]), b_w=float(tr["b_w"]))
-    energy = EnergyModel(
-        eta=float(en["eta"]),
-        p_rf_chain=float(en["p_rf_chain"]),
-        p_sta=float(en["p_sta"]),
-        p_link_max=float(en["p_link_max"]),
-        lambda_m=None if en["lambda_m"] is None else float(en["lambda_m"]),
-        n_link=None if en["n_link"] is None else float(en["n_link"]),
-    )
-
-    sweep_axis = None
-    sweep_values: tuple[float, ...] | None = None
-    if sweep is not None:
-        sweep_axis = str(sweep["axis"])
-        values = [float(v) for v in sweep["values"]]
-        if any(b <= a for a, b in zip(values, values[1:])):
-            raise ConfigurationError("sweep.values must be strictly increasing")
-        sweep_values = tuple(values)
-
-    return ExperimentConfig(
-        seed=int(raw["seed"]),
-        hcpp=hcpp,
-        channel=channel,
-        x_off=float(itf["x_off"]),
-        mean_tx_power=float(itf["mean_tx_power"]),
-        realizations=int(itf["realizations"]),
-        antennas=antennas,
-        traffic=traffic,
-        energy=energy,
-        ee_x_off=float(en["x_off"]),
-        se_draws=int(mc["se_draws"]),
-        ee_draws=int(mc["ee_draws"]),
-        sweep_axis=sweep_axis,
-        sweep_values=sweep_values,
-        out_path=raw["output"]["path"],
-        raw=raw,
-    )
+    return _build(user)
 
 
 def _read_yaml(path: str):
@@ -315,27 +310,20 @@ def validate_config(source: str | dict | None) -> list[str]:
     violations, and divergence conditions of the analytic interference
     mean.
     """
-    diagnostics: list[str] = []
     try:
-        if isinstance(source, dict) or source is None:
-            user = source or {}
-        else:
-            user = _read_yaml(source)
+        user = (source or {}) if source is None or isinstance(source, dict) else _read_yaml(source)
         problems = _structure_problems(user)
         if problems:
             return problems
-        cfg = config_from_dict(user)
+        cfg = _build(user)
     except (ConfigurationError, ParameterError) as exc:
         return [str(exc)]
 
-    if cfg.x_off >= cfg.hcpp.delta:
-        diagnostics.append(
-            f"interference.x_off={cfg.x_off} is not below delta={cfg.hcpp.delta}; "
-            "the analytic hard-core interference mean diverges there"
+    return [
+        f"{section}.x_off={x_off} is not below delta={cfg.hcpp.delta}; {why}"
+        for section, x_off, why in (
+            ("interference", cfg.x_off, "the analytic hard-core interference mean diverges there"),
+            ("energy", cfg.ee_x_off, "energy-efficiency runs need the analytic interference mean"),
         )
-    if cfg.ee_x_off >= cfg.hcpp.delta:
-        diagnostics.append(
-            f"energy.x_off={cfg.ee_x_off} is not below delta={cfg.hcpp.delta}; "
-            "energy-efficiency runs need the analytic interference mean"
-        )
-    return diagnostics
+        if x_off >= cfg.hcpp.delta
+    ]

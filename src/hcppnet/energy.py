@@ -169,8 +169,9 @@ def energy_efficiency_mc(
     input for the mean served power, RF chain draw per antenna, and the
     per-link share of the static floor.  Outage draws are excluded from
     both the traffic and the power average.  The standard error propagates
-    the sampling covariance of the two served-draw means through the ratio.
-    ``i_avg`` and ``station_intensity`` are the mean interference and the
+    the sampling covariance of the two served-draw means through the ratio;
+    it is infinite, unknown, with fewer than two served draws, and with none
+    the mean is 0.  ``i_avg`` and ``station_intensity`` are the mean interference and the
     station intensity of one station model, as
     :func:`~hcppnet.interference.model_interference` returns them.
     """
@@ -183,8 +184,9 @@ def energy_efficiency_mc(
     served = p <= energy.p_link_max
     rho, p = rho[served], p[served]
     n_ok = rho.size
+    std_error = math.inf
     if n_ok == 0:
-        return Estimate(mean=0.0, std_error=0.0, replications=draws)
+        return Estimate(mean=0.0, std_error=std_error, replications=draws)
     t_mean = float(rho.mean())
     p_mean = float(p.mean())
     watts = _per_link_watts(p_mean, cfg, energy, station_intensity)
@@ -196,8 +198,6 @@ def energy_efficiency_mc(
         grad_p = -ee / (watts * energy.eta)
         dev = grad_t * (rho - t_mean) + grad_p * (p - p_mean)
         std_error = math.sqrt(float(dev @ dev) / ((n_ok - 1) * n_ok))
-    else:
-        std_error = float("inf")
     return Estimate(mean=ee, std_error=std_error, replications=draws)
 
 

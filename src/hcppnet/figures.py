@@ -213,7 +213,7 @@ def _point(axis: str, series: Series, scenario: InterferenceScenario, value: flo
     return scenario, AntennaConfig(series.n_t, series.s)  # xi: the curve fixes the antennas
 
 
-def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None, master_seed: int) -> list[Task]:
+def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task]:
     """Expand a figure's spec into its tasks, curve by curve, in grid order.
 
     A curve's index in the spec and a point's index in its grid key the
@@ -252,7 +252,7 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None, master_seed:
                 Task(
                     kind=spec.kind,
                     label=label,
-                    seed_key=(master_seed, figure_id, series_idx, point_idx),
+                    seed_key=(cfg.seed, figure_id, series_idx, point_idx),
                     sweep_value=float(value),
                     reps=reps,
                     model=series.model,
@@ -277,26 +277,22 @@ def _resolve_workers(workers: int | None, figure_id: int, n_tasks: int) -> int:
 
 
 def run_figure(
-    figure_id: int,
-    cfg: ExperimentConfig | None = None,
-    reps: int | None = None,
-    seed: int | None = None,
-    workers: int | None = None,
+    figure_id: int, cfg: ExperimentConfig | None = None, reps: int | None = None, workers: int | None = None
 ) -> ResultTable:
     """Produce the data table behind one figure.
 
-    ``reps`` overrides the per-point Monte Carlo effort, ``seed`` the
-    config's master seed, ``workers`` the process fan-out (default: up to
-    four for the interference figures, else one).  Identical inputs give an
-    identical table regardless of worker count.
+    The config sets the master seed and, unless ``reps`` overrides it, the
+    per-point Monte Carlo effort: the realizations, SE draws or EE draws,
+    whichever the figure's kind reads.  ``workers`` sets the process fan-out
+    (default: up to four for the interference figures, else one).
+    Identical inputs give an identical table regardless of worker count.
     """
     if figure_id not in FIGURE_IDS:
         raise ParameterError(f"unknown figure id {figure_id}; supported: {FIGURE_IDS}")
     if cfg is None:
         cfg = load_config(None)
-    master_seed = cfg.seed if seed is None else int(seed)
     axis = FIGURES[figure_id].axis
-    tasks = _tasks(figure_id, cfg, reps, master_seed)
+    tasks = _tasks(figure_id, cfg, reps)
 
     n_workers = _resolve_workers(workers, figure_id, len(tasks))
     if n_workers > 1:
@@ -311,7 +307,7 @@ def run_figure(
     metadata = {
         "figure": figure_id,
         "axis": axis,
-        "seed": master_seed,
+        "seed": cfg.seed,
         "workers_affect_output": False,
         "package_version": _VERSION,
         "series": list(dict.fromkeys(r.series for r in rows)),

@@ -43,6 +43,9 @@ def test_override_flags_are_declared_on_the_expected_commands():
         **{(name, "--n-t"): "antennas/n_t" for name in ("se", "ee")},
         **{(name, "--s"): "antennas/s" for name in ("se", "ee")},
         ("ee", "--theta"): "traffic/theta",
+        ("interference", "--reps"): "interference/realizations",
+        ("se", "--draws"): "mc/se_draws",
+        ("ee", "--draws"): "mc/ee_draws",
     }
 
 
@@ -117,6 +120,26 @@ def test_interference_mc_estimate(capsys):
     assert payload["replications"] == 120
     assert payload["mc_mean_w"] > 0
     assert payload["mc_std_error_w"] > 0
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["interference", "--mc", "--reps", "1"], "mc_std_error_w"),
+        (["se", "--draws", "1"], "mc_std_error"),
+        # 3.9e-8 of draws are served here, so the Monte Carlo serves none
+        (["ee", "--x-off", "499"], "mc_std_error"),
+    ],
+)
+def test_unknown_standard_error_prints_as_null(argv, key, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert payload[key] is None
 
 
 def test_ppp_interference_has_model_tag(capsys):

@@ -44,6 +44,12 @@ def test_out_of_range_values_rejected():
         config_from_dict({"energy": {"eta": 0.0}})
 
 
+def test_validate_config_reports_every_range_problem_in_a_section():
+    diags = validate_config({"energy": {"eta": 0.0, "p_sta": -1.0}})
+    assert len(diags) == 2, diags
+    assert "energy/eta" in diags[0] and "energy/p_sta" in diags[1]
+
+
 @pytest.mark.parametrize(
     "user",
     [

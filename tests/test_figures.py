@@ -1,6 +1,6 @@
 """Golden figure tables: CSV bytes and layout of every figure at a fixed seed.
 
-The hashes pin the exact output of ``run_figure(id, reps=3, seed=7, workers=1)``
+The hashes pin the exact output of ``run_figure(id, SEED_7, reps=3, workers=1)``
 so that a refactor of the sweep machinery cannot silently change row order,
 labels, per-point seeds or values.  The metadata lists the curve labels in
 CSV row order.  ``package_version`` is not pinned: it
@@ -53,7 +53,7 @@ GOLDEN = {
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "ebc9ee46752aa42a405218591e3b3d53c67c58de06b1c8c8357cf10883b02a2c",
+        "be2b21b4b58ae7a73463bf6f1882f3b51be053e1261103b2fb4e7a3757767ab1",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
@@ -65,12 +65,15 @@ GOLDEN = {
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "9af262939662e2d5772318e2d7914fb4b5dbcac3c101e2e78dd15049f12660ba",
+        "8216493a673dc0389f8265930d30260970bdb2b9f0d52700398d1bcf54f4ba4f",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
 }
+
+
+SEED_7 = config_from_dict({"seed": 7})
 
 
 def test_golden_covers_every_figure():
@@ -80,7 +83,7 @@ def test_golden_covers_every_figure():
 @pytest.mark.parametrize("figure_id", FIGURE_IDS)
 def test_figure_csv_bytes_are_golden(figure_id, tmp_path):
     sha, n_rows, axis, series = GOLDEN[figure_id]
-    table = run_figure(figure_id, reps=3, seed=7, workers=1)
+    table = run_figure(figure_id, SEED_7, reps=3, workers=1)
     path = tmp_path / f"figure{figure_id}.csv"
     table.write_csv(str(path))
     assert len(table.rows) == n_rows
@@ -92,7 +95,7 @@ def test_figure_csv_bytes_are_golden(figure_id, tmp_path):
 
 def test_zero_reps_is_not_the_default_effort():
     with pytest.raises(ParameterError, match=">= 1"):
-        run_figure(6, reps=0, seed=7, workers=1)
+        run_figure(6, SEED_7, reps=0, workers=1)
 
 
 def test_worker_count_ignores_the_environment(monkeypatch):
@@ -103,9 +106,9 @@ def test_worker_count_ignores_the_environment(monkeypatch):
 
 @pytest.mark.parametrize(("figure_id", "axis", "values"), [(9, "n", [1.5, 2.0]), (8, "s", [2.7])])
 def test_fractional_antenna_sweep_is_rejected(figure_id, axis, values):
-    cfg = config_from_dict({"sweep": {"axis": axis, "values": values}})
+    cfg = config_from_dict({"seed": 7, "sweep": {"axis": axis, "values": values}})
     with pytest.raises(ConfigurationError, match="not an integer"):
-        run_figure(figure_id, cfg, reps=3, seed=7, workers=1)
+        run_figure(figure_id, cfg, reps=3, workers=1)
 
 
 def test_fractional_antenna_sweep_exits_3(tmp_path, capsys):
