@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .config import config_from_dict, key_type, load_config, validate_config
+from .config import _read_yaml, config_from_dict, key_type, validate_config
 from .energy import energy_efficiency_mc, energy_efficiency_quad
 from .errors import ConfigurationError, DivergenceError, ParameterError
 from .figures import FIGURE_IDS, run_figure
@@ -94,15 +94,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace):
-    """The config file (or the defaults) with every override flag given written over it, validated."""
-    raw = load_config(args.config).raw if args.config else {}
+    """The config file's mapping (or none) with every override flag given written over it, resolved once."""
+    raw = _read_yaml(args.config) if args.config else {}
     for dest, value in vars(args).items():
         if dest.startswith("/") and value is not None:
             *sections, key = dest[1:].split("/")
             node = raw
             for section in sections:
-                node = node.setdefault(section, {})
-            node[key] = value
+                node = node.setdefault(section, {}) if isinstance(node, dict) else None
+            if isinstance(node, dict):  # else the config reports the non-mapping in its place
+                node[key] = value
     return config_from_dict(raw)
 
 

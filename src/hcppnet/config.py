@@ -2,17 +2,18 @@
 
 A config file is a YAML document with nested sections; anything omitted
 falls back to the built-in defaults, so an empty file (or none at all) is a
-complete, runnable configuration.  Structure is checked against the
-defaults themselves: each key must be one of theirs and each value must
-have the type of its default, or be null where that is allowed; it is
-then cast to that type once, so no other code restates it.  Numbers
-must be finite and within a small table of bounds, which the model types
-check again for library callers.
+complete, runnable configuration.  A config is resolved in one walk over
+the defaults: each key must be one of theirs, and each value, given or
+defaulted, must have the type of its default (or be null where that is
+allowed), be finite and lie within a small table of bounds, which the
+model types check again for library callers.  The walk returns the merged
+mapping as written, the same mapping cast to each key's type, and every
+problem.  A sweep must name an axis some figure sweeps, with strictly
+increasing values.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 import operator
 from dataclasses import dataclass
@@ -151,81 +152,76 @@ def _leaf_problem(value, kind: type, nullable: bool = False) -> str | None:
     return None if ok else f"must be {_TYPE_NAMES[kind]}{' or null' if nullable else ''}, got {value!r}"
 
 
-def _unknown_keys(mapping: dict, known, path: tuple) -> list[tuple[tuple, str]]:
-    return [(path, f"additional key {key!r} is not allowed") for key in mapping if key not in known]
-
-
-def _sweep_problems(sweep) -> list[tuple[tuple, str]]:
-    path = ("sweep",)
+def _sweep(sweep, path: tuple):
+    """A sweep as written and as ``(axis, values)``, and its problems."""
     if not isinstance(sweep, dict):
-        return [(path, f"must be null or a mapping, got {type(sweep).__name__}")]
-    found = _unknown_keys(sweep, ("axis", "values"), path)
+        return None, None, [(path, f"must be null or a mapping, got {type(sweep).__name__}")]
+    found = [(path, f"additional key {key!r} is not allowed") for key in sweep if key not in ("axis", "values")]
     found += [(path, f"required key {key!r} is missing") for key in ("axis", "values") if key not in sweep]
-    axis, values = sweep.get("axis"), sweep.get("values")
-    if "axis" in sweep and not (isinstance(axis, str) and axis):
-        found.append(((*path, "axis"), f"must be a non-empty string, got {axis!r}"))
+    axis, values, cast = sweep.get("axis"), sweep.get("values"), None
+    if "axis" in sweep:
+        from .figures import FIGURES  # figures imports this module, so not at import time
+        axes = sorted({spec.axis for spec in FIGURES.values()})
+        if not (isinstance(axis, str) and axis):
+            found.append(((*path, "axis"), f"must be a non-empty string, got {axis!r}"))
+        elif axis not in axes:
+            found.append(((*path, "axis"), f"must be one of {', '.join(map(repr, axes))}, got {axis!r}"))
     if "values" in sweep:
         if not (isinstance(values, list) and values):
             found.append(((*path, "values"), f"must be a non-empty list of numbers, got {values!r}"))
         else:
-            for i, value in enumerate(values):
-                problem = _leaf_problem(value, float)
-                if problem:
-                    found.append(((*path, "values", str(i)), problem))
-    return found
+            problems = [((*path, "values", str(i)), e) for i, v in enumerate(values) if (e := _leaf_problem(v, float))]
+            cast = None if problems else tuple(float(v) for v in values)
+            if cast and any(b <= a for a, b in zip(cast, cast[1:])):
+                problems.append(((*path, "values"), f"must be strictly increasing, got {values!r}"))
+            found += problems
+    if found:
+        return None, None, found
+    return {**sweep, "values": list(values)}, (axis, cast), []
 
 
-def _problems(value, default, path: tuple) -> list[tuple[tuple, str]]:
-    """Every (path, message) at which ``value`` departs from the shape of ``default``."""
+def _walk(user, default, path: tuple):
+    """``user`` over ``default``, which stands in for each key left out: as written, cast, and every problem."""
     name = "/".join(path)
     if name == "sweep":
-        return [] if value is None else _sweep_problems(value)
+        return (None, None, []) if user is None else _sweep(user, path)
     if isinstance(default, dict):
-        if not isinstance(value, dict):
-            return [(path, f"must be a mapping, got {type(value).__name__}")]
-        found = _unknown_keys(value, default, path)
-        for key, item in value.items():
-            if key in default:
-                found += _problems(item, default[key], (*path, str(key)))
-        return found
-    problem = _leaf_problem(value, _NULLABLE.get(name, type(default)), name in _NULLABLE)
+        if not isinstance(user, dict):
+            return None, None, [(path, f"must be a mapping, got {type(user).__name__}")]
+        raw, cast = {}, {}
+        found = [(path, f"additional key {key!r} is not allowed") for key in user if key not in default]
+        for key, item in default.items():
+            raw[key], cast[key], problems = _walk(user.get(key, item), item, (*path, key))
+            found += problems
+        return raw, cast, found
+    kind = _NULLABLE.get(name, type(default))
+    problem = _leaf_problem(user, kind, name in _NULLABLE)
     if problem:
-        return [(path, problem)]
-    return [
-        (path, f"must be {op} {bound}, got {value}")
+        return None, None, [(path, problem)]
+    found = [
+        (path, f"must be {op} {bound}, got {user}")
         for where, op, bound in _BOUNDS
-        if where == name and value is not None and not _COMPARE[op](value, bound)
+        if where == name and user is not None and not _COMPARE[op](user, bound)
     ]
+    return user, None if user is None else kind(user), found
 
 
-def _structure_problems(user) -> list[str]:
-    """Every departure of a user mapping from the keys and types of DEFAULTS, in path order."""
+def _resolve(user) -> tuple[dict, dict, list[str]]:
+    """A user mapping (None for none) over DEFAULTS: as written, cast, and every problem in path order."""
+    user = {} if user is None else user
     if not isinstance(user, dict):
-        return [f"config root must be a mapping, got {type(user).__name__}"]
-    found = sorted(_problems(user, DEFAULTS, ()), key=lambda problem: problem[0])
-    return [f"config structure invalid at {'/'.join(path) or '(root)'}: {message}" for path, message in found]
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    merged = copy.deepcopy(base)
-    for key, value in override.items():
-        if isinstance(value, dict) and isinstance(merged.get(key), dict):
-            merged[key] = _deep_merge(merged[key], value)
-        else:
-            merged[key] = copy.deepcopy(value)
-    return merged
-
-
-def _merge_defaults(user: dict) -> dict:
-    merged = _deep_merge(DEFAULTS, user)
+        return {}, {}, [f"config root must be a mapping, got {type(user).__name__}"]
+    raw, cast, found = _walk(user, DEFAULTS, ())
+    if found:
+        found.sort(key=lambda problem: problem[0])
+        return raw, cast, [f"config structure invalid at {'/'.join(path) or '(root)'}: {why}" for path, why in found]
     # the two link-count sources are alternatives: choosing one in the user
     # config silently retires the default of the other
-    user_energy = user.get("energy") or {}
-    if user_energy.get("lambda_m") is not None and "n_link" not in user_energy:
-        merged["energy"]["n_link"] = None
-    if user_energy.get("n_link") is not None and "lambda_m" not in user_energy:
-        merged["energy"]["lambda_m"] = None
-    return merged
+    energy = user.get("energy", {})
+    for given, other in (("lambda_m", "n_link"), ("n_link", "lambda_m")):
+        if energy.get(given) is not None and other not in energy:
+            raw["energy"][other] = cast["energy"][other] = None
+    return raw, cast, []
 
 
 def key_type(key: str) -> type:
@@ -236,53 +232,35 @@ def key_type(key: str) -> type:
     return _NULLABLE.get(key, type(default))
 
 
-def _typed(node, default=DEFAULTS, key: str = ""):
-    """A checked mapping with every value cast once, to the type of its key; a sweep is left as it is."""
-    if key == "sweep" or node is None:
-        return node
-    if isinstance(default, dict):
-        return {name: _typed(item, default[name], f"{key}/{name}" if key else name) for name, item in node.items()}
-    return _NULLABLE.get(key, type(default))(node)
-
-
-def _build(user: dict) -> ExperimentConfig:
-    """The config of a mapping whose structure has been checked."""
-    raw = _merge_defaults(user)
-    typed = _typed(raw)
-    channel, energy = typed["channel"], typed["energy"]
+def _build(raw: dict, cast: dict) -> ExperimentConfig:
+    """The config of a resolved mapping: ``raw`` as written, ``cast`` with each value of its key's type."""
+    channel, energy = cast["channel"], cast["energy"]
     ee_x_off = energy.pop("x_off")  # the energy model's user distance, not a field of EnergyModel
-    sweep = raw["sweep"]
-    sweep_values = None
-    if sweep is not None:
-        sweep_values = tuple(float(v) for v in sweep["values"])
-        if any(b <= a for a, b in zip(sweep_values, sweep_values[1:])):
-            raise ConfigurationError("sweep.values must be strictly increasing")
-
+    sweep_axis, sweep_values = cast["sweep"] or (None, None)
     return ExperimentConfig(
-        seed=typed["seed"],
-        hcpp=HcppParams(**typed["point_process"]),
+        seed=cast["seed"],
+        hcpp=HcppParams(**cast["point_process"]),
         # the config gives the unit-distance gain in dB, the model takes it linear
         channel=ChannelParams(beta=float(db_to_linear(channel.pop("beta_db"))), **channel),
-        antennas=AntennaConfig(**typed["antennas"]),
-        traffic=TrafficModel(**typed["traffic"]),
+        antennas=AntennaConfig(**cast["antennas"]),
+        traffic=TrafficModel(**cast["traffic"]),
         energy=EnergyModel(**energy),
         ee_x_off=ee_x_off,
-        sweep_axis=None if sweep is None else sweep["axis"],
+        sweep_axis=sweep_axis,
         sweep_values=sweep_values,
-        out_path=typed["output"]["path"],
+        out_path=cast["output"]["path"],
         raw=raw,
-        **typed["interference"],  # x_off, mean_tx_power, realizations
-        **typed["mc"],  # se_draws, ee_draws
+        **cast["interference"],  # x_off, mean_tx_power, realizations
+        **cast["mc"],  # se_draws, ee_draws
     )
 
 
 def config_from_dict(user: dict | None = None) -> ExperimentConfig:
     """Build a validated config from a (possibly partial) mapping."""
-    user = user or {}
-    problems = _structure_problems(user)
+    raw, cast, problems = _resolve(user)
     if problems:
         raise ConfigurationError("; ".join(problems))
-    return _build(user)
+    return _build(raw, cast)
 
 
 def _read_yaml(path: str):
@@ -311,11 +289,10 @@ def validate_config(source: str | dict | None) -> list[str]:
     mean.
     """
     try:
-        user = (source or {}) if source is None or isinstance(source, dict) else _read_yaml(source)
-        problems = _structure_problems(user)
+        raw, cast, problems = _resolve(source if source is None or isinstance(source, dict) else _read_yaml(source))
         if problems:
             return problems
-        cfg = _build(user)
+        cfg = _build(raw, cast)
     except (ConfigurationError, ParameterError) as exc:
         return [str(exc)]
 

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import hcppnet
+from hcppnet import config
 from hcppnet.cli import _build_parser, _load, main
 from hcppnet.config import DEFAULTS
 
@@ -215,6 +216,32 @@ def test_ee_too_weak_interference_prints_only_the_error(tmp_path):
     assert child.returncode == 3
     lines = child.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error:"), child.stderr
+
+
+def test_config_file_with_overrides_is_built_once(monkeypatch, capsys, tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text("antennas:\n  n_t: 6\n")
+    builds = []
+    build = config._build
+    monkeypatch.setattr(config, "_build", lambda *args: builds.append(args) or build(*args))
+    code, out, _ = run_cli(["se", "--config", str(p), "--s", "2", "--draws", "10"], capsys)
+    payload = json.loads(out)
+    assert code == 0 and len(builds) == 1 and (payload["n_t"], payload["s"]) == (6, 2)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("- 1\n- 2\n", "config root must be a mapping, got list"),
+        ("antennas: 5\n", "config structure invalid at antennas: must be a mapping, got int"),
+    ],
+)
+def test_override_over_a_non_mapping_reports_the_config_error(text, error, capsys, tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text(text)
+    code, out, err = run_cli(["se", "--config", str(p), "--s", "2"], capsys)
+    assert code == 3 and not out
+    assert err.splitlines() == [f"error: {error}"]
 
 
 def test_validate_ok(capsys, tmp_path):

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from hcppnet import ConfigurationError
 from hcppnet.cli import main
-from hcppnet.config import DEFAULTS, _deep_merge, config_from_dict, load_config, validate_config
+from hcppnet.config import DEFAULTS, config_from_dict, load_config, validate_config
+from hcppnet.figures import FIGURES
 
 
 def test_defaults_load_and_are_consistent():
@@ -86,6 +87,21 @@ def test_sweep_must_be_increasing():
         config_from_dict({"sweep": {"axis": "s", "values": [4, 2, 1]}})
 
 
+def test_validate_reports_a_decreasing_sweep_with_every_other_problem():
+    diags = validate_config({"sweep": {"axis": "s", "values": [4, 2, 1]}, "channel": {"alpha": 1.0}})
+    assert diags == [
+        "config structure invalid at channel/alpha: must be > 2, got 1.0",
+        "config structure invalid at sweep/values: must be strictly increasing, got [4, 2, 1]",
+    ]
+
+
+def test_sweep_axis_must_be_one_some_figure_sweeps():
+    (diag,) = validate_config({"sweep": {"axis": "bogus", "values": [1, 2]}})
+    assert diag.startswith("config structure invalid at sweep/axis:") and "'bogus'" in diag
+    for spec in FIGURES.values():
+        assert validate_config({"sweep": {"axis": spec.axis, "values": [1, 2]}}) == []
+
+
 def test_load_config_yaml_roundtrip(tmp_path):
     p = tmp_path / "conf.yaml"
     p.write_text("channel:\n  alpha: 4.0\nseed: 9\n")
@@ -147,20 +163,56 @@ def test_every_default_leaf_is_type_checked_and_accepts_its_default(path):
     assert validate_config(_user_setting(path, default)) == []
 
 
-_leaves = st.none() | st.integers(0, 3)
-_mappings = st.recursive(
-    st.dictionaries(st.sampled_from("abc"), _leaves, max_size=3),
-    lambda inner: st.dictionaries(st.sampled_from("abc"), _leaves | inner, max_size=3),
-    max_leaves=8,
+def _valid(default):
+    """Valid values for a number key with this default: a little above it, or the same number as the other type."""
+    if isinstance(default, int):
+        return st.integers(default, default + 3) | st.just(float(default))
+    same = st.just(int(default)) if default.is_integer() else st.nothing()
+    return st.floats(*sorted((default, 1.1 * default))) | same
+
+
+def _section(name):
+    numbers = {key: _valid(value) for key, value in DEFAULTS[name].items() if isinstance(value, (int, float))}
+    numbers.pop("n_link", None)  # the link counts are drawn together, as one valid choice
+    return st.fixed_dictionaries({}, optional=numbers)
+
+
+_LINKS = st.sampled_from(
+    [{}, {"n_link": 12}, {"n_link": 12.0, "lambda_m": None}, {"lambda_m": 1e-5}, {"lambda_m": 2, "n_link": None}]
+)
+_partial_configs = st.fixed_dictionaries(
+    {},
+    optional={
+        "seed": _valid(DEFAULTS["seed"]),
+        **{
+            name: _section(name)
+            for name in ("point_process", "channel", "interference", "antennas", "traffic", "mc")
+        },
+        "energy": st.tuples(_section("energy"), _LINKS).map(lambda parts: {**parts[0], **parts[1]}),
+        "sweep": st.none() | st.fixed_dictionaries({
+            "axis": st.sampled_from(sorted({spec.axis for spec in FIGURES.values()})),
+            "values": st.sets(st.sampled_from([1, 2.0, 4, 8.5, 16]), min_size=1).map(sorted),
+        }),
+        "output": st.fixed_dictionaries({}, optional={"path": st.none() | st.just("out.csv")}),
+    },
 )
 
 
-@given(_mappings, _mappings)
-def test_deep_merge_is_idempotent_and_leaves_inputs_alone(a, b):
-    a_before, b_before = copy.deepcopy(a), copy.deepcopy(b)
-    once = _deep_merge(a, b)
-    assert _deep_merge(once, b) == once
-    assert a == a_before and b == b_before
+def _clear(node):
+    for item in node.values() if isinstance(node, dict) else node:
+        if isinstance(item, (dict, list)):
+            _clear(item)
+    node.clear()
+
+
+@given(_partial_configs)
+def test_resolving_is_idempotent_and_leaves_the_user_mapping_alone(user):
+    before = copy.deepcopy(user)
+    cfg = config_from_dict(user)
+    assert config_from_dict(cfg.raw) == cfg
+    assert user == before
+    _clear(cfg.raw)  # cfg.raw shares no mapping or list with the user's
+    assert user == before
 
 
 def test_validate_config_reports_structural_errors_as_text():
