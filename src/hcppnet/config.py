@@ -22,10 +22,10 @@ import yaml
 
 from .channel import ChannelParams, db_to_linear
 from .energy import EnergyModel, TrafficModel
-from .errors import ConfigurationError, ParameterError
-from .interference import InterferenceScenario
+from .errors import ConfigurationError, DivergenceError, ParameterError
+from .interference import InterferenceScenario, avg_interference_hcpp, model_interference
 from .point_process import HcppParams
-from .zf_capacity import AntennaConfig
+from .zf_capacity import AntennaConfig, spectral_efficiency_bound
 
 __all__ = ["ExperimentConfig", "DEFAULTS", "load_config", "config_from_dict", "validate_config"]
 
@@ -284,9 +284,18 @@ def load_config(path: str | None = None) -> ExperimentConfig:
 def validate_config(source: str | dict | None) -> list[str]:
     """Collect every problem with a config; an empty list means runnable.
 
-    Covers structural errors (all of them at once), parameter-range
-    violations, and divergence conditions of the analytic interference
-    mean.
+    Structural errors and parameter-range violations come first, all of
+    them at once; a config that has any is not dry-run.  Otherwise the
+    config is dry-run through the code its runs execute, with no Monte
+    Carlo draw: the analytic hard-core interference mean of the
+    ``interference`` and ``ee`` commands at ``interference.x_off`` and
+    ``energy.x_off``, and, for each figure the sweep allows, its task list
+    (which rejects an infeasible or fractional antenna grid and evaluates
+    each energy curve's interference mean) and the analytic column of each
+    interference and spectral-efficiency row.  A failing figure is reported
+    once, as ``figure <id>: <error>``, in the words ``hcppnet figure <id>``
+    prints.  The energy-efficiency quadrature is not run, so its guard on
+    the peak SNR at the power cap is checked only when a run reaches it.
     """
     try:
         raw, cast, problems = _resolve(source if source is None or isinstance(source, dict) else _read_yaml(source))
@@ -296,11 +305,23 @@ def validate_config(source: str | dict | None) -> list[str]:
     except (ConfigurationError, ParameterError) as exc:
         return [str(exc)]
 
-    return [
-        f"{section}.x_off={x_off} is not below delta={cfg.hcpp.delta}; {why}"
-        for section, x_off, why in (
-            ("interference", cfg.x_off, "the analytic hard-core interference mean diverges there"),
-            ("energy", cfg.ee_x_off, "energy-efficiency runs need the analytic interference mean"),
-        )
-        if x_off >= cfg.hcpp.delta
-    ]
+    from .figures import FIGURES, _tasks  # figures imports this module, so not at import time
+
+    found = []
+    for section, scenario in (("interference", cfg.scenario()), ("energy", cfg.ee_scenario())):
+        try:
+            avg_interference_hcpp(scenario)
+        except DivergenceError as exc:
+            found.append(f"{section}.x_off={scenario.x_off}: {exc}")
+    for figure_id, spec in FIGURES.items():
+        if cfg.sweep_axis not in (None, spec.axis):
+            continue
+        try:
+            for task in _tasks(figure_id, cfg, None):
+                if task.kind == "itf":
+                    model_interference(task.model, task.scenario)
+                elif task.kind == "se":
+                    spectral_efficiency_bound(task.antennas, task.sweep_value)
+        except (ConfigurationError, ParameterError) as exc:
+            found.append(f"figure {figure_id}: {exc}")
+    return found

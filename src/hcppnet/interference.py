@@ -114,6 +114,33 @@ def _near_radial_integral(hcpp: HcppParams, d: float, alpha: float) -> float:
     return float(np.sum(weights * pair * kernel))
 
 
+def _finite(mean_of, scenario: InterferenceScenario, what: str) -> float:
+    """``mean_of(scenario)``, or DivergenceError where that mean leaves the double range."""
+    try:
+        # a zero divisor, an overflow or inf * 0 ends in a non-finite mean, reported below
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            mean = mean_of(scenario)
+    except OverflowError:  # a float power out of range
+        mean = math.inf
+    if not math.isfinite(mean):
+        raise DivergenceError(
+            f"{what} overflows double precision at x_off={scenario.x_off}, alpha={scenario.channel.alpha}"
+        )
+    return mean
+
+
+def _hcpp_mean(scenario: InterferenceScenario) -> float:
+    hcpp, ch, d = scenario.hcpp, scenario.channel, scenario.x_off
+    # the exclusion discs of two stations separate at 2*delta; beyond it the
+    # pair intensity is the plateau zeta1**2
+    near = _near_radial_integral(hcpp, d, ch.alpha)
+    zeta1 = first_moment(hcpp)
+    far = zeta1**2 * _tail_radial_integral(2.0 * hcpp.delta, d, ch.alpha)
+
+    prefactor = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power / zeta1
+    return prefactor * 2.0 * np.pi * (near + far)
+
+
 def avg_interference_hcpp(scenario: InterferenceScenario) -> float:
     """Mean aggregate interference under the hard-core deployment.
 
@@ -126,26 +153,22 @@ def avg_interference_hcpp(scenario: InterferenceScenario) -> float:
     ``r**-alpha * F(alpha/2, alpha/2; 1; (x_off/r)**2)`` with ``F`` the
     Gauss hypergeometric function.  Requires ``x_off`` strictly inside the
     exclusion radius; at or beyond it an interferer can sit on top of the
-    user and the mean diverges.
+    user and the mean diverges.  A mean too large for a double, as at a
+    steep ``alpha`` with ``x_off`` next to ``delta``, raises
+    :class:`DivergenceError` too.
     """
-    hcpp = scenario.hcpp
-    ch = scenario.channel
-    d = scenario.x_off
-    delta = hcpp.delta
-    alpha = ch.alpha
+    d, delta = scenario.x_off, scenario.hcpp.delta
     if d >= delta:
         raise DivergenceError(
             f"analytic mean interference needs x_off < delta, got x_off={d}, delta={delta}"
         )
+    return _finite(_hcpp_mean, scenario, "analytic mean interference")
 
-    # the exclusion discs of two stations separate at 2*delta; beyond it the
-    # pair intensity is the plateau zeta1**2
-    near = _near_radial_integral(hcpp, d, alpha)
-    zeta1 = first_moment(hcpp)
-    far = zeta1**2 * _tail_radial_integral(2.0 * delta, d, alpha)
 
-    prefactor = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power / zeta1
-    return prefactor * 2.0 * np.pi * (near + far)
+def _ppp_mean(scenario: InterferenceScenario) -> float:
+    ch = scenario.channel
+    scale = 2.0 * np.pi * scenario.hcpp.lambda_p * ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power
+    return scale * scenario.x_off ** (2.0 - ch.alpha) / (ch.alpha - 2.0)
 
 
 def avg_interference_ppp(scenario: InterferenceScenario) -> float:
@@ -154,16 +177,12 @@ def avg_interference_ppp(scenario: InterferenceScenario) -> float:
     With no minimum spacing, interferers are excluded only from the disc of
     radius ``x_off`` around the user (nearest-station association), giving
     ``2 pi lambda beta E(w) P x_off^(2-alpha) / (alpha-2)`` in closed form.
-    Diverges as ``x_off -> 0``.
+    Diverges as ``x_off -> 0``: at 0, or where the mean is too large for a
+    double, it raises :class:`DivergenceError`.
     """
-    ch = scenario.channel
-    d = scenario.x_off
-    if d <= 0:
+    if scenario.x_off <= 0:
         raise DivergenceError("the Poisson mean interference diverges at x_off = 0")
-    lam = scenario.hcpp.lambda_p
-    ew = mean_shadowing(ch.sigma_s_db)
-    scale = 2.0 * np.pi * lam * ch.beta * ew * scenario.mean_tx_power
-    return scale * d ** (2.0 - ch.alpha) / (ch.alpha - 2.0)
+    return _finite(_ppp_mean, scenario, "the Poisson mean interference")
 
 
 def _truncation_radius(scenario: InterferenceScenario) -> float:

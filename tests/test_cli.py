@@ -89,6 +89,18 @@ def test_interference_divergent_point_exits_4(capsys):
     assert "diverge" in err.lower() or "x_off" in err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [["--model", "ppp", "--x-off", "1e-200"], ["--x-off", "499.999999999", "--alpha", "60"]],
+)
+def test_interference_mean_past_the_double_range_exits_4(argv, capsys):
+    code, out, err = run_cli(["interference", *argv], capsys)
+    assert code == 4 and not out
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:") and "overflows double precision" in lines[0], err
+
+
 def test_interference_non_finite_override_exits_3(capsys):
     for flag, key in (("--alpha", "channel/alpha"), ("--x-off", "interference/x_off")):
         code, _, err = run_cli(["interference", flag, "nan"], capsys)
@@ -257,7 +269,16 @@ def test_validate_reports_each_problem(capsys, tmp_path):
     p.write_text("interference:\n  x_off: 800.0\nenergy:\n  x_off: 700.0\n")
     code, _, err = run_cli(["validate", "--config", str(p)], capsys)
     assert code == 3
-    assert err.count("error:") == 2
+    # the two single-point offsets, then each figure whose energy curves run at energy.x_off
+    diverges = "error: {}analytic mean interference needs x_off < delta, got x_off={}, delta={}"
+    assert err.splitlines() == [
+        diverges.format("interference.x_off=800.0: ", 800.0, 500.0),
+        diverges.format("energy.x_off=700.0: ", 700.0, 500.0),
+        diverges.format("figure 8: ", 700.0, 500.0),
+        diverges.format("figure 9: ", 700.0, 300.0),
+        diverges.format("figure 10: ", 700.0, 500.0),
+        diverges.format("figure 11: ", 700.0, 500.0),
+    ]
 
 
 def test_validate_unreadable_config_exits_3(capsys, tmp_path):

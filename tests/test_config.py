@@ -2,8 +2,11 @@
 
 import copy
 import math
+import re
+from pathlib import Path
 
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -124,6 +127,37 @@ def test_validate_config_flags_divergent_offsets():
     assert any("x_off" in d for d in diags)
     diags = validate_config({"energy": {"x_off": 500.0}})
     assert any("energy.x_off" in d for d in diags)
+
+
+# configs that pass every structural and range check, with a figure whose run
+# then rejects them and that run's exit code
+_UNRUNNABLE = [
+    pytest.param({"sweep": {"axis": "x_off", "values": [100, 600]}}, 3, 4, id="x_off-sweep-past-delta"),
+    pytest.param({"point_process": {"delta": 350}}, 2, 4, id="delta-inside-default-grid"),
+    pytest.param({"energy": {"x_off": 350.0}}, 9, 4, id="energy-x_off-past-a-curve-delta"),
+    pytest.param({"sweep": {"axis": "x_off", "values": [0, 100]}}, 2, 4, id="poisson-at-x_off-0"),
+    pytest.param({"sweep": {"axis": "x_off", "values": [1.0e-200, 100]}}, 2, 4, id="poisson-overflow"),
+    pytest.param({"sweep": {"axis": "xi", "values": [-1, 1]}}, 6, 3, id="negative-xi"),
+    pytest.param({"sweep": {"axis": "s", "values": [9, 10]}}, 8, 3, id="streams-above-antennas"),
+    pytest.param({"sweep": {"axis": "n", "values": [1.5, 2]}}, 9, 3, id="fractional-antennas"),
+]
+
+
+@pytest.mark.parametrize("user, figure_id, exit_code", _UNRUNNABLE)
+def test_validate_reports_what_the_figure_run_rejects(user, figure_id, exit_code, capsys, tmp_path):
+    p = tmp_path / "c.yaml"
+    p.write_text(yaml.safe_dump(user))
+    out = str(tmp_path / "f.csv")
+    code = main(["figure", str(figure_id), "--reps", "2", "--workers", "1", "--out", out, "--config", str(p)])
+    (line,) = capsys.readouterr().err.splitlines()
+    assert code == exit_code and line.startswith("error: ")
+    assert f"figure {figure_id}: {line[len('error: '):]}" in validate_config(user)
+
+
+def test_readme_example_config_validates():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example,) = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert validate_config(yaml.safe_load(example)) == []
 
 
 def test_window_side_is_rejected_by_every_entry_point(capsys, tmp_path):

@@ -188,6 +188,25 @@ def test_analytic_near_exclusion_edge_warns_nothing():
     assert avg_interference_hcpp(scenario(499.999, delta=500.0)) > avg_interference_hcpp(scenario(499.9))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "x_off, delta, alpha",
+    [(499.999999999, 500.0, 60.0), (0.0, 1e-300, 3.8), (1e-300, 1e-290, 3.8)],
+)
+def test_analytic_mean_past_the_double_range_raises_divergence(x_off, delta, alpha):
+    # a steep path loss next to the exclusion edge, or a sub-femtometre spacing
+    with pytest.raises(DivergenceError, match="overflows double precision"):
+        avg_interference_hcpp(scenario(x_off, delta=delta, alpha=alpha))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x_off, alpha, power", [(1e-200, 3.8, 2.0), (1e-5, 60.0, 1e300)])
+def test_poisson_mean_past_the_double_range_raises_divergence(x_off, alpha, power):
+    # the power of x_off overflows, or a finite power times the prefactor does
+    with pytest.raises(DivergenceError, match="overflows double precision"):
+        avg_interference_ppp(scenario(x_off, alpha=alpha, power=power))
+
+
 def test_analytic_monotonicity():
     base = avg_interference_hcpp(scenario(200.0))
     assert avg_interference_hcpp(scenario(400.0)) > base  # farther user, worse geometry
