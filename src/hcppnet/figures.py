@@ -2,8 +2,12 @@
 
 Each supported figure id maps to a sweep (interference versus user offset,
 spectral efficiency versus the SINR factor, energy efficiency versus
-antenna counts) evaluated on a deterministic per-point seed lattice, so a
-run is reproducible bit-for-bit regardless of worker count.
+antenna counts) evaluated on deterministic seeds, so a run is reproducible
+bit-for-bit regardless of worker count.  Spectral- and energy-efficiency
+points each draw from their own stream of a per-point seed lattice.  The
+rows of an interference figure that share a parent intensity (a lambda
+family) share one stream and one layout set instead, so those rows are
+correlated: they are compared on common random numbers.
 """
 
 from __future__ import annotations
@@ -20,7 +24,15 @@ import numpy as np
 from .config import ExperimentConfig, load_config
 from .energy import EnergyModel, TrafficModel, energy_efficiency_mc, energy_efficiency_quad
 from .errors import ConfigurationError, ParameterError
-from .interference import MODELS, InterferenceScenario, model_interference
+from .interference import (
+    _SPAWN_CHUNK,
+    MODELS,
+    InterferenceScenario,
+    _estimates,
+    _mc_row,
+    _tagged_station_mc,
+    model_interference,
+)
 from .point_process import HcppParams
 from .zf_capacity import AntennaConfig, spectral_efficiency_bound, spectral_efficiency_mc
 
@@ -75,8 +87,9 @@ class ResultTable:
             fh.write("\n")
 
 
-def _rng_for(master: int, figure_id: int, series_idx: int, point_idx: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=master, spawn_key=(figure_id, series_idx, point_idx))
+def _rng_for(master: int, *spawn_key: int, spawned: int = 0) -> np.random.Generator:
+    """The stream of a seed key; its next ``spawn`` starts at child ``spawned``."""
+    seq = np.random.SeedSequence(entropy=master, spawn_key=spawn_key, n_children_spawned=spawned)
     return np.random.Generator(np.random.PCG64(seq))
 
 
@@ -153,11 +166,16 @@ _UNITS = {"itf": "W", "se": "bit/s/Hz", "ee": "bit/Hz/J"}
 
 @dataclass(frozen=True)
 class Task:
-    """One grid point of one curve, with everything both routes need to evaluate it."""
+    """One grid point of one curve, with everything both routes need to evaluate it.
+
+    ``seed_key`` is ``(master seed, figure id, curve, point)``, except in an
+    interference figure, where it is ``(master seed, figure id, lambda
+    family)``: the points that share it share their layouts.
+    """
 
     kind: str
     label: str
-    seed_key: tuple[int, int, int, int]
+    seed_key: tuple[int, ...]
     sweep_value: float
     reps: int
     model: str
@@ -170,10 +188,9 @@ class Task:
 
 
 def _eval_task(task: Task) -> ResultRow:
+    """Both routes at one spectral- or energy-efficiency point."""
     rng = _rng_for(*task.seed_key)
-    if task.kind == "itf":
-        analytic, _, est = model_interference(task.model, task.scenario, task.reps, rng)
-    elif task.kind == "se":
+    if task.kind == "se":
         analytic = spectral_efficiency_bound(task.antennas, task.sweep_value)
         est = spectral_efficiency_mc(task.antennas, task.sweep_value, task.reps, rng)
     else:
@@ -217,14 +234,17 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task
     """Expand a figure's spec into its tasks, curve by curve, in grid order.
 
     A curve's index in the spec and a point's index in its grid key the
-    point's random stream.  Energy curves evaluate the mean interference and
-    the station intensity once per curve, since neither depends on the grid.
+    point's random stream; in an interference figure, the curve's parent
+    intensity scale, in order of first appearance, keys it instead.  Energy
+    curves evaluate the mean interference and the station intensity once per
+    curve, since neither depends on the grid.
     """
     spec = FIGURES[figure_id]
     grid = _grid(cfg, spec.axis, spec.grid)
     base = cfg.ee_scenario() if spec.kind == "ee" else cfg.scenario()
     if reps is None:
         reps = {"itf": cfg.realizations, "se": cfg.se_draws, "ee": cfg.ee_draws}[spec.kind]
+    families = list(dict.fromkeys(series.lambda_scale for series in spec.series))
     tasks: list[Task] = []
     for series_idx, series in enumerate(spec.series):
         hcpp = HcppParams(base.hcpp.lambda_p * series.lambda_scale, series.delta or base.hcpp.delta)
@@ -248,11 +268,15 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task
             i_avg, intensity, _ = model_interference(series.model, scenario)
         for point_idx, value in enumerate(values):
             point_scenario, antennas = _point(spec.axis, series, scenario, value)
+            if spec.kind == "itf":
+                seed_key = (cfg.seed, figure_id, families.index(series.lambda_scale))
+            else:
+                seed_key = (cfg.seed, figure_id, series_idx, point_idx)
             tasks.append(
                 Task(
                     kind=spec.kind,
                     label=label,
-                    seed_key=(cfg.seed, figure_id, series_idx, point_idx),
+                    seed_key=seed_key,
                     sweep_value=float(value),
                     reps=reps,
                     model=series.model,
@@ -267,13 +291,57 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task
     return tasks
 
 
-def _resolve_workers(workers: int | None, figure_id: int, n_tasks: int) -> int:
+def _resolve_workers(workers: int | None, figure_id: int, n_units: int) -> int:
     if workers is None:
         # pattern-level Monte Carlo dominates the interference figures; fan those out
         workers = min(4, os.cpu_count() or 1) if FIGURES[figure_id].kind == "itf" else 1
     if workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {workers}")
-    return min(workers, n_tasks)
+    return min(workers, n_units)
+
+
+def _map(fn, units: list, n_workers: int) -> list:
+    if n_workers > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                return list(pool.map(fn, units))
+        except OSError:
+            pass
+    return [fn(u) for u in units]
+
+
+def _layout_chunk(unit) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row totals and counts of realizations ``start .. start + count - 1`` of one layout set."""
+    seed_key, rows, start, count = unit
+    return _tagged_station_mc(rows, count, _rng_for(*seed_key, spawned=start))
+
+
+def _interference_rows(figure_id: int, tasks: list[Task], workers: int | None) -> list[ResultRow]:
+    """Evaluate an interference figure: one layout set per seed key serves all of that key's rows.
+
+    The unit of work is a chunk of ``_SPAWN_CHUNK`` realizations at fixed
+    boundaries; chunks are joined in order, so the output does not depend on
+    the worker count.
+    """
+    analytic = [model_interference(t.model, t.scenario)[0] for t in tasks]
+    families: dict[tuple[int, ...], list[int]] = {}
+    for i, task in enumerate(tasks):
+        families.setdefault(task.seed_key, []).append(i)
+    reps = tasks[0].reps
+    # a non-positive count goes to the estimator as one chunk, which rejects it
+    chunks = [(start, min(_SPAWN_CHUNK, reps - start)) for start in range(0, reps, _SPAWN_CHUNK)] or [(0, reps)]
+    rows = {key: tuple(_mc_row(tasks[i].model, tasks[i].scenario) for i in idx) for key, idx in families.items()}
+    units = [(key, rows[key], start, count) for key in families for start, count in chunks]
+    parts = iter(_map(_layout_chunk, units, _resolve_workers(workers, figure_id, len(units))))
+    estimates = {}
+    for key, idx in families.items():
+        totals, counts = zip(*(next(parts) for _ in chunks))
+        estimates.update(zip(idx, _estimates(rows[key], np.hstack(totals), np.hstack(counts))))
+    return [
+        ResultRow(t.label, t.sweep_value, float(analytic[i]), estimates[i].mean, estimates[i].std_error,
+                  estimates[i].replications, _UNITS["itf"])
+        for i, t in enumerate(tasks)
+    ]
 
 
 def run_figure(
@@ -293,16 +361,10 @@ def run_figure(
         cfg = load_config(None)
     axis = FIGURES[figure_id].axis
     tasks = _tasks(figure_id, cfg, reps)
-
-    n_workers = _resolve_workers(workers, figure_id, len(tasks))
-    if n_workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                rows = list(pool.map(_eval_task, tasks))
-        except OSError:
-            rows = [_eval_task(t) for t in tasks]
+    if FIGURES[figure_id].kind == "itf":
+        rows = _interference_rows(figure_id, tasks, workers)
     else:
-        rows = [_eval_task(t) for t in tasks]
+        rows = _map(_eval_task, tasks, _resolve_workers(workers, figure_id, len(tasks)))
 
     metadata = {
         "figure": figure_id,

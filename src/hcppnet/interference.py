@@ -21,7 +21,7 @@ from .point_process import (
     HcppParams,
     Window,
     first_moment,
-    sample_hcpp,
+    sample_ppp,
     second_moment,
 )
 
@@ -92,8 +92,21 @@ def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
 
 
 _PANEL_RATIO = 4.0  # largest ratio of outer to inner r - x_off on one near-field panel
-_SPAWN_CHUNK = 1024  # Monte Carlo child streams spawned at a time
-_GL_U, _GL_W = special.roots_sh_legendre(16)  # Gauss-Legendre nodes and weights of one panel, on [0, 1]
+_SPAWN_CHUNK = 1024  # Monte Carlo child streams spawned at a time; realizations per unit of a figure's pool work
+# Gauss-Legendre nodes and weights of one panel, on [0, 1]: the values of scipy.special.roots_sh_legendre(16),
+# written out because computing them imports scipy.linalg (about 7 MB) into every run that needs the analytic mean
+_GL_U = np.array([
+    0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
+    0.19106187779867811, 0.27099161117138626, 0.35919822461037054, 0.4524937450811813,
+    0.5475062549188188, 0.6408017753896295, 0.7290083888286137, 0.8089381222013219,
+    0.8777022041775016, 0.9328156011939159, 0.9722875115366163, 0.994700467495825,
+])
+_GL_W = np.array([
+    0.013576229705878233, 0.031126761969323815, 0.04757925584124616, 0.062314485627766814,
+    0.07479799440828819, 0.08457825969750106, 0.09130170752246164, 0.09472530522753406,
+    0.09472530522753406, 0.09130170752246164, 0.08457825969750106, 0.07479799440828819,
+    0.062314485627766814, 0.04757925584124616, 0.031126761969323815, 0.013576229705878233,
+])
 
 
 def _near_radial_integral(hcpp: HcppParams, d: float, alpha: float) -> float:
@@ -185,39 +198,71 @@ def avg_interference_ppp(scenario: InterferenceScenario) -> float:
     return _finite(_ppp_mean, scenario, "the Poisson mean interference")
 
 
-def _truncation_radius(scenario: InterferenceScenario) -> float:
+def _truncation_radius(rows) -> float:
     # the closed-form far field is exact beyond 2 (delta + x_off): past 2 delta the pair density is flat, and past
-    # 2 x_off a Poisson user's exclusion disc lies inside the truncation disc and the far-field F argument is < 1/4
-    return 2.0 * (scenario.hcpp.delta + scenario.x_off) + 2.0 / math.sqrt(scenario.hcpp.lambda_p)
+    # 2 x_off a Poisson user's exclusion disc lies inside the truncation disc and the far-field F argument is < 1/4;
+    # the largest radius any row needs is exact for them all
+    return max(2.0 * (s.hcpp.delta + s.x_off) + 2.0 / math.sqrt(s.hcpp.lambda_p) for s, _ in rows)
 
 
-def _one_realization(
-    scenario: InterferenceScenario,
-    r_trunc: float,
-    rng: np.random.Generator,
-    nearest: bool = False,
-) -> tuple[float, int]:
-    """Summed truncated path loss ``d**-alpha`` over every station of one deployment, and their count.
+def _min_image(points: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]:
+    """Differences ``points[j] - points[i]`` at ``[i, j]`` on the torus of edge ``side``, and their squared norms."""
+    diff = points[None, :, :] - points[:, None, :]
+    diff -= side * np.round(diff / side)  # minimum image
+    return diff, np.einsum("ijk,ijk->ij", diff, diff)
 
-    The stations live on a torus of side ``2 * r_trunc`` and each is tagged
-    in turn, as :func:`mc_interference` describes.  ``nearest`` also drops
-    interferers within ``x_off`` of the user (nearest-station association,
-    for the Poisson baseline).
+
+def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, delta: float) -> np.ndarray:
+    """Indices of the Matern type-II survivors, given the squared pair distances ``dist2`` of the parents.
+
+    A parent dies when another within ``delta`` (inclusive) has a smaller
+    mark, or an equal mark and an earlier index, as in
+    :func:`~hcppnet.point_process.matern2_thin`; ``delta == 0`` keeps every parent.
+    """
+    n = len(marks)
+    if delta == 0:
+        return np.arange(n)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(marks, kind="stable")] = np.arange(n)
+    beaten = (dist2 <= delta**2) & (rank[:, None] < rank[None, :])
+    return np.flatnonzero(~beaten.any(axis=0))
+
+
+def _one_realization(lambda_p: float, by_delta, r_trunc: float, rng: np.random.Generator, n_rows: int):
+    """Summed truncated path loss ``d**-alpha`` per row over every station of one deployment, and their count.
+
+    The parents live on a torus of side ``2 * r_trunc``; each spacing of
+    ``by_delta`` (ascending, with its rows' indices, offsets, exponents and
+    ``nearest`` flags) thins them on one minimum-image matrix, and each
+    survivor is tagged in turn, as :func:`mc_interference` describes.
+    ``nearest`` also drops interferers within ``x_off`` of the user
+    (nearest-station association, for the Poisson baseline).
     """
     side = 2.0 * r_trunc
-    pts = sample_hcpp(scenario.hcpp, Window(0.0, side, 0.0, side), rng, periodic=True)
-    theta = rng.uniform(0.0, 2.0 * np.pi, len(pts))
-    offsets = scenario.x_off * np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    diff = pts[None, :, :] - pts[:, None, :]
-    diff -= side * np.round(diff / side)  # minimum image
-    inplay = np.einsum("ijk,ijk->ij", diff, diff) <= r_trunc**2
-    np.fill_diagonal(inplay, False)
-    user_idx, station_idx = np.nonzero(inplay)
-    diff = diff[user_idx, station_idx] - offsets[user_idx]
-    d2_user = np.einsum("ij,ij->i", diff, diff)
-    if nearest:
-        d2_user = d2_user[d2_user > scenario.x_off**2]
-    return float(np.sum(d2_user ** (-scenario.channel.alpha / 2.0))), len(pts)
+    parents = sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
+    marks = rng.random(len(parents))
+    diff, dist2 = _min_image(parents, side)
+    kept = [_mark_thinning(dist2, marks, delta) for delta, _ in by_delta]
+    # the survivors of the smallest spacing include those of every larger one
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(kept[0]))
+    unit = np.empty((len(parents), 2))
+    unit[kept[0]] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    totals, counts = np.empty(n_rows), np.empty(n_rows)
+    for stations, (_, rows) in zip(kept, by_delta):
+        pair = diff[np.ix_(stations, stations)]
+        inplay = np.einsum("ijk,ijk->ij", pair, pair) <= r_trunc**2
+        np.fill_diagonal(inplay, False)
+        user_idx, station_idx = np.nonzero(inplay)
+        pair = pair[user_idx, station_idx]
+        toward_user = unit[stations][user_idx]
+        for k, x_off, alpha, nearest in rows:
+            d_user = pair - x_off * toward_user
+            d2_user = np.einsum("ij,ij->i", d_user, d_user)
+            if nearest:
+                d2_user = d2_user[d2_user > x_off**2]
+            totals[k] = (d2_user ** (-alpha / 2.0)).sum()
+            counts[k] = len(stations)
+    return totals, counts
 
 
 def _child_streams(rng: np.random.Generator, n: int):
@@ -230,31 +275,64 @@ def _child_streams(rng: np.random.Generator, n: int):
         yield from rng.spawn(min(_SPAWN_CHUNK, n - start))
 
 
-def _tagged_station_mc(
-    scenario: InterferenceScenario,
-    realizations: int,
-    rng: np.random.Generator,
-    nearest: bool,
-) -> Estimate:
+def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per-realization path-loss totals and station counts of each row, as two ``(len(rows), realizations)`` arrays.
+
+    ``rows`` are ``(scenario, nearest)`` pairs that share one layout set:
+    every realization draws one parent pattern, at their common ``lambda_p``,
+    on the torus of the largest truncation radius among them, and serves
+    every row from it.  Realization ``i`` consumes child stream ``i`` of
+    ``rng``.  For a single row the draws and the arithmetic are those of a
+    run of that row alone.
+    """
     if realizations < 1:
         raise ParameterError(f"realizations must be >= 1, got {realizations}")
-    r_trunc = _truncation_radius(scenario)
-    totals = np.empty(realizations)
-    counts = np.empty(realizations)
+    lambda_p = rows[0][0].hcpp.lambda_p
+    if any(s.hcpp.lambda_p != lambda_p for s, _ in rows):
+        raise ParameterError("the rows of one layout set must share lambda_p")
+    r_trunc = _truncation_radius(rows)
+    by_delta: dict[float, list] = {}
+    for k, (s, nearest) in enumerate(rows):
+        by_delta.setdefault(s.hcpp.delta, []).append((k, s.x_off, s.channel.alpha, nearest))
+    by_delta = sorted(by_delta.items())
+    totals = np.empty((len(rows), realizations))
+    counts = np.empty((len(rows), realizations))
     for i, stream in enumerate(_child_streams(rng, realizations)):
-        totals[i], counts[i] = _one_realization(scenario, r_trunc, stream, nearest)
-    ch = scenario.channel
-    # shadowing and fading are independent of the layout: each w * g enters by its mean
-    scale = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power
-    plateau = first_moment(scenario.hcpp)  # pair density / intensity beyond the truncation radius
-    tail = 2.0 * math.pi * plateau * _tail_radial_integral(r_trunc, scenario.x_off, ch.alpha)
-    mean = float(totals.sum() / counts.sum())
-    if realizations >= 2:
-        resid = totals - mean * counts
-        std_error = float(np.sqrt(np.sum(resid**2)) / counts.sum())
-    else:
-        std_error = float("inf")
-    return Estimate(mean=scale * (mean + tail), std_error=scale * std_error, replications=realizations)
+        totals[:, i], counts[:, i] = _one_realization(lambda_p, by_delta, r_trunc, stream, len(rows))
+    return totals, counts
+
+
+def _estimates(rows, totals: np.ndarray, counts: np.ndarray) -> list[Estimate]:
+    """Each row's mean interference from its per-realization totals and counts (see :func:`_tagged_station_mc`)."""
+    r_trunc = _truncation_radius(rows)
+    out = []
+    for (scenario, _), row_totals, row_counts in zip(rows, totals, counts):
+        ch = scenario.channel
+        # shadowing and fading are independent of the layout: each w * g enters by its mean
+        scale = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power
+        plateau = first_moment(scenario.hcpp)  # pair density / intensity beyond the truncation radius
+        tail = 2.0 * math.pi * plateau * _tail_radial_integral(r_trunc, scenario.x_off, ch.alpha)
+        mean = float(row_totals.sum() / row_counts.sum())
+        if len(row_totals) >= 2:
+            resid = row_totals - mean * row_counts
+            std_error = float(np.sqrt(np.sum(resid**2)) / row_counts.sum())
+        else:
+            std_error = float("inf")
+        out.append(Estimate(mean=scale * (mean + tail), std_error=scale * std_error, replications=len(row_totals)))
+    return out
+
+
+def _mc_row(model: str, scenario: InterferenceScenario) -> tuple[InterferenceScenario, bool]:
+    """The ``(scenario, nearest)`` row the tagged-station estimator runs for a station model.
+
+    The Poisson baseline is the hard-core process with no spacing, with the
+    interferers within ``x_off`` of each user dropped.
+    """
+    if model == "hcpp":
+        return scenario, False
+    if scenario.x_off <= 0:
+        raise DivergenceError("the Poisson mean interference diverges at x_off = 0")
+    return replace(scenario, hcpp=HcppParams(scenario.hcpp.lambda_p, 0.0)), True
 
 
 def mc_interference(
@@ -287,7 +365,8 @@ def mc_interference(
     from ``rng``, so enlarging ``realizations`` extends a run without
     perturbing earlier draws.
     """
-    return _tagged_station_mc(scenario, realizations, rng, nearest=False)
+    rows = [_mc_row("hcpp", scenario)]
+    return _estimates(rows, *_tagged_station_mc(rows, realizations, rng))[0]
 
 
 def mc_interference_ppp(
@@ -304,10 +383,8 @@ def mc_interference_ppp(
     theorem the other stations of a tagged one are again Poisson.
     Independent check of the :func:`avg_interference_ppp` closed form.
     """
-    if scenario.x_off <= 0:
-        raise DivergenceError("the Poisson mean interference diverges at x_off = 0")
-    poisson = replace(scenario, hcpp=HcppParams(scenario.hcpp.lambda_p, 0.0))
-    return _tagged_station_mc(poisson, realizations, rng, nearest=True)
+    rows = [_mc_row("ppp", scenario)]
+    return _estimates(rows, *_tagged_station_mc(rows, realizations, rng))[0]
 
 
 def model_interference(

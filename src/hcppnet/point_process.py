@@ -102,7 +102,7 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np
     )
 
 
-def matern2_thin(points, delta: float, marks, window: Window, *, periodic: bool = False) -> np.ndarray:
+def matern2_thin(points, delta: float, marks, window: Window) -> np.ndarray:
     """Apply Matern type-II dependent thinning to a marked pattern.
 
     A point survives iff no other point with a strictly smaller mark lies
@@ -120,9 +120,6 @@ def matern2_thin(points, delta: float, marks, window: Window, *, periodic: bool 
         Thinning marks in [0, 1], one per point.
     window : Window
         Survivors outside it are dropped.
-    periodic : bool
-        Take minimum-image distances on the torus ``[0, x_max) x [0, y_max)``,
-        which must be ``window`` and hold every point.
 
     Returns
     -------
@@ -139,15 +136,12 @@ def matern2_thin(points, delta: float, marks, window: Window, *, periodic: bool 
         raise ParameterError(f"need one mark per point, got {mk.shape} for {pos.shape[0]} points")
     if mk.size and (mk.min() < 0.0 or mk.max() > 1.0):
         raise ParameterError("marks must lie in [0, 1]")
-    box = (window.x_max, window.y_max) if periodic else None
-    if periodic and not (window.x_min == window.y_min == 0.0 and np.all((pos >= 0.0) & (pos < box))):
-        raise ParameterError(f"periodic thinning needs a window at the origin holding every point, got {window}")
 
     keep = np.ones(pos.shape[0], dtype=bool)
     if delta > 0 and pos.shape[0] > 1:
-        from scipy.spatial import cKDTree  # slow to load, and only the Monte Carlo layer thins
+        from scipy.spatial import cKDTree  # slow to load, and no command-line run thins on a plane
 
-        pairs = cKDTree(pos, boxsize=box).query_pairs(delta, output_type="ndarray")
+        pairs = cKDTree(pos).query_pairs(delta, output_type="ndarray")
         if pairs.size:
             i, j = pairs[:, 0], pairs[:, 1]  # query_pairs yields i < j
             j_loses = mk[i] <= mk[j]  # equal marks: earlier index survives
@@ -158,19 +152,16 @@ def matern2_thin(points, delta: float, marks, window: Window, *, periodic: bool 
     return survivors[window.contains(survivors)]
 
 
-def sample_hcpp(
-    params: HcppParams, window: Window, rng: np.random.Generator, *, periodic: bool = False
-) -> np.ndarray:
+def sample_hcpp(params: HcppParams, window: Window, rng: np.random.Generator) -> np.ndarray:
     """Draw the hard-core process on ``window`` without edge bias, as an ``(n, 2)`` array.
 
     Parents are sampled on the window grown by ``2 * delta`` so points near
     the boundary feel the same competition as interior ones; the thinned
-    pattern is then clipped back to ``window``.  With ``periodic`` the
-    window, at the origin, is a torus with no boundary to correct for.
+    pattern is then clipped back to ``window``.
     """
-    parents = sample_ppp(params.lambda_p, window if periodic else window.expand(2.0 * params.delta), rng)
+    parents = sample_ppp(params.lambda_p, window.expand(2.0 * params.delta), rng)
     marks = rng.random(len(parents))
-    return matern2_thin(parents, params.delta, marks=marks, window=window, periodic=periodic)
+    return matern2_thin(parents, params.delta, marks=marks, window=window)
 
 
 def first_moment(params: HcppParams) -> float:

@@ -23,11 +23,13 @@ from hcppnet import (
     Window,
     avg_interference_hcpp,
     avg_interference_ppp,
+    config_from_dict,
     db_to_linear,
     energy_efficiency_quad,
     first_moment,
     matern2_thin,
     mc_interference,
+    mean_shadowing,
     required_link_power,
     sample_hcpp,
     sample_ppp,
@@ -41,6 +43,8 @@ from hcppnet import (
 )
 from hcppnet.cli import main as cli_main
 from hcppnet.config import DEFAULTS
+from hcppnet.figures import _rng_for, _tasks
+from hcppnet.interference import _estimates, _mc_row, _tagged_station_mc, model_interference
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -178,6 +182,72 @@ def test_c04_interference_monotone_orderings():
         "[c04] strict orderings hold: rising in x_off and lambda_p, falling in delta, "
         "Poisson baseline falling in x_off"
     )
+
+
+def paired_figure(figure_id, seed, reps):
+    """A figure's layout set, run as ``hcppnet figure`` runs it: tasks, estimates, per-realization influences, scale.
+
+    Every row of the figure's lambda family sees the same layouts, so rows
+    are correlated and a difference of two rows gets its standard error
+    from the paired per-realization terms of the ratio estimator, not from
+    the rows' own standard errors.
+    """
+    tasks = _tasks(figure_id, config_from_dict({"seed": seed}), reps)
+    assert len({t.seed_key for t in tasks}) == 1
+    rows = [_mc_row(t.model, t.scenario) for t in tasks]
+    totals, counts = _tagged_station_mc(rows, reps, _rng_for(*tasks[0].seed_key))
+    ratio = totals.sum(axis=1) / counts.sum(axis=1)
+    influence = (totals - ratio[:, None] * counts) / counts.sum(axis=1)[:, None]
+    ch, power = tasks[0].scenario.channel, tasks[0].scenario.mean_tx_power
+    scale = ch.beta * mean_shadowing(ch.sigma_s_db) * power
+    return tasks, _estimates(rows, totals, counts), influence, scale
+
+
+def paired_difference(fig, j, k):
+    """Row j minus row k of one layout set, and its paired standard error."""
+    _, est, influence, scale = fig
+    return est[j].mean - est[k].mean, scale * math.sqrt(np.sum((influence[j] - influence[k]) ** 2))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mc_paired_poisson_minus_hard_core_follows_analytic(seed):
+    # the analytic Poisson minus hard-core gap changes sign along x_off (hard-core
+    # exceeds Poisson from x_off = 350 at delta = 500); on shared parents the MC gap
+    # must have the analytic sign at z >= 3 and agree with the analytic gap
+    fig = paired_figure(2, seed, 500)
+    tasks = fig[0]
+    at = {(t.model, t.scenario.channel.alpha, t.sweep_value): i for i, t in enumerate(tasks)}
+    worst_sign, worst_gap = math.inf, 0.0
+    for (model, alpha, x_off), h in at.items():
+        if model != "hcpp":
+            continue
+        p = at[("ppp", alpha, x_off)]
+        analytic = model_interference("ppp", tasks[p].scenario)[0] - model_interference("hcpp", tasks[h].scenario)[0]
+        diff, se = paired_difference(fig, p, h)
+        worst_sign = min(worst_sign, math.copysign(1.0, analytic) * diff / se)
+        worst_gap = max(worst_gap, abs(diff - analytic) / se)
+    assert worst_sign >= 3.0
+    assert worst_gap <= 4.0
+    print(f"[paired fig2 seed={seed}] smallest sign z={worst_sign:.2f} largest |mc - analytic| gap z={worst_gap:.2f}")
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_mc_paired_interference_falls_in_delta_and_rises_in_x_off(seed):
+    fig = paired_figure(3, seed, 1000)
+    at = {(t.scenario.hcpp.delta, t.sweep_value): i for i, t in enumerate(fig[0])}
+    deltas = sorted({d for d, _ in at})
+    offsets = sorted({x for _, x in at})
+    along_delta = [
+        paired_difference(fig, at[(d1, x)], at[(d2, x)]) for x in offsets for d1, d2 in zip(deltas, deltas[1:])
+    ]
+    along_x_off = [
+        paired_difference(fig, at[(d, x2)], at[(d, x1)]) for d in deltas for x1, x2 in zip(offsets, offsets[1:])
+    ]
+    worst_delta = min(diff / se for diff, se in along_delta)
+    worst_x_off = min(diff / se for diff, se in along_x_off)
+    assert worst_delta >= 3.0
+    assert worst_x_off >= 3.0
+    print(f"[paired fig3 seed={seed}] smallest z falling in delta={worst_delta:.2f}, rising in x_off={worst_x_off:.2f}")
 
 
 # ----------------------------------------------------------------- criterion 5

@@ -13,6 +13,7 @@ import hcppnet
 from hcppnet import config
 from hcppnet.cli import _build_parser, _load, main
 from hcppnet.config import DEFAULTS
+from hcppnet.interference import _SPAWN_CHUNK
 
 
 def run_cli(argv, capsys):
@@ -332,6 +333,19 @@ def test_figure_csv_worker_count_invariant(capsys, tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
+def test_interference_figure_csv_worker_count_invariant(capsys, tmp_path):
+    # two chunks of realizations, run in one process or in two
+    reps = str(_SPAWN_CHUNK + 1)
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        argv = ["figure", "3", "--seed", "5", "--reps", reps, "--out", str(out), "--workers", workers]
+        code, _, _ = run_cli(argv, capsys)
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def _child_env():
     """Environment for a child interpreter that imports the same hcppnet as this one.
 
@@ -372,7 +386,7 @@ def test_console_entry_point_subprocess(tmp_path):
     assert out.read_bytes() == content_a
 
 
-@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["scipy.stats", "scipy.integrate", "scipy.linalg"])
 def test_cli_import_does_not_load_scipy_module(module):
     code = f"import sys, hcppnet.cli; print({module!r} in sys.modules)"
     child = subprocess.run(

@@ -2,7 +2,7 @@
 
 The hashes pin the exact output of ``run_figure(id, SEED_7, reps=3, workers=1)``
 so that a refactor of the sweep machinery cannot silently change row order,
-labels, per-point seeds or values.  The metadata lists the curve labels in
+labels, seeds or values.  The metadata lists the curve labels in
 CSV row order.  ``package_version`` is not pinned: it
 differs between a source checkout and an installed copy.
 """
@@ -13,23 +13,25 @@ import pytest
 
 from hcppnet import ConfigurationError, ParameterError, config_from_dict
 from hcppnet.cli import main
-from hcppnet.figures import FIGURE_IDS, _resolve_workers, run_figure
+from hcppnet import figures
+from hcppnet.figures import FIGURE_IDS, _resolve_workers, _rng_for, _tasks, run_figure
+from hcppnet.interference import _estimates, _mc_row, _tagged_station_mc
 
 GOLDEN = {
     2: (
-        "0698a22688a30570418ede187af82539b16649a0040e9de221a6f6e6e6cee25d",
+        "618aeb8170a676597e6b75ea01bd430e0967be981ce65e295b1ba1e306b1a4ec",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
-        "150ac3ed3af6fed8f71b07ad5eec9ec489e8d8f564204749a01767193d9a6ee4",
+        "25db7986624251a28f5fc741404c4e59d5ece1755557b1039de5346e6dc3a43c",
         24,
         "x_off",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500"],
     ),
     4: (
-        "69a35d9ffa42117a0954a3e1f15e4d21b6b4c09f83ca12e6076046b9cb9fc081",
+        "65901fb67e986c9f37d5447f6c282125466a24d6d3f2a38064695ee51fceb05a",
         27,
         "x_off",
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
@@ -91,6 +93,32 @@ def test_figure_csv_bytes_are_golden(figure_id, tmp_path):
     assert table.metadata["series"] == series
     assert table.metadata["seed"] == 7
     assert hashlib.sha256(path.read_bytes()).hexdigest() == sha
+
+
+def test_interference_figure_chunks_join_into_one_layout_set(monkeypatch):
+    # realization i of a lambda family consumes child i of the family's stream,
+    # whichever chunk of realizations runs it
+    reps = 15
+    tasks = _tasks(3, SEED_7, reps)
+    rows = [_mc_row(t.model, t.scenario) for t in tasks]
+    whole = _estimates(rows, *_tagged_station_mc(rows, reps, _rng_for(*tasks[0].seed_key)))
+    monkeypatch.setattr(figures, "_SPAWN_CHUNK", 7)
+    table = run_figure(3, SEED_7, reps=reps, workers=1)
+    assert [(r.mc_mean, r.mc_std_error, r.replications) for r in table.rows] == [
+        (e.mean, e.std_error, e.replications) for e in whole
+    ]
+
+
+def test_interference_figure_keys_one_stream_per_lambda_family():
+    assert {t.seed_key for t in _tasks(2, SEED_7, 3)} == {(7, 2, 0)}
+    assert {t.seed_key for t in _tasks(3, SEED_7, 3)} == {(7, 3, 0)}
+    assert [t.seed_key for t in _tasks(4, SEED_7, 3)][::9] == [(7, 4, 0), (7, 4, 1), (7, 4, 2)]
+
+
+@pytest.mark.parametrize("reps", [0, -3])
+def test_interference_figure_rejects_nonpositive_reps(reps):
+    with pytest.raises(ParameterError, match=f"got {reps}"):
+        run_figure(3, SEED_7, reps=reps, workers=1)
 
 
 def test_zero_reps_is_not_the_default_effort():

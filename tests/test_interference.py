@@ -11,20 +11,24 @@ from scipy import integrate, special
 
 from hcppnet import (
     ChannelParams,
+    Window,
+    config_from_dict,
     DivergenceError,
     HcppParams,
     InterferenceScenario,
+    ParameterError,
     avg_interference_hcpp,
     avg_interference_ppp,
     db_to_linear,
     mc_interference,
+    matern2_thin,
     mc_interference_ppp,
     mean_shadowing,
     model_interference,
     second_moment,
 )
 from hcppnet import interference
-from hcppnet.interference import _tail_radial_integral
+from hcppnet.interference import _mark_thinning, _mc_row, _min_image, _tagged_station_mc, _tail_radial_integral
 from hcppnet.point_process import first_moment
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
@@ -247,6 +251,12 @@ def test_far_field_closed_form_matches_mpmath_quadrature(log_r, ratio, alpha):
     assert _tail_radial_integral(r_start, d, alpha) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def test_panel_rule_is_scipys_shifted_gauss_legendre():
+    # the rule is written out to keep scipy.linalg out of the import; it must stay bit-identical
+    u, w = special.roots_sh_legendre(16)
+    assert np.array_equal(interference._GL_U, u) and np.array_equal(interference._GL_W, w)
+
+
 def test_mc_matches_analytic_spot():
     s = scenario(300.0)
     est = mc_interference(s, 2500, np.random.default_rng(101))
@@ -285,6 +295,64 @@ def test_mc_spawns_exactly_one_child_stream_per_realization(estimator, chunk, mo
     assert estimator(scenario(200.0), n, rng) == reference
     expected = np.random.default_rng(seed).spawn(n + 1)[n]
     assert np.array_equal(rng.spawn(1)[0].random(8), expected.random(8))
+
+
+@pytest.mark.parametrize(
+    "estimator, mean, std_error",
+    [
+        (mc_interference, 1.6028222173409745e-13, 5.975560749306196e-15),
+        (mc_interference_ppp, 2.1926476955963732e-13, 6.3663757404844575e-15),
+    ],
+)
+def test_single_row_estimate_is_pinned(estimator, mean, std_error):
+    # a single-scenario run draws and sums exactly as before layouts were shared across rows,
+    # so these values, and c03's fixed-seed z-scores, stay put
+    est = estimator(config_from_dict({"seed": 7}).scenario(), 200, np.random.default_rng(5))
+    assert (est.mean, est.std_error, est.replications) == (mean, std_error, 200)
+
+
+def test_a_row_sharing_its_spacing_and_radius_keeps_its_sums():
+    # rows with the same spacing and no larger truncation radius see the same
+    # parents, thinning and angles, so adding one leaves the other's sums unchanged
+    first = _mc_row("hcpp", scenario(300.0))
+    other = _mc_row("hcpp", scenario(300.0, alpha=4.2))
+    alone = _tagged_station_mc([first], 20, np.random.default_rng(9))
+    shared = _tagged_station_mc([first, other], 20, np.random.default_rng(9))
+    assert np.array_equal(shared[0][:1], alone[0]) and np.array_equal(shared[1][:1], alone[1])
+    assert not np.array_equal(shared[0][0], shared[0][1])
+
+
+def test_layout_rows_must_share_the_parent_intensity():
+    rows = [_mc_row("hcpp", scenario(300.0)), _mc_row("hcpp", scenario(300.0, lambda_p=2 * LAMBDA_P))]
+    with pytest.raises(ParameterError, match="share lambda_p"):
+        _tagged_station_mc(rows, 2, np.random.default_rng(0))
+
+
+# Integer coordinates keep every squared distance exact, so points exactly
+# delta apart are decided the same way by both sides; three mark values force ties.
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 12), st.integers(0, 12), st.sampled_from([0.0, 0.5, 1.0])),
+        max_size=40,
+    ),
+    st.integers(0, 6),
+)
+def test_mc_thinning_matches_matern2_thin_where_no_pair_wraps(marked, delta):
+    # on [0, side/2)^2 no minimum-image distance wraps, so the torus and the plane agree
+    side = 26.0
+    pts = np.array([(x, y) for x, y, _ in marked], dtype=float).reshape(-1, 2)
+    marks = np.array([m for _, _, m in marked])
+    kept = _mark_thinning(_min_image(pts, side)[1], marks, float(delta))
+    expected = matern2_thin(pts, float(delta), marks, Window(0.0, side, 0.0, side))
+    assert np.array_equal(pts[kept], expected)
+
+
+def test_mc_thinning_competes_across_the_seam():
+    # 2 m apart across the edge of a 20 m torus, 18 m apart in the plane
+    pts = np.array([[19.0, 5.0], [1.0, 5.0]])
+    assert _mark_thinning(_min_image(pts, 20.0)[1], np.array([0.6, 0.2]), 3.0).tolist() == [1]
+    assert matern2_thin(pts, 3.0, marks=[0.6, 0.2], window=Window(0.0, 20.0, 0.0, 20.0)).tolist() == pts.tolist()
 
 
 def test_mc_shadowing_enters_by_its_mean_with_paired_seeds():

@@ -245,15 +245,11 @@ def test_no_close_pairs_after_thinning_kdtree():
 
 
 
-def _matern2_brute_force(pts, delta, marks, window, periodic=False):
+def _matern2_brute_force(pts, delta, marks, window):
     # O(n^2) definition: point i dies iff some other point within delta
-    # (inclusive) has a smaller mark, or an equal mark and an earlier index;
-    # periodic takes minimum-image distances on the torus [0, x_max) x [0, y_max)
+    # (inclusive) has a smaller mark, or an equal mark and an earlier index
     def dist2(xi, yi, xj, yj):
-        dx, dy = abs(xi - xj), abs(yi - yj)
-        if periodic:
-            dx, dy = min(dx, window.x_max - dx), min(dy, window.y_max - dy)
-        return dx**2 + dy**2
+        return (xi - xj) ** 2 + (yi - yj) ** 2
 
     kept = []
     for i, (xi, yi) in enumerate(pts):
@@ -277,37 +273,13 @@ _points = st.lists(
 
 
 @settings(max_examples=600, deadline=None)
-@given(_points, st.integers(0, 5), st.integers(0, 4), st.integers(8, 12), st.booleans())
-def test_matern_thinning_matches_brute_force(marked, delta, lo, hi, periodic):
-    # the periodic box holds every generated point, and delta < 13 / 2 leaves one image in range
+@given(_points, st.integers(0, 5), st.integers(0, 4), st.integers(8, 12))
+def test_matern_thinning_matches_brute_force(marked, delta, lo, hi):
     pts = np.array([(x, y) for x, y, _ in marked], dtype=float).reshape(-1, 2)
     marks = np.array([m for _, _, m in marked])
-    window = Window(0.0, 13.0, 0.0, 13.0) if periodic else Window(float(lo), float(hi), float(lo), float(hi))
-    expected = _matern2_brute_force(pts, float(delta), marks, window, periodic)
-    assert np.array_equal(matern2_thin(pts, float(delta), marks, window, periodic=periodic), expected)
-
-
-def test_periodic_thinning_competes_across_the_seam():
-    # 2 m apart across the edge of a 20 m box, 18 m apart in the plane
-    pts = np.array([[19.0, 5.0], [1.0, 5.0]])
-    box = Window(0.0, 20.0, 0.0, 20.0)
-    periodic = matern2_thin(pts, 3.0, marks=[0.6, 0.2], window=box, periodic=True)
-    assert periodic.tolist() == [[1.0, 5.0]]
-    assert matern2_thin(pts, 3.0, marks=[0.6, 0.2], window=box).tolist() == pts.tolist()
-
-
-@pytest.mark.parametrize(
-    "point, window",
-    [
-        ([20.0, 5.0], Window(0.0, 20.0, 0.0, 20.0)),  # on the far edge, which the torus identifies with 0
-        ([-1.0, 5.0], Window(0.0, 20.0, 0.0, 20.0)),
-        ([5.0, 5.0], Window(-10.0, 10.0, -10.0, 10.0)),  # the torus has its lower corner at the origin
-    ],
-)
-def test_periodic_thinning_rejects_points_off_the_torus(point, window):
-    pts = np.array([[1.0, 1.0], point])
-    with pytest.raises(ParameterError, match="periodic"):
-        matern2_thin(pts, 3.0, marks=[0.5, 0.5], window=window, periodic=True)
+    window = Window(float(lo), float(hi), float(lo), float(hi))
+    expected = _matern2_brute_force(pts, float(delta), marks, window)
+    assert np.array_equal(matern2_thin(pts, float(delta), marks, window), expected)
 
 # Pair retention over wide parameter ranges.  The closed form cancels for
 # small lambda_p * pi * delta^2; these pin the result against its invariants
