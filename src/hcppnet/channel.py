@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, bounded, check, check_fields
 
 __all__ = [
     "ChannelParams",
@@ -39,21 +39,17 @@ class ChannelParams:
         Shadowing standard deviation in dB.
     """
 
-    beta: float
-    alpha: float
-    sigma_s_db: float
+    beta: float = bounded((">", 0))
+    alpha: float = bounded((">", 2))
+    sigma_s_db: float = bounded((">=", 0))
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise ParameterError(f"beta must be positive, got {self.beta}")
-        if self.alpha <= 2:
-            raise ParameterError(f"alpha must exceed 2, got {self.alpha}")
-        if self.sigma_s_db < 0:
-            raise ParameterError(f"sigma_s_db must be nonnegative, got {self.sigma_s_db}")
+        check_fields(self)
 
 
 def db_to_linear(x_db):
-    return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)[()]
+    with np.errstate(over="ignore"):  # a gain past the double range is inf, which the model checks reject
+        return np.power(10.0, np.asarray(x_db, dtype=float) / 10.0)[()]
 
 
 def path_gain(params: ChannelParams, distance):
@@ -66,16 +62,14 @@ def path_gain(params: ChannelParams, distance):
 
 def sample_shadowing(sigma_s_db: float, rng: np.random.Generator, size=None):
     """Lognormal shadowing factors ``10**(s/10)`` with ``s ~ N(0, sigma_s_db**2)``."""
-    if sigma_s_db < 0:
-        raise ParameterError(f"sigma_s_db must be nonnegative, got {sigma_s_db}")
+    check("sigma_s_db", sigma_s_db, (">=", 0))
     s = rng.normal(0.0, sigma_s_db, size)
     return np.exp(s * _LN10_OVER_10)
 
 
 def mean_shadowing(sigma_s_db: float) -> float:
     """Mean of the lognormal shadowing factor: ``exp((sigma_s_db * ln10 / 10)**2 / 2)``."""
-    if sigma_s_db < 0:
-        raise ParameterError(f"sigma_s_db must be nonnegative, got {sigma_s_db}")
+    check("sigma_s_db", sigma_s_db, (">=", 0))
     mu = sigma_s_db * _LN10_OVER_10
     return float(np.exp(mu**2 / 2.0))
 

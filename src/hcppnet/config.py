@@ -5,24 +5,24 @@ falls back to the built-in defaults, so an empty file (or none at all) is a
 complete, runnable configuration.  A config is resolved in one walk over
 the defaults: each key must be one of theirs, and each value, given or
 defaulted, must have the type of its default (or be null where that is
-allowed), be finite and lie within a small table of bounds, which the
-model types check again for library callers.  The walk returns the merged
-mapping as written, the same mapping cast to each key's type, and every
-problem.  A sweep must name an axis some figure sweeps, with strictly
-increasing values.
+allowed), be finite and meet its key's bounds.  A key that sets a model
+field takes the bounds declared on that field, which the model type checks
+in the same words for library callers; only the five run settings no model
+owns declare theirs here.  The walk returns the merged mapping as written,
+the same mapping cast to each key's type, and every problem.  A sweep must
+name an axis some figure sweeps, with strictly increasing values.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import yaml
 
 from .channel import ChannelParams, db_to_linear
 from .energy import EnergyModel, TrafficModel
-from .errors import ConfigurationError, DivergenceError, ParameterError
+from .errors import ConfigurationError, DivergenceError, ParameterError, violation
 from .interference import InterferenceScenario, avg_interference_hcpp, model_interference
 from .point_process import HcppParams
 from .zf_capacity import AntennaConfig, spectral_efficiency_bound
@@ -106,34 +106,30 @@ class ExperimentConfig:
 # keys whose value may be null, and the type a non-null value must have
 _NULLABLE = {"energy/n_link": float, "energy/lambda_m": float, "output/path": str}
 
-# every bound a config number must meet; the model types check them again
-_BOUNDS = (
-    ("seed", ">=", 0),
-    ("point_process/lambda_p", ">", 0),
-    ("point_process/delta", ">=", 0),
-    ("channel/alpha", ">", 2),
-    ("channel/sigma_s_db", ">=", 0),
-    ("interference/x_off", ">=", 0),
-    ("interference/mean_tx_power", ">", 0),
-    ("interference/realizations", ">=", 1),
-    ("antennas/n_t", ">=", 1),
-    ("antennas/s", ">=", 1),
-    ("traffic/theta", ">", 1),
-    ("traffic/theta", "<=", 2),
-    ("traffic/rho_min", ">", 0),
-    ("traffic/b_w", ">", 0),
-    ("energy/eta", ">", 0),
-    ("energy/eta", "<=", 1),
-    ("energy/p_rf_chain", ">=", 0),
-    ("energy/p_sta", ">=", 0),
-    ("energy/p_link_max", ">", 0),
-    ("energy/n_link", ">", 0),
-    ("energy/lambda_m", ">", 0),
-    ("energy/x_off", ">", 0),
-    ("mc/se_draws", ">=", 1),
-    ("mc/ee_draws", ">=", 1),
-)
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+# the (op, bound) pairs a config number must meet: for a key that sets a
+# field of the model its section builds, those declared on that field
+# (channel.beta has no key: the config sets beta_db); for the five run
+# settings no model owns, those written here
+_BOUNDS = {
+    "seed": ((">=", 0),),
+    **{
+        f"{section}/{f.name}": f.metadata["bounds"]
+        for section, model in (
+            ("point_process", HcppParams),
+            ("channel", ChannelParams),
+            ("interference", InterferenceScenario),
+            ("antennas", AntennaConfig),
+            ("traffic", TrafficModel),
+            ("energy", EnergyModel),
+        )
+        for f in fields(model)
+        if "bounds" in f.metadata and f.name in DEFAULTS[section]
+    },
+    "interference/realizations": ((">=", 1),),
+    "energy/x_off": ((">", 0),),
+    "mc/se_draws": ((">=", 1),),
+    "mc/ee_draws": ((">=", 1),),
+}
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -196,14 +192,11 @@ def _walk(user, default, path: tuple):
         return raw, cast, found
     kind = _NULLABLE.get(name, type(default))
     problem = _leaf_problem(user, kind, name in _NULLABLE)
+    if problem is None and user is not None and name in _BOUNDS:
+        problem = violation(user, _BOUNDS[name])
     if problem:
         return None, None, [(path, problem)]
-    found = [
-        (path, f"must be {op} {bound}, got {user}")
-        for where, op, bound in _BOUNDS
-        if where == name and user is not None and not _COMPARE[op](user, bound)
-    ]
-    return user, None if user is None else kind(user), found
+    return user, None if user is None else kind(user), []
 
 
 def _resolve(user) -> tuple[dict, dict, list[str]]:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy import special
 
 from .channel import path_gain, sample_shadowing
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, bounded, check, check_fields
 from .interference import Estimate, InterferenceScenario
 from .zf_capacity import AntennaConfig, _gauss_nodes
 
@@ -38,17 +38,12 @@ __all__ = [
 class TrafficModel:
     """Pareto rate demand: heaviness ``theta`` in (1, 2], floor ``rho_min`` bits/s, link bandwidth ``b_w`` Hz."""
 
-    theta: float
-    rho_min: float
-    b_w: float
+    theta: float = bounded((">", 1), ("<=", 2))
+    rho_min: float = bounded((">", 0))
+    b_w: float = bounded((">", 0))
 
     def __post_init__(self):
-        if not 1.0 < self.theta <= 2.0:
-            raise ParameterError(f"theta must lie in (1, 2], got {self.theta}")
-        if self.rho_min <= 0:
-            raise ParameterError(f"rho_min must be positive, got {self.rho_min}")
-        if self.b_w <= 0:
-            raise ParameterError(f"b_w must be positive, got {self.b_w}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -60,28 +55,17 @@ class EnergyModel:
     direct) must be set.
     """
 
-    eta: float
-    p_rf_chain: float
-    p_sta: float
-    p_link_max: float
-    lambda_m: float | None = None
-    n_link: float | None = None
+    eta: float = bounded((">", 0), ("<=", 1))
+    p_rf_chain: float = bounded((">=", 0))
+    p_sta: float = bounded((">=", 0))
+    p_link_max: float = bounded((">", 0))
+    lambda_m: float | None = bounded((">", 0), default=None)
+    n_link: float | None = bounded((">", 0), default=None)
 
     def __post_init__(self):
-        if not 0.0 < self.eta <= 1.0:
-            raise ParameterError(f"eta must lie in (0, 1], got {self.eta}")
-        if self.p_rf_chain < 0:
-            raise ParameterError(f"p_rf_chain must be nonnegative, got {self.p_rf_chain}")
-        if self.p_sta < 0:
-            raise ParameterError(f"p_sta must be nonnegative, got {self.p_sta}")
-        if self.p_link_max <= 0:
-            raise ParameterError(f"p_link_max must be positive, got {self.p_link_max}")
+        check_fields(self)
         if (self.lambda_m is None) == (self.n_link is None):
             raise ConfigurationError("set exactly one of lambda_m and n_link")
-        if self.lambda_m is not None and self.lambda_m <= 0:
-            raise ParameterError(f"lambda_m must be positive, got {self.lambda_m}")
-        if self.n_link is not None and self.n_link <= 0:
-            raise ParameterError(f"n_link must be positive, got {self.n_link}")
 
 
 def traffic_pdf(x, tm: TrafficModel):
@@ -116,8 +100,7 @@ def required_link_power(
     rate is unreachable at any power), not an exception.  Vectorized over
     ``rho``, ``w_ii`` and ``gain``.
     """
-    if i_avg <= 0:
-        raise ParameterError(f"i_avg must be positive, got {i_avg}")
+    check("i_avg", i_avg, (">", 0))
     rho_arr = np.asarray(rho, dtype=float)
     if np.any(rho_arr < 0):
         raise ParameterError("rho must be nonnegative")
@@ -175,8 +158,7 @@ def energy_efficiency_mc(
     station intensity of one station model, as
     :func:`~hcppnet.interference.model_interference` returns them.
     """
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    check("draws", draws, (">=", 1))
     rho = traffic_sample(tm, rng, draws)
     w = sample_shadowing(scenario.channel.sigma_s_db, rng, draws)
     g = rng.gamma(cfg.gain_shape, 1.0, draws)

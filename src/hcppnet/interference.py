@@ -16,7 +16,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelParams, mean_shadowing
-from .errors import DivergenceError, ParameterError
+from .errors import DivergenceError, ParameterError, bounded, check, check_fields
 from .point_process import (
     HcppParams,
     Window,
@@ -50,14 +50,11 @@ class InterferenceScenario:
 
     hcpp: HcppParams
     channel: ChannelParams
-    x_off: float
-    mean_tx_power: float
+    x_off: float = bounded((">=", 0))
+    mean_tx_power: float = bounded((">", 0))
 
     def __post_init__(self):
-        if self.x_off < 0:
-            raise ParameterError(f"x_off must be nonnegative, got {self.x_off}")
-        if self.mean_tx_power <= 0:
-            raise ParameterError(f"mean_tx_power must be positive, got {self.mean_tx_power}")
+        check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -285,8 +282,7 @@ def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tup
     ``rng``.  For a single row the draws and the arithmetic are those of a
     run of that row alone.
     """
-    if realizations < 1:
-        raise ParameterError(f"realizations must be >= 1, got {realizations}")
+    check("realizations", realizations, (">=", 1))
     lambda_p = rows[0][0].hcpp.lambda_p
     if any(s.hcpp.lambda_p != lambda_p for s, _ in rows):
         raise ParameterError("the rows of one layout set must share lambda_p")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, bounded, check, check_fields
 
 __all__ = [
     "Window",
@@ -43,8 +43,7 @@ class Window:
     @classmethod
     def square(cls, side: float) -> "Window":
         """Square of edge ``side`` centred at the origin."""
-        if side <= 0:
-            raise ParameterError(f"side must be positive, got {side}")
+        check("side", side, (">", 0))
         h = side / 2.0
         return cls(-h, h, -h, h)
 
@@ -54,8 +53,7 @@ class Window:
 
     def expand(self, margin: float) -> "Window":
         """Window grown by ``margin`` on every side."""
-        if margin < 0:
-            raise ParameterError(f"margin must be nonnegative, got {margin}")
+        check("margin", margin, (">=", 0))
         return Window(self.x_min - margin, self.x_max + margin, self.y_min - margin, self.y_max + margin)
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -76,14 +74,11 @@ class HcppParams:
     ``delta == 0`` degenerates to the parent Poisson process.
     """
 
-    lambda_p: float
-    delta: float
+    lambda_p: float = bounded((">", 0))
+    delta: float = bounded((">=", 0))
 
     def __post_init__(self):
-        if self.lambda_p <= 0:
-            raise ParameterError(f"lambda_p must be positive, got {self.lambda_p}")
-        if self.delta < 0:
-            raise ParameterError(f"delta must be nonnegative, got {self.delta}")
+        check_fields(self)
 
 
 def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np.ndarray:
@@ -92,8 +87,7 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np
     The point count is Poisson with mean ``intensity * window.area`` and
     positions are independent uniforms.
     """
-    if intensity <= 0:
-        raise ParameterError(f"intensity must be positive, got {intensity}")
+    check("intensity", intensity, (">", 0))
     n = rng.poisson(intensity * window.area)
     return rng.uniform(
         low=(window.x_min, window.y_min),
@@ -126,8 +120,7 @@ def matern2_thin(points, delta: float, marks, window: Window) -> np.ndarray:
     (m, 2) ndarray
         The survivors inside ``window``, in input order.
     """
-    if delta < 0:
-        raise ParameterError(f"delta must be nonnegative, got {delta}")
+    check("delta", delta, (">=", 0))
     pos = np.asarray(points, dtype=float)
     if pos.ndim != 2 or pos.shape[1] != 2:
         raise ParameterError(f"points must have shape (n, 2), got {pos.shape}")
@@ -183,8 +176,7 @@ def union_area(r: float, delta: float):
     Saturates at ``2 * pi * delta^2`` once the disks separate (``r >= 2 *
     delta``).  Vectorized over ``r``.
     """
-    if delta <= 0:
-        raise ParameterError(f"delta must be positive, got {delta}")
+    check("delta", delta, (">", 0))
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ParameterError("distance must be nonnegative")

@@ -19,7 +19,7 @@ import numpy as np
 from scipy import special
 
 from .channel import ChannelParams, path_gain
-from .errors import ParameterError
+from .errors import ParameterError, bounded, check, check_fields
 from .interference import Estimate
 
 __all__ = [
@@ -36,11 +36,12 @@ __all__ = [
 class AntennaConfig:
     """Antenna counts: ``n_t`` at the station, ``s`` single-antenna users served together."""
 
-    n_t: int
-    s: int
+    n_t: int = bounded((">=", 1))
+    s: int = bounded((">=", 1))
 
     def __post_init__(self):
-        if self.s < 1 or self.n_t < self.s:
+        check_fields(self)
+        if self.n_t < self.s:
             raise ParameterError(f"need n_t >= s >= 1, got n_t={self.n_t}, s={self.s}")
 
     @property
@@ -66,12 +67,9 @@ def subchannel_capacity(
     noise is neglected against ``i_avg``.  Vectorized over ``w_ii`` and
     ``gain``.
     """
-    if b_w <= 0:
-        raise ParameterError(f"b_w must be positive, got {b_w}")
-    if i_avg <= 0:
-        raise ParameterError(f"i_avg must be positive, got {i_avg}")
-    if p_ik < 0:
-        raise ParameterError(f"p_ik must be nonnegative, got {p_ik}")
+    check("b_w", b_w, (">", 0))
+    check("i_avg", i_avg, (">", 0))
+    check("p_ik", p_ik, (">=", 0))
     w_arr = np.asarray(w_ii, dtype=float)
     g_arr = np.asarray(gain, dtype=float)
     if np.any(w_arr <= 0):
@@ -92,8 +90,7 @@ def sample_zf_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) ->
     against each other.  A singular Gram matrix has probability zero and
     raises :class:`numpy.linalg.LinAlgError`.
     """
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    check("draws", draws, (">=", 1))
     h = (
         rng.standard_normal((draws, cfg.s, cfg.n_t))
         + 1j * rng.standard_normal((draws, cfg.s, cfg.n_t))
@@ -103,9 +100,7 @@ def sample_zf_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) ->
 
 
 def _check_xi(xi: float) -> None:
-    # also false for nan; a larger xi overflows (xi / s) * gain in the draws
-    if not 0.0 < xi < 1e300:
-        raise ParameterError(f"xi must be positive and below 1e300, got {xi}")
+    check("xi", xi, (">", 0), ("<", 1e300))  # a larger xi overflows (xi / s) * gain in the draws
 
 
 def spectral_efficiency_mc(
@@ -120,8 +115,7 @@ def spectral_efficiency_mc(
     matrix route :func:`sample_zf_gains` validates that shortcut.
     """
     _check_xi(xi)
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    check("draws", draws, (">=", 1))
     gains = rng.gamma(cfg.gain_shape, 1.0, size=(draws, cfg.s))
     return Estimate.from_samples(np.log2(1.0 + (xi / cfg.s) * gains).sum(axis=1))
 

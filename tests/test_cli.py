@@ -282,6 +282,17 @@ def test_validate_reports_each_problem(capsys, tmp_path):
     ]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [["validate"], ["interference"]])
+def test_unit_gain_past_the_double_range_is_one_config_error(command, capsys, tmp_path):
+    # beta_db = 4000 overflows beta to inf: the beta check is the only report, with no numpy warning
+    p = tmp_path / "beta.yaml"
+    p.write_text("channel: {beta_db: 4000}\n")
+    code, out, err = run_cli([*command, "--config", str(p)], capsys)
+    assert code == 3 and not out
+    assert err.splitlines() == ["error: beta must be a finite number, got inf"]
+
+
 def test_validate_unreadable_config_exits_3(capsys, tmp_path):
     code, _, err = run_cli(["validate", "--config", str(tmp_path)], capsys)
     assert code == 3

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from hcppnet import ConfigurationError
 from hcppnet.cli import main
-from hcppnet.config import DEFAULTS, config_from_dict, load_config, validate_config
+from hcppnet import config
+from hcppnet.config import DEFAULTS, config_from_dict, key_type, load_config, validate_config
 from hcppnet.figures import FIGURES
 
 
@@ -116,6 +117,46 @@ def test_load_config_yaml_roundtrip(tmp_path):
 def test_load_config_missing_file():
     with pytest.raises(ConfigurationError):
         load_config("/nonexistent/conf.yaml")
+
+
+# the bounds the config checked before its table was derived from the model fields
+_BOUNDS_BEFORE_DERIVATION = [
+    ("seed", ">=", 0),
+    ("point_process/lambda_p", ">", 0),
+    ("point_process/delta", ">=", 0),
+    ("channel/alpha", ">", 2),
+    ("channel/sigma_s_db", ">=", 0),
+    ("interference/x_off", ">=", 0),
+    ("interference/mean_tx_power", ">", 0),
+    ("interference/realizations", ">=", 1),
+    ("antennas/n_t", ">=", 1),
+    ("antennas/s", ">=", 1),
+    ("traffic/theta", ">", 1),
+    ("traffic/theta", "<=", 2),
+    ("traffic/rho_min", ">", 0),
+    ("traffic/b_w", ">", 0),
+    ("energy/eta", ">", 0),
+    ("energy/eta", "<=", 1),
+    ("energy/p_rf_chain", ">=", 0),
+    ("energy/p_sta", ">=", 0),
+    ("energy/p_link_max", ">", 0),
+    ("energy/n_link", ">", 0),
+    ("energy/lambda_m", ">", 0),
+    ("energy/x_off", ">", 0),
+    ("mc/se_draws", ">=", 1),
+    ("mc/ee_draws", ">=", 1),
+]
+
+
+def test_bounds_table_derived_from_the_model_fields_is_the_one_validate_checks():
+    table = [(key, op, bound) for key, bounds in config._BOUNDS.items() for op, bound in bounds]
+    assert sorted(table) == sorted(_BOUNDS_BEFORE_DERIVATION)
+    for key, op, bound in table:  # a value just past each bound is reported in the model's words
+        step = -1 if op.startswith(">") else 1
+        past = bound + step if key_type(key) is int else math.nextafter(bound, step * math.inf)
+        assert validate_config(_user_setting(key, past)) == [
+            f"config structure invalid at {key}: must be {op} {bound}, got {past}"
+        ]
 
 
 def test_validate_config_clean_defaults():
