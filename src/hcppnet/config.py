@@ -108,8 +108,9 @@ _NULLABLE = {"energy/n_link": float, "energy/lambda_m": float, "output/path": st
 
 # the (op, bound) pairs a config number must meet: for a key that sets a
 # field of the model its section builds, those declared on that field
-# (channel.beta has no key: the config sets beta_db); for the five run
-# settings no model owns, those written here
+# (channel.beta has no key: the config sets beta_db, whose linear value
+# must meet _BETA_BOUNDS); for the five run settings no model owns, those
+# written here
 _BOUNDS = {
     "seed": ((">=", 0),),
     **{
@@ -130,6 +131,7 @@ _BOUNDS = {
     "mc/se_draws": ((">=", 1),),
     "mc/ee_draws": ((">=", 1),),
 }
+_BETA_BOUNDS = next(f.metadata["bounds"] for f in fields(ChannelParams) if f.name == "beta")
 _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 
 
@@ -141,8 +143,8 @@ def _leaf_problem(value, kind: type, nullable: bool = False) -> str | None:
         ok = isinstance(value, str)
     elif isinstance(value, bool) or not isinstance(value, (int, float)):
         ok = False
-    elif isinstance(value, float) and not math.isfinite(value):
-        return f"must be a finite number, got {value}"
+    elif problem := violation(value, ()):  # nan, inf, or an int past the double range
+        return problem
     else:  # an integral float such as 8.0 is an integer
         ok = kind is float or isinstance(value, int) or value.is_integer()
     return None if ok else f"must be {_TYPE_NAMES[kind]}{' or null' if nullable else ''}, got {value!r}"
@@ -194,6 +196,9 @@ def _walk(user, default, path: tuple):
     problem = _leaf_problem(user, kind, name in _NULLABLE)
     if problem is None and user is not None and name in _BOUNDS:
         problem = violation(user, _BOUNDS[name])
+    if problem is None and name == "channel/beta_db":  # the model takes this gain linear
+        linear = violation(float(db_to_linear(user)), _BETA_BOUNDS)
+        problem = linear and f"gives a linear gain 10^(beta_db/10) that {linear}"
     if problem:
         return None, None, [(path, problem)]
     return user, None if user is None else kind(user), []
@@ -264,7 +269,7 @@ def _read_yaml(path: str):
         raise ConfigurationError(f"cannot read config file {path}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"config file {path} is not UTF-8 text: {exc.reason}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: a scalar YAML cannot convert, such as a 5000-digit int
         raise ConfigurationError(f"config file is not valid YAML: {exc}") from exc
     return {} if data is None else data
 

@@ -20,7 +20,7 @@ from scipy import special
 from .channel import path_gain, sample_shadowing
 from .errors import ConfigurationError, ParameterError, bounded, check, check_fields
 from .interference import Estimate, InterferenceScenario
-from .zf_capacity import AntennaConfig, _gauss_nodes
+from .zf_capacity import AntennaConfig, _gauss_nodes, _roots_genlaguerre, _roots_hermite
 
 __all__ = [
     "TrafficModel",
@@ -101,21 +101,28 @@ def required_link_power(
     ``rho``, ``w_ii`` and ``gain``.
     """
     check("i_avg", i_avg, (">", 0))
-    rho_arr = np.asarray(rho, dtype=float)
-    if np.any(rho_arr < 0):
-        raise ParameterError("rho must be nonnegative")
-    w_arr = np.asarray(w_ii, dtype=float)
-    if np.any(w_arr <= 0):
-        raise ParameterError("w_ii must be positive")
-    g_arr = np.asarray(gain, dtype=float)
-    if np.any(g_arr < 0):
-        raise ParameterError("gain must be nonnegative")
-    with np.errstate(over="ignore"):  # huge rate demands overflow to inf = sure outage
-        snr_needed = np.expm1(rho_arr * (math.log(2.0) / (cfg.s * tm.b_w)))
-    link_gain = path_gain(channel, x_off) * w_arr * g_arr
-    with np.errstate(divide="ignore", over="ignore"):  # inf: unreachable at any power
-        out = snr_needed * i_avg / link_gain
+    rho_arr, w_arr, g_arr = (np.asarray(a, dtype=float) for a in (rho, w_ii, gain))
+    _check_link_draws(rho_arr, w_arr, g_arr)
+    out = _link_power(rho_arr, cfg, tm, path_gain(channel, x_off) * w_arr * g_arr, i_avg)
     return out if out.ndim else float(out)
+
+
+def _check_link_draws(rho=None, w_ii=None, gain=None) -> None:
+    """Reject a negative rate, a nonpositive shadowing factor or a negative gain among the arrays given."""
+    if rho is not None and np.any(rho < 0):
+        raise ParameterError("rho must be nonnegative")
+    if w_ii is not None and np.any(w_ii <= 0):
+        raise ParameterError("w_ii must be positive")
+    if gain is not None and np.any(gain < 0):
+        raise ParameterError("gain must be nonnegative")
+
+
+def _link_power(rho: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, link_gain: np.ndarray, i_avg: float):
+    """:func:`required_link_power` of checked arrays, with ``link_gain = path_gain * w_ii * gain``."""
+    with np.errstate(over="ignore"):  # huge rate demands overflow to inf = sure outage
+        snr_needed = np.expm1(rho * (math.log(2.0) / (cfg.s * tm.b_w)))
+    with np.errstate(divide="ignore", over="ignore"):  # inf: unreachable at any power
+        return snr_needed * i_avg / link_gain
 
 
 def links_per_bs(energy: EnergyModel, station_intensity: float | None) -> float:
@@ -163,24 +170,93 @@ def energy_efficiency_mc(
     w = sample_shadowing(scenario.channel.sigma_s_db, rng, draws)
     g = rng.gamma(cfg.gain_shape, 1.0, draws)
     p = required_link_power(rho, cfg, tm, scenario.channel, w, scenario.x_off, g, i_avg)
+    return _ee_estimate(_ee_terms(rho, p, cfg, tm, energy, station_intensity), draws)
+
+
+def _ee_terms(rho: np.ndarray, p: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, energy: EnergyModel,
+              station_intensity: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """Energy efficiency of paired rate and required-power draws: ``(ee, served, dev)``.
+
+    ``served`` marks the draws within the power cap.  ``dev`` holds, per
+    served draw, the gradient of ``ee`` in the two served-draw means dotted
+    with that draw's deviation from them; divided by the served count, it
+    is the draw's influence on ``ee``.  With no draw served, ``ee`` is 0 and
+    ``dev`` is empty.
+    """
     served = p <= energy.p_link_max
     rho, p = rho[served], p[served]
-    n_ok = rho.size
-    std_error = math.inf
-    if n_ok == 0:
-        return Estimate(mean=0.0, std_error=std_error, replications=draws)
+    if rho.size == 0:
+        return 0.0, served, rho
     t_mean = float(rho.mean())
     p_mean = float(p.mean())
     watts = _per_link_watts(p_mean, cfg, energy, station_intensity)
     ee = (t_mean / tm.b_w) / watts
+    grad_t = 1.0 / (tm.b_w * watts)
+    grad_p = -ee / (watts * energy.eta)
+    return ee, served, grad_t * (rho - t_mean) + grad_p * (p - p_mean)
 
-    if n_ok >= 2:
-        # the gradient's quadratic form with the sample covariance, summed per draw
-        grad_t = 1.0 / (tm.b_w * watts)
-        grad_p = -ee / (watts * energy.eta)
-        dev = grad_t * (rho - t_mean) + grad_p * (p - p_mean)
-        std_error = math.sqrt(float(dev @ dev) / ((n_ok - 1) * n_ok))
+
+def _ee_estimate(terms: tuple[float, np.ndarray, np.ndarray], draws: int) -> Estimate:
+    """The estimate of :func:`_ee_terms`' result over ``draws`` draws; its standard error is unknown below two served."""
+    ee, _, dev = terms
+    n_ok = dev.size
+    # the gradient's quadratic form with the sample covariance, summed per draw
+    std_error = math.sqrt(float(dev @ dev) / ((n_ok - 1) * n_ok)) if n_ok >= 2 else math.inf
     return Estimate(mean=ee, std_error=std_error, replications=draws)
+
+
+def _summed_exponentials(rng: np.random.Generator, draws: int, shapes):
+    """Yield ``(m, g)`` for each of the increasing gain ``shapes``: ``draws`` Gamma(m, 1) gains.
+
+    Each gain is the sum of the first ``m`` of its own sequence of unit
+    exponential draws, so the gains of every shape share their exponentials.
+    ``g`` is one array summed in place: use it before the next step.  At
+    ``m = 1`` it equals ``rng.gamma(1.0, 1.0, draws)`` bit for bit.
+    """
+    g = np.zeros(draws)
+    m = 0
+    for shape in shapes:
+        while m < shape:
+            g += rng.standard_exponential(draws)
+            m += 1
+        yield m, g
+
+
+def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
+    """Yield ``(k, terms)``: the :func:`_ee_terms` of each row ``k`` of ``rows``, all on one set of draws.
+
+    A row is the ``(cfg, tm, scenario, energy, i_avg, station_intensity)`` of
+    :func:`energy_efficiency_quad`; the rows share the shadowing spread.  The
+    set is drawn in the order :func:`energy_efficiency_mc` draws one row's:
+    ``draws`` uniforms, from which each traffic model's Pareto rates follow
+    by inverse CDF, then the shadowing, then unit exponentials, the first
+    ``m`` of which sum to the gain of a row of gain shape ``m``
+    (:func:`_summed_exponentials`).  Rows are evaluated in order of gain
+    shape, and in the given order within one.  Rows that share draws are
+    correlated.  Each array is checked once, not once per row.
+    """
+    check("draws", draws, (">=", 1))
+    sigma = rows[0][2].channel.sigma_s_db
+    if any(row[2].channel.sigma_s_db != sigma for row in rows):
+        raise ParameterError("the rows of one draw set must share sigma_s_db")
+    u = 1.0 - rng.random(draws)  # as traffic_sample draws it
+    w = sample_shadowing(sigma, rng, draws)
+    _check_link_draws(w_ii=w)
+    by_shape: dict[int, list[int]] = {}
+    for k, row in enumerate(rows):
+        by_shape.setdefault(row[0].gain_shape, []).append(k)
+    rates_of = rho = None
+    for m, g in _summed_exponentials(rng, draws, sorted(by_shape)):
+        _check_link_draws(gain=g)
+        for k in by_shape[m]:
+            cfg, tm, scenario, energy, i_avg, station_intensity = rows[k]
+            if rates_of != (tm.theta, tm.rho_min):  # rows come curve by curve: one traffic model's rates at a time
+                rates_of = tm.theta, tm.rho_min
+                rho = tm.rho_min * u ** (-1.0 / tm.theta)
+                _check_link_draws(rho=rho)
+            check("i_avg", i_avg, (">", 0))
+            p = _link_power(rho, cfg, tm, path_gain(scenario.channel, scenario.x_off) * w * g, i_avg)
+            yield k, _ee_terms(rho, p, cfg, tm, energy, station_intensity)
 
 
 def _exp_kernel(theta: float, u):
@@ -269,13 +345,13 @@ def _curve_nodes(theta: float, sigma: float, m: int, c: float, n_shadow: int, n_
     point shares one entry; the memo holds only the current curve's.
     """
     if sigma > 0:
-        t, wt = _gauss_nodes(special.roots_hermite, n_shadow)
+        t, wt = _gauss_nodes(_roots_hermite, n_shadow)
         w_nodes = np.exp(math.sqrt(2.0) * sigma * t * (math.log(10.0) / 10.0))
         w_weights = wt / math.sqrt(math.pi)
     else:
         w_nodes = np.array([1.0])
         w_weights = np.array([1.0])
-    g_nodes, g_wt = _gauss_nodes(special.roots_genlaguerre, n_gain, m - 1)
+    g_nodes, g_wt = _gauss_nodes(_roots_genlaguerre, n_gain, m - 1)
     g_weights = g_wt / special.gamma(m)
 
     with np.errstate(over="ignore"):  # an overflow to inf is caught by the guard below

@@ -22,8 +22,11 @@ _COMPARE = {">": operator.gt, ">=": operator.ge, "<": operator.lt, "<=": operato
 
 def violation(value, bounds) -> str | None:
     """Why ``value`` is not a finite number meeting each ``(op, bound)`` of ``bounds``, or None if it is."""
-    # a Python int is always finite, and one past the double range overflows math.isfinite
-    if not (isinstance(value, int) or math.isfinite(value)):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # a Python int past the double range
+        finite = False
+    if not finite:
         return f"must be a finite number, got {value}"
     for op, bound in bounds:
         if not _COMPARE[op](value, bound):

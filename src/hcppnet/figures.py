@@ -3,11 +3,13 @@
 Each supported figure id maps to a sweep (interference versus user offset,
 spectral efficiency versus the SINR factor, energy efficiency versus
 antenna counts) evaluated on deterministic seeds, so a run is reproducible
-bit-for-bit regardless of worker count.  Spectral- and energy-efficiency
-points each draw from their own stream of a per-point seed lattice.  The
-rows of an interference figure that share a parent intensity (a lambda
-family) share one stream and one layout set instead, so those rows are
-correlated: they are compared on common random numbers.
+bit-for-bit regardless of worker count.  Rows share their Monte Carlo
+draws: all rows of an energy-efficiency figure share one draw set, the
+rows of one spectral-efficiency curve share one gain matrix, and the rows
+of an interference figure that share a parent intensity (a lambda family)
+share one layout set.  Rows that share draws are correlated: they are
+compared on common random numbers, and no row is independent of another
+row drawn from the same set.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from importlib import metadata as _im
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .energy import EnergyModel, TrafficModel, energy_efficiency_mc, energy_efficiency_quad
+from .energy import EnergyModel, TrafficModel, _ee_estimate, _shared_draw_terms, energy_efficiency_quad
 from .errors import ConfigurationError, ParameterError
 from .interference import (
     _SPAWN_CHUNK,
@@ -34,7 +36,7 @@ from .interference import (
     model_interference,
 )
 from .point_process import HcppParams
-from .zf_capacity import AntennaConfig, spectral_efficiency_bound, spectral_efficiency_mc
+from .zf_capacity import AntennaConfig, _gamma_gains, _se_estimate, spectral_efficiency_bound
 
 __all__ = ["FIGURE_IDS", "ResultRow", "ResultTable", "run_figure"]
 
@@ -168,9 +170,10 @@ _UNITS = {"itf": "W", "se": "bit/s/Hz", "ee": "bit/Hz/J"}
 class Task:
     """One grid point of one curve, with everything both routes need to evaluate it.
 
-    ``seed_key`` is ``(master seed, figure id, curve, point)``, except in an
-    interference figure, where it is ``(master seed, figure id, lambda
-    family)``: the points that share it share their layouts.
+    ``seed_key`` is ``(master seed, figure id)`` in an energy-efficiency
+    figure, ``(master seed, figure id, curve)`` in a spectral-efficiency
+    one and ``(master seed, figure id, lambda family)`` in an interference
+    one: the points that share it share their draws.
     """
 
     kind: str
@@ -186,27 +189,9 @@ class Task:
     i_avg: float | None
     station_intensity: float | None
 
-
-def _eval_task(task: Task) -> ResultRow:
-    """Both routes at one spectral- or energy-efficiency point."""
-    rng = _rng_for(*task.seed_key)
-    if task.kind == "se":
-        analytic = spectral_efficiency_bound(task.antennas, task.sweep_value)
-        est = spectral_efficiency_mc(task.antennas, task.sweep_value, task.reps, rng)
-    else:
-        inputs = (task.antennas, task.traffic, task.scenario, task.energy)
-        per_curve = {"i_avg": task.i_avg, "station_intensity": task.station_intensity}
-        analytic = energy_efficiency_quad(*inputs, **per_curve)
-        est = energy_efficiency_mc(*inputs, task.reps, rng, **per_curve)
-    return ResultRow(
-        series=task.label,
-        sweep_value=task.sweep_value,
-        analytic=float(analytic),
-        mc_mean=est.mean,
-        mc_std_error=est.std_error,
-        replications=est.replications,
-        units=_UNITS[task.kind],
-    )
+    def ee_inputs(self) -> tuple:
+        """The arguments of :func:`~hcppnet.energy.energy_efficiency_quad` at this point."""
+        return self.antennas, self.traffic, self.scenario, self.energy, self.i_avg, self.station_intensity
 
 
 def _grid(cfg: ExperimentConfig, axis: str, default: tuple[float, ...]) -> list[float]:
@@ -233,11 +218,12 @@ def _point(axis: str, series: Series, scenario: InterferenceScenario, value: flo
 def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task]:
     """Expand a figure's spec into its tasks, curve by curve, in grid order.
 
-    A curve's index in the spec and a point's index in its grid key the
-    point's random stream; in an interference figure, the curve's parent
-    intensity scale, in order of first appearance, keys it instead.  Energy
-    curves evaluate the mean interference and the station intensity once per
-    curve, since neither depends on the grid.
+    The seed key of a point names the draws it shares (see :class:`Task`):
+    an interference curve's parent intensity scale in order of first
+    appearance, a spectral-efficiency curve's index in the spec, nothing
+    more for an energy-efficiency figure.  Energy curves evaluate the mean
+    interference and the station intensity once per curve, since neither
+    depends on the grid.
     """
     spec = FIGURES[figure_id]
     grid = _grid(cfg, spec.axis, spec.grid)
@@ -266,12 +252,10 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task
         i_avg = intensity = None
         if spec.kind == "ee":
             i_avg, intensity, _ = model_interference(series.model, scenario)
-        for point_idx, value in enumerate(values):
+        draw_set = {"itf": (families.index(series.lambda_scale),), "se": (series_idx,), "ee": ()}[spec.kind]
+        seed_key = (cfg.seed, figure_id, *draw_set)
+        for value in values:
             point_scenario, antennas = _point(spec.axis, series, scenario, value)
-            if spec.kind == "itf":
-                seed_key = (cfg.seed, figure_id, families.index(series.lambda_scale))
-            else:
-                seed_key = (cfg.seed, figure_id, series_idx, point_idx)
             tasks.append(
                 Task(
                     kind=spec.kind,
@@ -310,6 +294,43 @@ def _map(fn, units: list, n_workers: int) -> list:
     return [fn(u) for u in units]
 
 
+def _by_seed_key(tasks: list[Task]) -> dict[tuple[int, ...], list[int]]:
+    """The indices of the tasks that share each seed key, keys in order of first appearance."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, task in enumerate(tasks):
+        groups.setdefault(task.seed_key, []).append(i)
+    return groups
+
+
+def _efficiency_rows(tasks: list[Task]) -> list[ResultRow]:
+    """Evaluate a spectral- or energy-efficiency figure in this process: one draw set per seed key.
+
+    A spectral-efficiency curve draws one gain matrix, and every ``xi`` of
+    the curve is evaluated on it; an energy-efficiency figure draws one set
+    for all its rows (:func:`~hcppnet.energy._shared_draw_terms`).
+    """
+    kind = tasks[0].kind
+    if kind == "se":
+        analytic = [spectral_efficiency_bound(t.antennas, t.sweep_value) for t in tasks]
+    else:
+        analytic = [energy_efficiency_quad(*t.ee_inputs()) for t in tasks]
+    reps = tasks[0].reps
+    estimates = {}
+    for key, idx in _by_seed_key(tasks).items():
+        rng = _rng_for(*key)
+        if kind == "se":
+            gains = _gamma_gains(tasks[idx[0]].antennas, reps, rng)
+            estimates.update((i, _se_estimate(tasks[i].antennas, tasks[i].sweep_value, gains)) for i in idx)
+        else:
+            terms = _shared_draw_terms([tasks[i].ee_inputs() for i in idx], reps, rng)
+            estimates.update((idx[k], _ee_estimate(row_terms, reps)) for k, row_terms in terms)
+    return [
+        ResultRow(t.label, t.sweep_value, float(analytic[i]), estimates[i].mean, estimates[i].std_error,
+                  estimates[i].replications, _UNITS[kind])
+        for i, t in enumerate(tasks)
+    ]
+
+
 def _layout_chunk(unit) -> tuple[np.ndarray, np.ndarray]:
     """Per-row totals and counts of realizations ``start .. start + count - 1`` of one layout set."""
     seed_key, rows, start, count = unit
@@ -324,9 +345,7 @@ def _interference_rows(figure_id: int, tasks: list[Task], workers: int | None) -
     the worker count.
     """
     analytic = [model_interference(t.model, t.scenario)[0] for t in tasks]
-    families: dict[tuple[int, ...], list[int]] = {}
-    for i, task in enumerate(tasks):
-        families.setdefault(task.seed_key, []).append(i)
+    families = _by_seed_key(tasks)
     reps = tasks[0].reps
     # a non-positive count goes to the estimator as one chunk, which rejects it
     chunks = [(start, min(_SPAWN_CHUNK, reps - start)) for start in range(0, reps, _SPAWN_CHUNK)] or [(0, reps)]
@@ -352,8 +371,9 @@ def run_figure(
     The config sets the master seed and, unless ``reps`` overrides it, the
     per-point Monte Carlo effort: the realizations, SE draws or EE draws,
     whichever the figure's kind reads.  ``workers`` sets the process fan-out
-    (default: up to four for the interference figures, else one).
-    Identical inputs give an identical table regardless of worker count.
+    of an interference figure (default: up to four); the other figures run
+    in this process, and only check it.  Identical inputs give an identical
+    table regardless of worker count.
     """
     if figure_id not in FIGURE_IDS:
         raise ParameterError(f"unknown figure id {figure_id}; supported: {FIGURE_IDS}")
@@ -364,7 +384,8 @@ def run_figure(
     if FIGURES[figure_id].kind == "itf":
         rows = _interference_rows(figure_id, tasks, workers)
     else:
-        rows = _map(_eval_task, tasks, _resolve_workers(workers, figure_id, len(tasks)))
+        _resolve_workers(workers, figure_id, len(tasks))  # rejects a count below one, as for every figure
+        rows = _efficiency_rows(tasks)
 
     metadata = {
         "figure": figure_id,

@@ -43,6 +43,7 @@ from hcppnet import (
 )
 from hcppnet.cli import main as cli_main
 from hcppnet.config import DEFAULTS
+from hcppnet.energy import _shared_draw_terms
 from hcppnet.figures import _rng_for, _tasks
 from hcppnet.interference import _estimates, _mc_row, _tagged_station_mc, model_interference
 
@@ -433,6 +434,73 @@ def test_c09_hard_core_never_less_efficient_than_poisson(ee_data):
             assert np.all(h >= p)
     print(f"[c09] hard-core efficiency >= Poisson at all {points} swept points "
           f"(smallest gap {worst:.4f} bits/Hz/J)")
+
+
+def paired_ee_figure(figure_id, seed):
+    """An efficiency figure's draw set, run as ``hcppnet figure`` runs it: tasks, quadrature, MC, per-draw influences.
+
+    Every row of the figure sees the same draws, so rows are correlated and
+    a difference of two rows gets its standard error from the paired
+    per-draw influence terms of the ratio estimator, not from the rows' own
+    standard errors.
+    """
+    tasks = _tasks(figure_id, config_from_dict({"seed": seed}), None)
+    assert len({t.seed_key for t in tasks}) == 1
+    draws = tasks[0].reps
+    quad = np.array([energy_efficiency_quad(*t.ee_inputs()) for t in tasks])
+    mc = np.empty(len(tasks))
+    influence = np.zeros((len(tasks), draws))
+    rows = [t.ee_inputs() for t in tasks]
+    for k, (ee, served, dev) in _shared_draw_terms(rows, draws, _rng_for(*tasks[0].seed_key)):
+        mc[k] = ee
+        influence[k, served] = dev / dev.size
+    return tasks, quad, mc, influence
+
+
+def paired_ee_se(influence, j, k):
+    """Standard error of row j minus row k of one draw set."""
+    return math.sqrt(np.sum((influence[j] - influence[k]) ** 2))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_paired_hard_core_more_efficient_than_poisson(seed):
+    # c09 on the Monte Carlo route: on shared draws every hard-core row of figures 9-11 beats
+    # its Poisson twin at z >= 3, by a gap that agrees with the quadrature's
+    worst_sign, worst_gap = math.inf, 0.0
+    for figure_id in (9, 10, 11):
+        tasks, quad, mc, influence = paired_ee_figure(figure_id, seed)
+        # station spacing does not enter the Poisson baseline: figure 9's one curve twins every spacing
+        twin = {(t.traffic.theta, t.scenario.channel.alpha, t.sweep_value): i for i, t in enumerate(tasks)
+                if t.model == "ppp"}
+        for h, t in enumerate(tasks):
+            if t.model == "hcpp":
+                p = twin[(t.traffic.theta, t.scenario.channel.alpha, t.sweep_value)]
+                se = paired_ee_se(influence, h, p)
+                worst_sign = min(worst_sign, (mc[h] - mc[p]) / se)
+                worst_gap = max(worst_gap, abs(mc[h] - mc[p] - (quad[h] - quad[p])) / se)
+    assert worst_sign >= 3.0
+    assert worst_gap <= 4.0
+    print(f"[paired ee seed={seed}] smallest hcpp - ppp z={worst_sign:.2f}, "
+          f"largest |mc gap - quadrature gap| z={worst_gap:.2f}")
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_mc_paired_efficiency_maximum_agrees_with_quadrature(seed):
+    # c07's maxima on the Monte Carlo route: on each hard-core curve of figures 9-11 the MC
+    # argmax over n is the quadrature's, or beats the quadrature's argmax row by at most 2 SE
+    worst, moved, curves = 0.0, 0, 0
+    for figure_id in (9, 10, 11):
+        tasks, quad, mc, influence = paired_ee_figure(figure_id, seed)
+        for label in dict.fromkeys(t.label for t in tasks if t.model == "hcpp"):
+            curves += 1
+            curve = [i for i, t in enumerate(tasks) if t.label == label]
+            a, b = curve[int(np.argmax(mc[curve]))], curve[int(np.argmax(quad[curve]))]
+            if a != b:
+                worst = max(worst, (mc[a] - mc[b]) / paired_ee_se(influence, a, b))
+                moved += 1
+    assert worst <= 2.0
+    print(f"[paired ee seed={seed}] MC argmax off the quadrature's on {moved} of {curves} curves, "
+          f"by at most {worst:.2f} SE")
 
 
 # ---------------------------------------------------------------- criterion 10

@@ -284,13 +284,29 @@ def test_validate_reports_each_problem(capsys, tmp_path):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("command", [["validate"], ["interference"]])
-def test_unit_gain_past_the_double_range_is_one_config_error(command, capsys, tmp_path):
-    # beta_db = 4000 overflows beta to inf: the beta check is the only report, with no numpy warning
+@pytest.mark.parametrize(
+    ("beta_db", "why"), [(4000, "must be a finite number, got inf"), (-4000, "must be > 0, got 0.0")]
+)
+def test_unit_gain_past_the_double_range_is_one_config_error(command, beta_db, why, capsys, tmp_path):
+    # beta_db = +-4000 takes beta past the double range: one report, under the key that set it, with no numpy warning
     p = tmp_path / "beta.yaml"
-    p.write_text("channel: {beta_db: 4000}\n")
+    p.write_text(f"channel: {{beta_db: {beta_db}}}\n")
     code, out, err = run_cli([*command, "--config", str(p)], capsys)
     assert code == 3 and not out
-    assert err.splitlines() == ["error: beta must be a finite number, got inf"]
+    assert err.splitlines() == [
+        f"error: config structure invalid at channel/beta_db: gives a linear gain 10^(beta_db/10) that {why}"
+    ]
+
+
+@pytest.mark.parametrize("command", [["validate"], ["se"]])
+def test_integer_past_the_double_range_is_one_config_error(command, capsys, tmp_path):
+    # a YAML integer has no size limit; one past the double range is not a finite number
+    big = 10**400
+    p = tmp_path / "big.yaml"
+    p.write_text(f"antennas: {{n_t: {big}}}\n")
+    code, out, err = run_cli([*command, "--config", str(p)], capsys)
+    assert code == 3 and not out
+    assert err.splitlines() == [f"error: config structure invalid at antennas/n_t: must be a finite number, got {big}"]
 
 
 def test_validate_unreadable_config_exits_3(capsys, tmp_path):
@@ -298,6 +314,22 @@ def test_validate_unreadable_config_exits_3(capsys, tmp_path):
     assert code == 3
     assert err.startswith("error:") and str(tmp_path) in err
 
+
+
+@pytest.mark.parametrize(
+    ("text", "why"),
+    [
+        ("antennas: {n_t: 1" + "0" * 5000 + "}", "Exceeds the limit (4300 digits)"),  # Python reads no longer int
+        ("seed: 2020-13-45", "month must be in 1..12"),  # a date YAML cannot build
+    ],
+)
+def test_validate_unconvertible_yaml_scalar_exits_3(text, why, capsys, tmp_path):
+    p = tmp_path / "scalar.yaml"
+    p.write_text(text + "\n")
+    code, out, err = run_cli(["validate", "--config", str(p)], capsys)
+    assert code == 3 and not out
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: config file is not valid YAML: ") and why in err
 
 
 def test_validate_non_utf8_config_exits_3(capsys, tmp_path):
@@ -405,6 +437,16 @@ def test_cli_import_does_not_load_scipy_module(module):
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "False"
+
+
+def test_energy_and_spectral_quadratures_do_not_load_scipy_linalg():
+    code = (
+        "import sys; from hcppnet.cli import main; "
+        "main(['ee', '--draws', '10']); main(['se', '--draws', '10']); print('scipy.linalg' in sys.modules)"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_loading_the_defaults_needs_no_schema_or_spatial_module():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from hcppnet import (
     AntennaConfig,
@@ -260,6 +260,45 @@ def test_energy_efficiency_quad_evaluates_one_kernel_per_curve(monkeypatch):
     energy._curve_nodes.cache_clear()
     run_figure(9, config_from_dict({"seed": 7}), reps=3, workers=1)
     assert sum(n == energy._N_SHADOW * energy._N_GAIN for n in calls) == 4
+
+
+@pytest.mark.parametrize(
+    ("model", "n_t", "s", "mean", "std_error"),
+    [
+        ("hcpp", 8, 4, 1.920425280168677, 0.030334757705393636),
+        ("hcpp", 4, 4, 1.6441145122682972, 0.027008970211439873),
+        ("ppp", 8, 4, 1.619502658989076, 0.023291969006033614),
+        ("ppp", 4, 4, 1.2163918335845672, 0.02108523081188521),
+    ],
+)
+def test_single_row_estimate_is_pinned(model, n_t, s, mean, std_error):
+    # a single-row run draws and estimates exactly as before figures shared their draws,
+    # so `hcppnet ee` and these values stay put
+    cfg = config_from_dict({"seed": 7})
+    scenario = cfg.ee_scenario()
+    i_avg, intensity, _ = model_interference(model, scenario)
+    est = energy_efficiency_mc(
+        AntennaConfig(n_t, s), cfg.traffic, scenario, cfg.energy, 2000, np.random.default_rng(5), i_avg, intensity
+    )
+    assert (est.mean, est.std_error, est.replications) == (mean, std_error, 2000)
+
+
+def test_summed_exponential_gains_follow_the_gamma_law():
+    # figure 8's Gamma(m) gains are running sums of shared unit exponentials
+    shapes = []
+    for m, g in energy._summed_exponentials(np.random.default_rng(1008), 100_000, (1, 4, 16)):
+        d, _ = stats.kstest(g, stats.gamma(a=m).cdf)
+        assert d < 0.01, (m, d)
+        shapes.append(m)
+    assert shapes == [1, 4, 16]
+
+
+def test_one_draw_set_needs_one_shadowing_spread():
+    tm, en, sc = default_models()
+    other = replace(sc, channel=replace(sc.channel, sigma_s_db=8.0))
+    rows = [(AntennaConfig(4, 4), tm, scenario, en, 1e-13, 1e-6) for scenario in (sc, other)]
+    with pytest.raises(ParameterError, match="share sigma_s_db"):
+        next(energy._shared_draw_terms(rows, 100, np.random.default_rng(0)))
 
 
 def test_energy_efficiency_float_wrapper():

@@ -51,6 +51,9 @@ _BOUNDED_FIELDS = [
 ]
 
 
+_BIG = 10**400  # a Python int past the double range: not a finite number
+
+
 def _past(op, bound):
     """The float next to ``bound`` on the side ``op`` excludes, or ``bound`` itself when ``op`` is strict."""
     if op in (">", "<"):
@@ -81,7 +84,7 @@ def test_the_model_types_have_bounded_fields():
 def test_each_bounded_field_rejects_non_finite_and_out_of_bound_values(model, name, bounds, data):
     base, also = _BASES[model], _ALSO.get(name, {})
     beyond = st.one_of(*(_beyond(op, bound) for op, bound in bounds))
-    for bad in (math.nan, math.inf, -math.inf, *(_past(op, bound) for op, bound in bounds), data.draw(beyond)):
+    for bad in (math.nan, math.inf, -math.inf, _BIG, *(_past(op, bound) for op, bound in bounds), data.draw(beyond)):
         with pytest.raises(ParameterError, match=f"^{name} must be "):
             replace(base, **also, **{name: bad})
     replace(base, **also, **{name: data.draw(_inside(bounds))})  # an in-bound value constructs
@@ -137,6 +140,6 @@ _SCALAR_ARGUMENTS = {
 
 @pytest.mark.parametrize("name, call, bounds", _SCALAR_ARGUMENTS.values(), ids=_SCALAR_ARGUMENTS)
 def test_each_bounded_scalar_argument_rejects_non_finite_and_out_of_bound_values(name, call, bounds):
-    for bad in (math.nan, math.inf, -math.inf, *(_past(op, bound) for op, bound in bounds)):
+    for bad in (math.nan, math.inf, -math.inf, _BIG, *(_past(op, bound) for op, bound in bounds)):
         with pytest.raises(ParameterError, match=f"^{name} must be "):
             call(bad)

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from hcppnet import ConfigurationError, ParameterError, config_from_dict
+from hcppnet import ConfigurationError, ParameterError, config_from_dict, energy_efficiency_mc, spectral_efficiency_mc
 from hcppnet.cli import main
 from hcppnet import figures
 from hcppnet.figures import FIGURE_IDS, _resolve_workers, _rng_for, _tasks, run_figure
@@ -37,37 +37,37 @@ GOLDEN = {
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
     ),
     6: (
-        "a682ce0a0c9911ab4dc216e13ffd9fb893c6e5855be8196f4d35b5ff69b2d0f1",
+        "1fc1703ce58b2d7a52be235a51f9c7ef3304ea020dd4d1b71f6067edeb1edbe2",
         39,
         "xi",
         ["n_t=2", "n_t=4", "n_t=8"],
     ),
     7: (
-        "11ef667fe7271c2eccf8454ea43cfc431c1c5417ea2f35a14b14e2dc9aee5529",
+        "4eaf6f9557455d1e851c4e2ca4224bbd6d96df983d402344a3223e6261116ea4",
         52,
         "xi",
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "0c83e4a3257ce6b8c6f7d609e36b373c7c59ce0ece03503a5e766fe7b56f2c14",
+        "0e0fd8452870ec315419d27448fc925a5474275d371794ca6758d57b203f0f6e",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "be2b21b4b58ae7a73463bf6f1882f3b51be053e1261103b2fb4e7a3757767ab1",
+        "12093b957fc0a91209727d20305474c8df3479a96981888ee5fb102662b354b8",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "cf68a10757ffd18383581e9e85acf6a110d0044645193a232dfd7fdce1969038",
+        "ec0e87e3a574aaec1ebccbe40b3a362a448b3a1ef5d1a5f1d6bc4e581d42602f",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "8216493a673dc0389f8265930d30260970bdb2b9f0d52700398d1bcf54f4ba4f",
+        "fdbd52050eaad45aa2e4c79b57da577e3b7c9b0de4d6c05520d5d8418ee337b8",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],
@@ -113,6 +113,42 @@ def test_interference_figure_keys_one_stream_per_lambda_family():
     assert {t.seed_key for t in _tasks(2, SEED_7, 3)} == {(7, 2, 0)}
     assert {t.seed_key for t in _tasks(3, SEED_7, 3)} == {(7, 3, 0)}
     assert [t.seed_key for t in _tasks(4, SEED_7, 3)][::9] == [(7, 4, 0), (7, 4, 1), (7, 4, 2)]
+
+
+def test_efficiency_figure_keys_one_draw_set_per_figure_or_curve():
+    for figure_id in (8, 9, 10, 11):
+        assert {t.seed_key for t in _tasks(figure_id, SEED_7, 3)} == {(7, figure_id)}
+    assert [t.seed_key for t in _tasks(6, SEED_7, 3)][::13] == [(7, 6, 0), (7, 6, 1), (7, 6, 2)]
+    assert [t.seed_key for t in _tasks(7, SEED_7, 3)][::13] == [(7, 7, 0), (7, 7, 1), (7, 7, 2), (7, 7, 3)]
+
+
+@pytest.mark.parametrize("figure_id", [6, 7, 9, 10, 11])
+def test_efficiency_rows_are_their_estimator_run_alone_on_the_shared_stream(figure_id):
+    # a curve's gain matrix serves each xi as a run of that row alone would draw it; at gain
+    # shape 1 (every row of figures 9-11) a figure's draw set is the one energy_efficiency_mc
+    # draws for a single row, so every row equals that run on the figure's stream
+    reps = 400
+    table = run_figure(figure_id, SEED_7, reps=reps, workers=1)
+    for task, row in zip(_tasks(figure_id, SEED_7, reps), table.rows, strict=True):
+        rng = _rng_for(*task.seed_key)
+        if task.kind == "se":
+            est = spectral_efficiency_mc(task.antennas, task.sweep_value, reps, rng)
+        else:
+            cfg, tm, scenario, energy, i_avg, intensity = task.ee_inputs()
+            est = energy_efficiency_mc(cfg, tm, scenario, energy, reps, rng, i_avg, intensity)
+        assert (row.mc_mean, row.mc_std_error, row.replications) == (est.mean, est.std_error, est.replications)
+
+
+@pytest.mark.parametrize("figure_id", [8, 9])
+def test_efficiency_figure_bytes_do_not_depend_on_workers(figure_id, tmp_path, capsys):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        argv = ["figure", str(figure_id), "--seed", "5", "--reps", "2000", "--out", str(out), "--workers", workers]
+        assert main(argv) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".meta.json").read_bytes()))
+    capsys.readouterr()
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("reps", [0, -3])

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from hcppnet import (
     AntennaConfig,
@@ -80,6 +80,29 @@ def test_spectral_efficiency_mc_agrees_with_exact():
         exact = spectral_efficiency_exact(cfg, xi)
         est = spectral_efficiency_mc(cfg, xi, 30000, np.random.default_rng(25))
         assert abs(exact - est.mean) <= 3.0 * est.std_error
+
+
+@pytest.mark.parametrize(
+    ("n_t", "s", "xi", "mean", "std_error"),
+    [(8, 4, 10.0, 14.534687485682888, 0.02621032962482508), (2, 1, 0.1, 0.26085762153470604, 0.0035877659880908775)],
+)
+def test_single_row_estimate_is_pinned(n_t, s, xi, mean, std_error):
+    # a single-row run draws and estimates exactly as before figure curves shared their gains
+    est = spectral_efficiency_mc(AntennaConfig(n_t, s), xi, 2000, np.random.default_rng(5))
+    assert (est.mean, est.std_error, est.replications) == (mean, std_error, 2000)
+
+
+@pytest.mark.parametrize(
+    ("roots", "reference", "shape"),
+    [(zf_capacity._roots_hermite, special.roots_hermite, ())]
+    + [(zf_capacity._roots_genlaguerre, special.roots_genlaguerre, (alpha,)) for alpha in (0, 1, 4, 15, 63, 0.5)],
+)
+@pytest.mark.parametrize("n", [2, 16, 96, 128])
+def test_gauss_rules_are_scipys_bit_for_bit(roots, reference, shape, n):
+    # computed without scipy.linalg; the quadratures that use them must not move
+    nodes, weights = roots(n, *shape)
+    expected_nodes, expected_weights = reference(n, *shape)
+    assert np.array_equal(nodes, expected_nodes) and np.array_equal(weights, expected_weights)
 
 
 def test_spectral_efficiency_mc_matrix_route_agrees():
