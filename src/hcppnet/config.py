@@ -18,8 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-import yaml
-
 from .channel import ChannelParams, db_to_linear
 from .energy import EnergyModel, TrafficModel
 from .errors import ConfigurationError, DivergenceError, ParameterError, violation
@@ -262,6 +260,8 @@ def config_from_dict(user: dict | None = None) -> ExperimentConfig:
 
 
 def _read_yaml(path: str):
+    import yaml  # only a config file needs the parser; the defaults and every override skip its import
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from importlib import metadata as _im
 
@@ -275,10 +274,10 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task
     return tasks
 
 
-def _resolve_workers(workers: int | None, figure_id: int, n_units: int) -> int:
+def _resolve_workers(workers: int | None, n_units: int) -> int:
+    """The process count of an interference figure: ``workers``, or up to four, and no more than its units."""
     if workers is None:
-        # pattern-level Monte Carlo dominates the interference figures; fan those out
-        workers = min(4, os.cpu_count() or 1) if FIGURES[figure_id].kind == "itf" else 1
+        workers = min(4, os.cpu_count() or 1)
     if workers < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {workers}")
     return min(workers, n_units)
@@ -286,6 +285,8 @@ def _resolve_workers(workers: int | None, figure_id: int, n_units: int) -> int:
 
 def _map(fn, units: list, n_workers: int) -> list:
     if n_workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run skips the pool's import
+
         try:
             with ProcessPoolExecutor(max_workers=n_workers) as pool:
                 return list(pool.map(fn, units))
@@ -337,7 +338,7 @@ def _layout_chunk(unit) -> tuple[np.ndarray, np.ndarray]:
     return _tagged_station_mc(rows, count, _rng_for(*seed_key, spawned=start))
 
 
-def _interference_rows(figure_id: int, tasks: list[Task], workers: int | None) -> list[ResultRow]:
+def _interference_rows(tasks: list[Task], workers: int | None) -> list[ResultRow]:
     """Evaluate an interference figure: one layout set per seed key serves all of that key's rows.
 
     The unit of work is a chunk of ``_SPAWN_CHUNK`` realizations at fixed
@@ -351,7 +352,7 @@ def _interference_rows(figure_id: int, tasks: list[Task], workers: int | None) -
     chunks = [(start, min(_SPAWN_CHUNK, reps - start)) for start in range(0, reps, _SPAWN_CHUNK)] or [(0, reps)]
     rows = {key: tuple(_mc_row(tasks[i].model, tasks[i].scenario) for i in idx) for key, idx in families.items()}
     units = [(key, rows[key], start, count) for key in families for start, count in chunks]
-    parts = iter(_map(_layout_chunk, units, _resolve_workers(workers, figure_id, len(units))))
+    parts = iter(_map(_layout_chunk, units, _resolve_workers(workers, len(units))))
     estimates = {}
     for key, idx in families.items():
         totals, counts = zip(*(next(parts) for _ in chunks))
@@ -382,9 +383,9 @@ def run_figure(
     axis = FIGURES[figure_id].axis
     tasks = _tasks(figure_id, cfg, reps)
     if FIGURES[figure_id].kind == "itf":
-        rows = _interference_rows(figure_id, tasks, workers)
+        rows = _interference_rows(tasks, workers)
     else:
-        _resolve_workers(workers, figure_id, len(tasks))  # rejects a count below one, as for every figure
+        _resolve_workers(workers, len(tasks))  # rejects a count below one, as for every figure
         rows = _efficiency_rows(tasks)
 
     metadata = {

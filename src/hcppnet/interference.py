@@ -225,41 +225,94 @@ def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, delta: float) -> np.nda
     return np.flatnonzero(~beaten.any(axis=0))
 
 
-def _one_realization(lambda_p: float, by_delta, r_trunc: float, rng: np.random.Generator, n_rows: int):
+def _user_distances2(offsets: np.ndarray, px: np.ndarray, py: np.ndarray, ux: np.ndarray, uy: np.ndarray):
+    """Squared distances ``|p - x u|**2`` from each pair's user at each offset ``x``, as an ``(offsets, pairs)`` array.
+
+    ``p`` is the pair's station-to-interferer vector and ``u`` its user's
+    unit direction.  Computed in place, so that at most two such arrays are
+    alive at once.
+    """
+    dx = np.multiply.outer(offsets, ux)
+    dy = np.multiply.outer(offsets, uy)
+    np.subtract(px, dx, out=dx)
+    np.subtract(py, dy, out=dy)
+    dx *= dx
+    dy *= dy
+    dx += dy
+    return dx
+
+
+def _one_realization(lambda_p: float, plan, r_trunc: float, rng: np.random.Generator, n_rows: int):
     """Summed truncated path loss ``d**-alpha`` per row over every station of one deployment, and their count.
 
     The parents live on a torus of side ``2 * r_trunc``; each spacing of
-    ``by_delta`` (ascending, with its rows' indices, offsets, exponents and
-    ``nearest`` flags) thins them on one minimum-image matrix, and each
-    survivor is tagged in turn, as :func:`mc_interference` describes.
-    ``nearest`` also drops interferers within ``x_off`` of the user
-    (nearest-station association, for the Poisson baseline).
+    ``plan`` (see :func:`_row_plan`) thins them on one minimum-image matrix,
+    and each survivor is tagged in turn, as :func:`mc_interference`
+    describes.  A spacing's pairs within ``r_trunc`` are gathered once; the
+    user-to-station distances are computed once per distinct offset, and
+    the rows' powers and sums are whole-array operations over that offset
+    table.  ``nearest`` rows also drop interferers within ``x_off`` of the
+    user (nearest-station association, for the Poisson baseline), filtered
+    per offset so that each row sums the same values in the same order as
+    it would alone.
     """
     side = 2.0 * r_trunc
     parents = sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
     marks = rng.random(len(parents))
     diff, dist2 = _min_image(parents, side)
-    kept = [_mark_thinning(dist2, marks, delta) for delta, _ in by_delta]
+    kept = [_mark_thinning(dist2, marks, delta) for delta, *_ in plan]
     # the survivors of the smallest spacing include those of every larger one
     theta = rng.uniform(0.0, 2.0 * np.pi, len(kept[0]))
-    unit = np.empty((len(parents), 2))
-    unit[kept[0]] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    ux, uy = np.empty(len(parents)), np.empty(len(parents))
+    ux[kept[0]], uy[kept[0]] = np.cos(theta), np.sin(theta)
     totals, counts = np.empty(n_rows), np.empty(n_rows)
-    for stations, (_, rows) in zip(kept, by_delta):
-        pair = diff[np.ix_(stations, stations)]
-        inplay = np.einsum("ijk,ijk->ij", pair, pair) <= r_trunc**2
+    for stations, (_, offsets, ks, plain, near) in zip(kept, plan):
+        inplay = dist2[np.ix_(stations, stations)] <= r_trunc**2
         np.fill_diagonal(inplay, False)
         user_idx, station_idx = np.nonzero(inplay)
-        pair = pair[user_idx, station_idx]
-        toward_user = unit[stations][user_idx]
-        for k, x_off, alpha, nearest in rows:
-            d_user = pair - x_off * toward_user
-            d2_user = np.einsum("ij,ij->i", d_user, d_user)
-            if nearest:
-                d2_user = d2_user[d2_user > x_off**2]
-            totals[k] = (d2_user ** (-alpha / 2.0)).sum()
-            counts[k] = len(stations)
+        users = stations[user_idx]
+        # take on the flat index is several times faster than indexing diff by the two index arrays
+        px, py = diff.reshape(-1, 2).take(users * len(parents) + stations[station_idx], axis=0).T
+        d2 = _user_distances2(offsets, px, py, ux[users], uy[users])
+        k, x_idx, neg_half_alpha = plain
+        powered = d2[x_idx]  # (rows, pairs); the power overwrites it, so one such array is alive at a time
+        totals[k] = np.power(powered, neg_half_alpha[:, None], out=powered).sum(axis=1)
+        for j, x_sq, k, neg_half_alpha in near:
+            beyond = d2[j][d2[j] > x_sq]
+            totals[k] = (beyond ** neg_half_alpha[:, None]).sum(axis=1)
+        counts[ks] = len(stations)
     return totals, counts
+
+
+def _row_plan(rows) -> list[tuple]:
+    """How every realization serves ``rows``: one entry per spacing, in ascending spacing.
+
+    An entry is ``(delta, offsets, ks, plain, near)``: the distinct user
+    offsets of the spacing's rows; the indices ``k`` of all of them; its rows
+    without ``nearest`` as three arrays (``k``, offset index, ``-alpha/2``);
+    and, for each distinct offset of its ``nearest`` rows, the tuple (offset
+    index, ``x_off**2``, ``k`` array, ``-alpha/2`` array).
+    """
+    plan = []
+    for delta in sorted({s.hcpp.delta for s, _ in rows}):
+        members = [(k, s.x_off, -s.channel.alpha / 2.0, nearest)
+                   for k, (s, nearest) in enumerate(rows) if s.hcpp.delta == delta]
+        offsets = list(dict.fromkeys(x for _, x, _, _ in members))
+        near: dict[float, list] = {}
+        for k, x, p, nearest in members:
+            if nearest:
+                near.setdefault(x, []).append((k, p))
+        plain = [(k, offsets.index(x), p) for k, x, p, nearest in members if not nearest]
+        k, x_idx, p = zip(*plain) if plain else ((), (), ())
+        plan.append((
+            delta,
+            np.array(offsets),
+            np.array([m[0] for m in members]),
+            (np.array(k, dtype=np.intp), np.array(x_idx, dtype=np.intp), np.array(p, dtype=float)),
+            [(offsets.index(x), x**2, np.array([k for k, _ in kp]), np.array([p for _, p in kp]))
+             for x, kp in near.items()],
+        ))
+    return plan
 
 
 def _child_streams(rng: np.random.Generator, n: int):
@@ -279,22 +332,23 @@ def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tup
     every realization draws one parent pattern, at their common ``lambda_p``,
     on the torus of the largest truncation radius among them, and serves
     every row from it.  Realization ``i`` consumes child stream ``i`` of
-    ``rng``.  For a single row the draws and the arithmetic are those of a
-    run of that row alone.
+    ``rng``.  The rows are grouped once per call (:func:`_row_plan`): by
+    spacing, then by distinct user offset, so that a realization sums every
+    row of a spacing in a few array operations instead of one pass per row.
+    Each row's sum still runs over the same values in the same order as a
+    row summed on its own, so for a single row the draws and the arithmetic
+    are those of a run of that row alone.
     """
     check("realizations", realizations, (">=", 1))
     lambda_p = rows[0][0].hcpp.lambda_p
     if any(s.hcpp.lambda_p != lambda_p for s, _ in rows):
         raise ParameterError("the rows of one layout set must share lambda_p")
     r_trunc = _truncation_radius(rows)
-    by_delta: dict[float, list] = {}
-    for k, (s, nearest) in enumerate(rows):
-        by_delta.setdefault(s.hcpp.delta, []).append((k, s.x_off, s.channel.alpha, nearest))
-    by_delta = sorted(by_delta.items())
+    plan = _row_plan(rows)
     totals = np.empty((len(rows), realizations))
     counts = np.empty((len(rows), realizations))
     for i, stream in enumerate(_child_streams(rng, realizations)):
-        totals[:, i], counts[:, i] = _one_realization(lambda_p, by_delta, r_trunc, stream, len(rows))
+        totals[:, i], counts[:, i] = _one_realization(lambda_p, plan, r_trunc, stream, len(rows))
     return totals, counts
 
 

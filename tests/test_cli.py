@@ -450,12 +450,17 @@ def test_energy_and_spectral_quadratures_do_not_load_scipy_linalg():
 
 
 def test_loading_the_defaults_needs_no_schema_or_spatial_module():
+    # nor the YAML parser, which only a config file needs, nor the process pool, which a serial run skips
+    lazy = "{'jsonschema', 'scipy.spatial', 'yaml', 'concurrent.futures.process'}"
     code = (
         "import sys, hcppnet, hcppnet.cli; hcppnet.load_config(None); "
-        "print(sorted({'jsonschema', 'scipy.spatial'} & set(sys.modules)))"
+        f"print(sorted({lazy} & set(sys.modules))); "
+        "hcppnet.cli.main(['interference', '--mc', '--reps', '2']); "
+        f"print(sorted({lazy} & set(sys.modules)))"
     )
     child = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=_child_env()
     )
     assert child.returncode == 0, child.stderr
-    assert child.stdout.strip() == "[]"
+    lines = child.stdout.strip().splitlines()
+    assert lines[0] == lines[-1] == "[]"

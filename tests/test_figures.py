@@ -8,6 +8,7 @@ differs between a source checkout and an installed copy.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -164,8 +165,18 @@ def test_zero_reps_is_not_the_default_effort():
 
 def test_worker_count_ignores_the_environment(monkeypatch):
     monkeypatch.setenv("HCPPNET_WORKERS", "not a number")
-    assert _resolve_workers(None, 6, 39) == 1
-    assert _resolve_workers(3, 6, 39) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    assert _resolve_workers(None, 39) == 4
+    assert _resolve_workers(3, 39) == 3
+    assert _resolve_workers(None, 2) == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert _resolve_workers(None, 39) == 1
+
+
+@pytest.mark.parametrize("figure_id", [3, 6, 9])
+def test_worker_count_below_one_is_rejected(figure_id):
+    with pytest.raises(ConfigurationError, match="worker count must be >= 1"):
+        run_figure(figure_id, SEED_7, reps=3, workers=0)
 
 
 @pytest.mark.parametrize(("figure_id", "axis", "values"), [(9, "n", [1.5, 2.0]), (8, "s", [2.7])])

@@ -1,6 +1,8 @@
 """Mean-interference unit tests: analytic quadrature vs Monte Carlo."""
 
+import hashlib
 import math
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -28,7 +30,16 @@ from hcppnet import (
     second_moment,
 )
 from hcppnet import interference
-from hcppnet.interference import _mark_thinning, _mc_row, _min_image, _tagged_station_mc, _tail_radial_integral
+from hcppnet.figures import _by_seed_key, _rng_for, _tasks
+from hcppnet.interference import (
+    _child_streams,
+    _mark_thinning,
+    _mc_row,
+    _min_image,
+    _tagged_station_mc,
+    _tail_radial_integral,
+    _truncation_radius,
+)
 from hcppnet.point_process import first_moment
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
@@ -326,6 +337,99 @@ def test_layout_rows_must_share_the_parent_intensity():
     rows = [_mc_row("hcpp", scenario(300.0)), _mc_row("hcpp", scenario(300.0, lambda_p=2 * LAMBDA_P))]
     with pytest.raises(ParameterError, match="share lambda_p"):
         _tagged_station_mc(rows, 2, np.random.default_rng(0))
+
+
+def _row_loop_realization(lambda_p, by_delta, r_trunc, rng, n_rows):
+    # the reference: one realization summed row by row, each row on its own gathered pairs
+    side = 2.0 * r_trunc
+    parents = interference.sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
+    marks = rng.random(len(parents))
+    diff, dist2 = _min_image(parents, side)
+    kept = [_mark_thinning(dist2, marks, delta) for delta, _ in by_delta]
+    theta = rng.uniform(0.0, 2.0 * np.pi, len(kept[0]))
+    unit = np.empty((len(parents), 2))
+    unit[kept[0]] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    totals, counts = np.empty(n_rows), np.empty(n_rows)
+    for stations, (_, rows) in zip(kept, by_delta):
+        pair = diff[np.ix_(stations, stations)]
+        inplay = np.einsum("ijk,ijk->ij", pair, pair) <= r_trunc**2
+        np.fill_diagonal(inplay, False)
+        user_idx, station_idx = np.nonzero(inplay)
+        pair = pair[user_idx, station_idx]
+        toward_user = unit[stations][user_idx]
+        for k, x_off, alpha, nearest in rows:
+            d_user = pair - x_off * toward_user
+            d2_user = np.einsum("ij,ij->i", d_user, d_user)
+            if nearest:
+                d2_user = d2_user[d2_user > x_off**2]
+            totals[k] = (d2_user ** (-alpha / 2.0)).sum()
+            counts[k] = len(stations)
+    return totals, counts
+
+
+def _row_loop_mc(rows, realizations, rng):
+    # the reference of _tagged_station_mc: the same streams, summed by _row_loop_realization
+    by_delta: dict[float, list] = {}
+    for k, (s, nearest) in enumerate(rows):
+        by_delta.setdefault(s.hcpp.delta, []).append((k, s.x_off, s.channel.alpha, nearest))
+    by_delta = sorted(by_delta.items())
+    r_trunc = _truncation_radius(rows)
+    totals = np.empty((len(rows), realizations))
+    counts = np.empty((len(rows), realizations))
+    for i, stream in enumerate(_child_streams(rng, realizations)):
+        totals[:, i], counts[:, i] = _row_loop_realization(
+            rows[0][0].hcpp.lambda_p, by_delta, r_trunc, stream, len(rows)
+        )
+    return totals, counts
+
+
+_ROW = st.tuples(
+    st.sampled_from([0.0, 300.0, 500.0]),  # delta
+    st.sampled_from([0.0, 40.0, 200.0, 280.0]),  # x_off, repeated across rows
+    st.sampled_from([2.5, 3.4, 3.8, 4.2]),  # alpha
+    st.booleans(),  # nearest
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(_ROW, min_size=1, max_size=10),
+    st.sampled_from([1.0, 0.1, 4.0]),
+    st.sampled_from([None, 0, 1, 2]),
+    st.integers(0, 2**32 - 1),
+)
+@example([(0.0, 200.0, 3.8, True), (0.0, 200.0, 4.2, True), (500.0, 200.0, 3.8, False)], 1.0, None, 5)
+@example([(300.0, 40.0, 3.4, False), (0.0, 40.0, 3.4, True)], 1.0, 1, 7)
+def test_grouped_rows_sum_exactly_as_the_row_loop(specs, lambda_scale, parents_kept, seed):
+    # every row of a realization sums the same values in the same order as the row-by-row loop,
+    # with 0, 1 or 2 parents left (a window holds 16 in the mean, so truncating its draw is what reaches these)
+    rows = [
+        (scenario(x_off, delta, alpha, lambda_p=LAMBDA_P * lambda_scale), nearest)
+        for delta, x_off, alpha, nearest in specs
+    ]
+    draw = interference.sample_ppp
+    truncated = draw if parents_kept is None else (lambda *args: draw(*args)[:parents_kept])
+    with mock.patch.object(interference, "sample_ppp", truncated):
+        grouped = _tagged_station_mc(rows, 3, np.random.default_rng(seed))
+        looped = _row_loop_mc(rows, 3, np.random.default_rng(seed))
+    assert np.array_equal(grouped[0], looped[0]) and np.array_equal(grouped[1], looped[1])
+
+
+@pytest.mark.parametrize(
+    "figure_id, digest",
+    [
+        (2, "bb5463cc6f233179438e65d6e37f18e9deede7e2aa3f667d4e6ca610de84553e"),
+        (3, "56bdb7561813f2b1513954ed165eb42e6644d4064678a5b228cd17780bb35bfb"),
+    ],
+)
+def test_figure_family_sums_are_pinned(figure_id, digest):
+    # the per-realization totals and counts of one figure family at a fixed seed, as the row loop gave them
+    tasks = _tasks(figure_id, config_from_dict({"seed": 7}), 64)
+    ((key, idx),) = _by_seed_key(tasks).items()
+    rows = [_mc_row(tasks[i].model, tasks[i].scenario) for i in idx]
+    totals, counts = _tagged_station_mc(rows, 64, _rng_for(*key))
+    assert totals.shape == counts.shape == (len(rows), 64)
+    assert hashlib.sha256(totals.tobytes() + counts.tobytes()).hexdigest() == digest
 
 
 # Integer coordinates keep every squared distance exact, so points exactly
