@@ -6,12 +6,23 @@ Run:  python3 demos/hard_core_process.py
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from hcppnet import HcppParams, Window, first_moment, pair_retention, sample_hcpp
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)  # one parent per 800 m disc
 DELTA = 500.0
+
+
+def closest_pair(pts):
+    """Smallest distance between two of the points: a sweep over them sorted by x."""
+    pts = pts[np.argsort(pts[:, 0])]
+    best = np.inf
+    for lag in range(1, len(pts)):
+        dx = pts[lag:, 0] - pts[:-lag, 0]
+        if dx.min() >= best:  # every later lag is at least as far apart in x
+            break
+        best = min(best, np.hypot(dx, pts[lag:, 1] - pts[:-lag, 1]).min())
+    return best
 
 
 def main():
@@ -21,7 +32,7 @@ def main():
 
     pts = sample_hcpp(params, window, rng)
     density = len(pts) / window.area
-    closest = cKDTree(pts).query(pts, k=2)[0][:, 1].min()
+    closest = closest_pair(pts)
     target = first_moment(params)
     print(f"window           : {window.x_max - window.x_min:.0f} m square")
     print(f"stations retained: {len(pts)}")

@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
+from ._special import exp_integral, expi, exprel
 from .channel import path_gain, sample_shadowing
 from .errors import ConfigurationError, ParameterError, bounded, check, check_fields
 from .interference import Estimate, InterferenceScenario
@@ -266,9 +266,8 @@ def _exp_kernel(theta: float, u):
     ``theta = 2`` (where that integral is ``Ei``) and at ``theta = 1`` (where the antiderivative needs it).
     """
     if theta == 1.0 or theta == 2.0:
-        return special.expi(u)
-    a = 2.0 - theta
-    return u**a / a * special.hyp1f1(a, a + 1.0, u)
+        return expi(u)
+    return exp_integral(2.0 - theta, u)
 
 
 def _exp_moment(theta: float, u_min: float, u_star: np.ndarray, k_star: np.ndarray) -> np.ndarray:
@@ -320,7 +319,7 @@ def _pareto_capped_moments(theta: float, rho_min: float, b: float, u_star: np.nd
     u_cap = np.maximum(u_star, u_min)
     ell = np.log(u_cap / u_min)
     p_ok = np.where(served, -np.expm1(-theta * ell), 0.0)
-    e_rho = np.where(served, theta * rho_min * ell * special.exprel(-(theta - 1.0) * ell), 0.0)
+    e_rho = np.where(served, theta * rho_min * ell * exprel(-(theta - 1.0) * ell), 0.0)
     thetas = _moment_thetas(theta)
     e_exp, *band = (_exp_moment(th, u_min, u_cap, k) for th, k in zip(thetas, kernels))
     if band:
@@ -351,8 +350,7 @@ def _curve_nodes(theta: float, sigma: float, m: int, c: float, n_shadow: int, n_
     else:
         w_nodes = np.array([1.0])
         w_weights = np.array([1.0])
-    g_nodes, g_wt = _gauss_nodes(_roots_genlaguerre, n_gain, m - 1)
-    g_weights = g_wt / special.gamma(m)
+    g_nodes, g_weights = _gauss_nodes(_roots_genlaguerre, n_gain, m - 1)
 
     with np.errstate(over="ignore"):  # an overflow to inf is caught by the guard below
         x_peak = c * np.outer(w_nodes, g_nodes)

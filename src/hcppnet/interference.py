@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
+from ._special import hyp2f1_far, hyp2f1_near
 from .channel import ChannelParams, mean_shadowing
 from .errors import DivergenceError, ParameterError, bounded, check, check_fields
 from .point_process import (
@@ -83,15 +83,13 @@ def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
     # int_{r_start}^inf r^{1-alpha} F(a,a;1;(d/r)^2) dr for d < r_start.
     # Integrating the series of F term by term gives (a)_n^2 z^n / (n!^2 (alpha-2+2n)),
     # and (alpha-2)/(alpha-2+2n) = (a-1)_n/(a)_n folds it into one F(a, a-1; 1; z).
-    a = alpha / 2.0
-    z = (d / r_start) ** 2
-    return r_start ** (2.0 - alpha) / (alpha - 2.0) * special.hyp2f1(a, a - 1.0, 1.0, z)
+    return r_start ** (2.0 - alpha) / (alpha - 2.0) * hyp2f1_far(alpha, (d / r_start) ** 2)
 
 
 _PANEL_RATIO = 4.0  # largest ratio of outer to inner r - x_off on one near-field panel
 _SPAWN_CHUNK = 1024  # Monte Carlo child streams spawned at a time; realizations per unit of a figure's pool work
 # Gauss-Legendre nodes and weights of one panel, on [0, 1]: the values of scipy.special.roots_sh_legendre(16),
-# written out because computing them imports scipy.linalg (about 7 MB) into every run that needs the analytic mean
+# written out so that no run needs scipy
 _GL_U = np.array([
     0.005299532504175031, 0.0277124884633837, 0.06718439880608412, 0.1222977958224985,
     0.19106187779867811, 0.27099161117138626, 0.35919822461037054, 0.4524937450811813,
@@ -111,14 +109,16 @@ def _near_radial_integral(hcpp: HcppParams, d: float, alpha: float) -> float:
     # (1-z)^{1-alpha} F(1-a,1-a;1;z) with 1-z = s (r+d)/r^2, s = r - d: the kernel is (r/(s (r+d)))^{alpha-1}
     # times a bounded F.  Geometric panels in s on [delta, 1.5 delta] resolve its peak as d nears delta; on
     # [1.5 delta, 2 delta], r = 2 delta - (delta/2) u^2 absorbs the (2 delta - r)^{3/2} kink of g.
-    delta, a = hcpp.delta, alpha / 2.0
+    delta = hcpp.delta
     s_lo, s_hi = delta - d, 1.5 * delta - d
     edges = np.geomspace(s_lo, s_hi, 1 + math.ceil(math.log(s_hi / s_lo, _PANEL_RATIO)))
     lo, width = edges[:-1, None], np.diff(edges)[:, None]
     s = np.append(lo + width * _GL_U, 2.0 * delta - 0.5 * delta * _GL_U**2 - d)
     weights = np.append(width * _GL_W, delta * _GL_U * _GL_W)
     r = d + s
-    kernel = (r / (s * (r + d))) ** (alpha - 1.0) * special.hyp2f1(1.0 - a, 1.0 - a, 1.0, (d / r) ** 2)
+    kernel = (r / (s * (r + d))) ** (alpha - 1.0)
+    if kernel.any():  # at a steep alpha every node's power can underflow, and then F, perhaps past the double range, is moot
+        kernel *= hyp2f1_near(alpha, (d / r) ** 2)
     # d + s can round down onto delta, where the pair density drops to zero
     pair = second_moment(np.maximum(r, np.nextafter(delta, math.inf)), hcpp)
     return float(np.sum(weights * pair * kernel))

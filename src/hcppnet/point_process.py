@@ -96,6 +96,30 @@ def sample_ppp(intensity: float, window: Window, rng: np.random.Generator) -> np
     )
 
 
+def _close_pairs(pos: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs ``(i, j)``, ``i < j``, of the points at most ``delta`` apart.
+
+    A sweep over the points sorted by ``x``: at lag ``k`` each point is paired with the ``k``-th next one,
+    among the points that have that many successors within ``delta`` along ``x``.  So the loop runs once per
+    point of the most crowded ``x``-strip of width ``delta``, on arrays no longer than the pattern.
+    """
+    n = pos.shape[0]
+    order = np.argsort(pos[:, 0], kind="stable")
+    x, y = pos[order, 0], pos[order, 1]
+    reach = np.searchsorted(x, x + delta, side="right") - np.arange(1, n + 1)
+    by_reach = np.argsort(-reach, kind="stable")
+    counts = np.searchsorted(-reach[by_reach], -np.arange(1, reach.max() + 1), side="right")  # reach >= lag
+    found = [np.empty((2, 0), dtype=order.dtype)]
+    for lag, count in enumerate(counts, start=1):
+        i = by_reach[:count]
+        j = i + lag
+        dx, dy = x[j] - x[i], y[j] - y[i]
+        hit = dx * dx + dy * dy <= delta * delta
+        found.append(order[np.stack([i[hit], j[hit]])])
+    pairs = np.sort(np.concatenate(found, axis=1), axis=0)
+    return pairs[0], pairs[1]
+
+
 def matern2_thin(points, delta: float, marks, window: Window) -> np.ndarray:
     """Apply Matern type-II dependent thinning to a marked pattern.
 
@@ -132,14 +156,10 @@ def matern2_thin(points, delta: float, marks, window: Window) -> np.ndarray:
 
     keep = np.ones(pos.shape[0], dtype=bool)
     if delta > 0 and pos.shape[0] > 1:
-        from scipy.spatial import cKDTree  # slow to load, and no command-line run thins on a plane
-
-        pairs = cKDTree(pos).query_pairs(delta, output_type="ndarray")
-        if pairs.size:
-            i, j = pairs[:, 0], pairs[:, 1]  # query_pairs yields i < j
-            j_loses = mk[i] <= mk[j]  # equal marks: earlier index survives
-            keep[j[j_loses]] = False
-            keep[i[~j_loses]] = False
+        i, j = _close_pairs(pos, delta)
+        j_loses = mk[i] <= mk[j]  # equal marks: earlier index survives
+        keep[j[j_loses]] = False
+        keep[i[~j_loses]] = False
 
     survivors = pos[keep]
     return survivors[window.contains(survivors)]

@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .channel import ChannelParams, path_gain
 from .errors import ParameterError, bounded, check, check_fields
@@ -136,10 +135,9 @@ def _jacobi_rule(n: int, mu0: float, diag, off, poly, dpoly, symmetric: bool) ->
     eigenvalues of the Jacobi matrix (diagonal ``diag``, off-diagonal
     ``off``), one Newton step on ``poly(n, x)`` with derivative
     ``dpoly(n, x)``, and weights ``1 / (poly(n - 1, x) dpoly(n, x))``, each
-    factor log-balanced, summed to ``mu0``.  numpy's symmetric eigensolver
-    stands in for ``scipy.linalg.eigvals_banded``, whose import alone adds
-    about 6.4 MB of resident memory (scipy 1.17, x86-64 Linux); the tests
-    pin the nodes and weights bit for bit against scipy's.
+    factor log-balanced, summed to ``mu0``.  A constant factor of ``poly``
+    cancels in the Newton step and in the weights.  numpy's symmetric
+    eigensolver stands in for ``scipy.linalg.eigvals_banded``.
     """
     x = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1), UPLO="U")
     dy = dpoly(n, x)
@@ -156,27 +154,50 @@ def _jacobi_rule(n: int, mu0: float, diag, off, poly, dpoly, symmetric: bool) ->
     return x, w
 
 
+def _hermite(n: int, x: np.ndarray) -> np.ndarray:
+    """The physicists' Hermite polynomial ``H_n(x)``, by scipy's ``eval_hermite`` recurrence, operation for operation."""
+    y = math.sqrt(2.0) * x  # H_n(x) = 2^(n/2) He_n(sqrt(2) x), He_n by the backward recurrence
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return y * 2.0 ** 0.5
+    y3, y2 = np.zeros_like(x), np.ones_like(x)
+    for k in range(n, 1, -1):
+        y3, y2 = y2, y * y2 - k * y3
+    return (y * y2 - y3) * 2.0 ** (n / 2.0)
+
+
 def _roots_hermite(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes and weights, as ``scipy.special.roots_hermite(n)`` for ``n <= 150``."""
     k = np.arange(n, dtype=float)
     return _jacobi_rule(
-        n, math.sqrt(math.pi), 0.0 * k, np.sqrt(k[1:] / 2.0), special.eval_hermite,
-        lambda n, x: 2.0 * n * special.eval_hermite(n - 1, x), True,
+        n, math.sqrt(math.pi), 0.0 * k, np.sqrt(k[1:] / 2.0), _hermite,
+        lambda n, x: 2.0 * n * _hermite(n - 1, x), True,
     )
 
 
 def _roots_genlaguerre(n: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Generalized Gauss-Laguerre nodes and weights, as ``scipy.special.roots_genlaguerre(n, alpha)`` for ``n >= 2``."""
+    """Generalized Gauss-Laguerre nodes, as ``scipy.special.roots_genlaguerre(n, alpha)`` for ``n >= 2``.
+
+    The weights sum to 1, not ``Gamma(alpha + 1)``: they average over the Gamma law of shape ``alpha + 1``
+    directly, which a ``Gamma`` value past the double range (shape 172 and up) would otherwise stop.
+    ``poly`` is ``L_n^(alpha) / binom(n + alpha, n)``, scipy's ``eval_genlaguerre`` recurrence without
+    its prefactor.
+    """
     k = np.arange(n, dtype=float)
 
     def poly(n, x):
-        return special.eval_genlaguerre(n, alpha, x)
+        d = -x / (alpha + 1.0)
+        p = d + 1.0
+        for j in range(1, n):
+            d = -x / (j + alpha + 1.0) * p + (j / (j + alpha + 1.0)) * d
+            p = d + p
+        return p
 
     def dpoly(n, x):
-        return (n * poly(n, x) - (n + alpha) * poly(n - 1, x)) / x
+        return n * (poly(n, x) - poly(n - 1, x)) / x
 
-    return _jacobi_rule(n, special.gamma(alpha + 1), 2 * k + alpha + 1, -np.sqrt(k[1:] * (k[1:] + alpha)), poly,
-                        dpoly, False)
+    return _jacobi_rule(n, 1.0, 2 * k + alpha + 1, -np.sqrt(k[1:] * (k[1:] + alpha)), poly, dpoly, False)
 
 
 @functools.cache
@@ -204,7 +225,7 @@ def spectral_efficiency_exact(cfg: AntennaConfig, xi: float) -> float:
     _check_xi(xi)
     m = cfg.gain_shape
     nodes, weights = _gauss_nodes(_roots_genlaguerre, _N_NODES, m - 1)
-    mean_log = (weights * np.log1p((xi / cfg.s) * nodes)).sum() / special.gamma(m)
+    mean_log = (weights * np.log1p((xi / cfg.s) * nodes)).sum()
     return cfg.s * float(mean_log) / math.log(2.0)
 
 

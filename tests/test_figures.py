@@ -20,19 +20,19 @@ from hcppnet.interference import _estimates, _mc_row, _tagged_station_mc
 
 GOLDEN = {
     2: (
-        "618aeb8170a676597e6b75ea01bd430e0967be981ce65e295b1ba1e306b1a4ec",
+        "16bdc4b9acb2c8bef6cd712cd82717329fb9a3cb1a42439e0cea8528f3570779",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
-        "25db7986624251a28f5fc741404c4e59d5ece1755557b1039de5346e6dc3a43c",
+        "de833f01b9a148bc011fa813bf360c8e81340b907c1641bceda62922c7f8f4fa",
         24,
         "x_off",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500"],
     ),
     4: (
-        "65901fb67e986c9f37d5447f6c282125466a24d6d3f2a38064695ee51fceb05a",
+        "a5b32076bf56cb415286cf3b1845bd773d6436516de1d890118d71261497f33a",
         27,
         "x_off",
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
@@ -50,25 +50,25 @@ GOLDEN = {
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "0e0fd8452870ec315419d27448fc925a5474275d371794ca6758d57b203f0f6e",
+        "5791fcd65043f4020e831701106ee5695a27aa9c90ea794438449c7b3eb0d0ad",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "12093b957fc0a91209727d20305474c8df3479a96981888ee5fb102662b354b8",
+        "d881421ebe27d8587aaffc06860a67c084bd7268d03813faef5f823b39604aec",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "ec0e87e3a574aaec1ebccbe40b3a362a448b3a1ef5d1a5f1d6bc4e581d42602f",
+        "d21e2e4f6447c7ebd1491ef034f9f7477b15eaacd346ef4ec95056aab0d46a89",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "fdbd52050eaad45aa2e4c79b57da577e3b7c9b0de4d6c05520d5d8418ee337b8",
+        "a681aada5ce76b1b71036a948fe79c9613d64cab477d402e95ac68c4dfae6495",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],

@@ -215,6 +215,16 @@ def test_analytic_mean_past_the_double_range_raises_divergence(x_off, delta, alp
 
 
 @pytest.mark.filterwarnings("error")
+def test_analytic_mean_at_a_steep_alpha_underflows_or_diverges():
+    # past alpha of about 1030 the ring average F(1 - a, 1 - a; 1; z) leaves the double range near z = 1; where
+    # every near-field power underflows it is not needed and the mean is 0, as it is in double precision
+    for x_off in (0.0, 300.0):
+        assert avg_interference_hcpp(scenario(x_off, delta=500.0, alpha=1200.0)) == 0.0
+    with pytest.raises(DivergenceError, match="overflows double precision"):
+        avg_interference_hcpp(scenario(499.0, delta=500.0, alpha=1200.0))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("x_off, alpha, power", [(1e-200, 3.8, 2.0), (1e-5, 60.0, 1e300)])
 def test_poisson_mean_past_the_double_range_raises_divergence(x_off, alpha, power):
     # the power of x_off overflows, or a finite power times the prefactor does

@@ -99,10 +99,21 @@ def test_single_row_estimate_is_pinned(n_t, s, xi, mean, std_error):
 )
 @pytest.mark.parametrize("n", [2, 16, 96, 128])
 def test_gauss_rules_are_scipys_bit_for_bit(roots, reference, shape, n):
-    # computed without scipy.linalg; the quadratures that use them must not move
+    # computed without scipy; the nodes are scipy's bit for bit, and so are the Hermite weights.  The Laguerre
+    # weights sum to 1, not to Gamma(alpha + 1), so that a gain shape past Gamma's double range still works
     nodes, weights = roots(n, *shape)
     expected_nodes, expected_weights = reference(n, *shape)
-    assert np.array_equal(nodes, expected_nodes) and np.array_equal(weights, expected_weights)
+    assert np.array_equal(nodes, expected_nodes)
+    if roots is zf_capacity._roots_hermite:
+        assert np.array_equal(weights, expected_weights)
+    else:
+        assert weights * math.gamma(shape[0] + 1) == pytest.approx(expected_weights, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 16, 95, 96, 127, 128])
+def test_hermite_recurrence_is_scipys_bit_for_bit(n):
+    x = np.random.default_rng(n).uniform(-12.0, 12.0, 500)
+    assert np.array_equal(zf_capacity._hermite(n, x), special.eval_hermite(n, x))
 
 
 def test_spectral_efficiency_mc_matrix_route_agrees():
