@@ -3,8 +3,9 @@
 Two Gauss hypergeometric values carry the mean interference: the far field's
 ``F(a, a-1; 1; z)`` and the near field's ``F(1-a, 1-a; 1; z)``, ``a =
 alpha/2``.  The capped-power moment of the energy quadrature needs ``int_0^u
-t^(a-1) e^t dt`` and ``Ei``.  Each is a convergent series, or near a
-singular point a connection formula, asymptotic expansion or limit form, with
+(e^t - 1 - t - t^2/2) t^(-theta-1) dt``, a series of positive terms with no
+pole in ``theta``.  Each is a convergent series, or near a singular point a
+connection formula, asymptotic expansion or limit form, with
 a term count derived from its argument range, so no evaluation tests for
 convergence and nothing is configurable.  The tests check every function
 against mpmath.
@@ -190,14 +191,15 @@ def hyp2f1_near(alpha: float, z: np.ndarray) -> np.ndarray:
     return np.where(near_one, plain + scaled * logged, direct)
 
 
-# The energy quadrature's kernel: int_0^u t^(a-1) e^t dt for 0 < a < 1, and Ei(u).
-_SERIES_MAX = 45.0  # above it the asymptotic series' smallest term, k!/u^k at k = u, is below _EPS / 4
-_BUCKETS = (1.0, 4.0, 10.0, 20.0, _SERIES_MAX)  # upper ends of the argument ranges that share a term count
+# The energy quadrature's kernel: int_0^u (e^t - 1 - t - t^2/2) t^(-theta-1) dt for 1 <= theta <= 2.
+_SERIES_MAX = 60.0  # above it the asymptotic series' smallest term is below _EPS / 4, and so is the part it drops
+_BUCKETS = (1.0, 4.0, 10.0, 20.0, 40.0, _SERIES_MAX)  # upper ends of the argument ranges that share a term count
 
 
 def _power_terms(u_max: float) -> int:
-    # terms of sum_n u^n/n! at u = u_max until one is below _EPS / 4 of the sum so far
-    n, term, total = 0, 1.0, 1.0
+    # the last index of sum_{n>=3} u^n/n! at u = u_max, the first term below _EPS / 4 of the sum so far
+    n, term = 3, u_max**3 / 6.0
+    total = term
     while term > _EPS / 4.0 * total:
         n += 1
         term *= u_max / n
@@ -206,11 +208,11 @@ def _power_terms(u_max: float) -> int:
 
 
 def _asymptotic_terms(u_min: float) -> int:
-    # terms of sum_k k!/u^k at u = u_min until one is below _EPS / 4
+    # terms of sum_k (k+2)!/(2 u^k) at u = u_min until one is below _EPS / 4; each (1+theta)_k <= (3)_k = (k+2)!/2
     k, term = 0, 1.0
     while term > _EPS / 4.0:
         k += 1
-        term *= k / u_min
+        term *= (k + 2) / u_min
     return k
 
 
@@ -218,8 +220,8 @@ _BUCKET_TERMS = tuple(_power_terms(u) for u in _BUCKETS)
 _ASYMPTOTIC_TERMS = _asymptotic_terms(_SERIES_MAX)
 
 
-def _exp_series(a: float, u: np.ndarray) -> np.ndarray:
-    """``sum_{n >= 1} u^n / (n! (n + a))`` for ``0 <= u <= _SERIES_MAX``, by Horner's rule, terms per bucket."""
+def _tail_series(theta: float, u: np.ndarray) -> np.ndarray:
+    """``sum_{n>=3} u^(n-theta) / (n! (n-theta))`` for ``0 <= u <= _SERIES_MAX``: Horner's rule, terms per bucket."""
     out = np.empty_like(u)
     lo = -math.inf
     for hi, terms in zip(_BUCKETS, _BUCKET_TERMS):
@@ -228,47 +230,39 @@ def _exp_series(a: float, u: np.ndarray) -> np.ndarray:
         x = u[inside]
         if not x.size:
             continue
-        n = np.arange(1.0, terms + 1.0)
-        coefficients = 1.0 / (np.cumprod(n) * (n + a))
+        n = np.arange(3.0, terms + 1.0)
+        coefficients = 1.0 / (np.cumprod(n) * 2.0 * (n - theta))
         acc = np.full_like(x, coefficients[-1])
         for c in coefficients[-2::-1]:
             acc *= x
             acc += c
-        out[inside] = acc * x
+        out[inside] = acc * x ** (3.0 - theta)
     return out
 
 
-def _asymptotic(a: float, u: np.ndarray) -> np.ndarray:
-    """``e^u u^(a-1) sum_k (1-a)_k / u^k`` for ``u > _SERIES_MAX``; each ``(1-a)_k <= k!``."""
+def _asymptotic(theta: float, u: np.ndarray) -> np.ndarray:
+    """``e^u u^(-theta-1) sum_k (1+theta)_k / u^k`` for ``u > _SERIES_MAX``."""
     k = np.arange(_ASYMPTOTIC_TERMS - 1.0)
-    coefficients = np.cumprod(np.append(1.0, 1.0 - a + k))
+    coefficients = np.cumprod(np.append(1.0, 1.0 + theta + k))
     inverse = 1.0 / u
     acc = np.full_like(u, coefficients[-1])
     for c in coefficients[-2::-1]:
         acc *= inverse
         acc += c
-    return np.exp(u) * u ** (a - 1.0) * acc
+    return np.exp(u) * u ** (-theta - 1.0) * acc
 
 
-def _by_range(series, asymptotic, u) -> np.ndarray:
+def exp_tail(theta: float, u):
+    """``R(u) = int_0^u (e^t - 1 - t - t^2/2) t^(-theta-1) dt`` for ``1 <= theta <= 2`` and ``u >= 0``, elementwise.
+
+    Every term of the power series ``sum_{n>=3} u^(n-theta) / (n! (n-theta))`` is positive, and none has a pole
+    in ``theta``.  Above ``_SERIES_MAX`` integration by parts gives the asymptotic series of ``e^t t^(-theta-1)``;
+    the rest, lower powers of ``u`` and a constant, is below 45 in magnitude, some 1e-21 of the value at ``u = 60``.
+    """
     u = np.asarray(u, dtype=float)
     small = u <= _SERIES_MAX
     out = np.empty(u.shape)
-    out[small] = series(u[small])
-    out[~small] = asymptotic(u[~small])  # a NaN argument lands here and stays NaN
+    out[small] = _tail_series(theta, u[small])
+    with np.errstate(over="ignore"):  # past u = ln(double max), about 709.8, the factor e^u is inf
+        out[~small] = _asymptotic(theta, u[~small])  # a NaN argument lands here and stays NaN
     return out[()]
-
-
-def exp_integral(a: float, u):
-    """``int_0^u t^(a-1) e^t dt = u^a/a 1F1(a; a+1; u)`` for ``0 < a < 1`` and ``u >= 0``, elementwise.
-
-    ``u^a (1/a + sum_{n>=1} u^n / (n! (n+a)))`` up to ``_SERIES_MAX``; beyond it integration by parts
-    gives the asymptotic series plus the constant ``Gamma(a) cos(pi a)``.
-    """
-    constant = math.gamma(a) * math.cos(math.pi * a)
-    return _by_range(lambda x: x**a * (1.0 / a + _exp_series(a, x)), lambda x: _asymptotic(a, x) + constant, u)
-
-
-def expi(u):
-    """The exponential integral ``Ei(u) = gamma + ln u + sum_{n>=1} u^n / (n n!)`` for ``u >= 0``, elementwise."""
-    return _by_range(lambda x: np.euler_gamma + np.log(x) + _exp_series(0.0, x), lambda x: _asymptotic(0.0, x), u)

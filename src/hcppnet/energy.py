@@ -5,7 +5,10 @@ its transmit power to hit that rate against the average interference, and a
 link whose required power exceeds the cap is dropped (outage).  Energy
 efficiency is served traffic per consumed energy, normalized per Hz.  Two
 independent routes are provided: a Monte Carlo average over joint draws of
-(rate, shadowing, gain), and a deterministic tensor quadrature.
+(rate, shadowing, gain), and a deterministic tensor quadrature.  At each
+quadrature node the capped rate moments are closed-form; the power moment
+splits ``e^u - 1`` into ``u + u^2/2`` and a rest whose integral is
+:func:`~hcppnet._special.exp_tail`, so no moment has a pole in ``theta``.
 """
 
 from __future__ import annotations
@@ -16,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._special import exp_integral, expi, exprel
+from ._special import exp_tail, exprel
 from .channel import path_gain, sample_shadowing
 from .errors import ConfigurationError, ParameterError, bounded, check, check_fields
 from .interference import Estimate, InterferenceScenario
-from .zf_capacity import AntennaConfig, _gauss_nodes, _roots_genlaguerre, _roots_hermite
+from .zf_capacity import AntennaConfig, _check_link_draws, _gauss_nodes, _roots_genlaguerre, _roots_hermite
 
 __all__ = [
     "TrafficModel",
@@ -105,16 +108,6 @@ def required_link_power(
     _check_link_draws(rho_arr, w_arr, g_arr)
     out = _link_power(rho_arr, cfg, tm, path_gain(channel, x_off) * w_arr * g_arr, i_avg)
     return out if out.ndim else float(out)
-
-
-def _check_link_draws(rho=None, w_ii=None, gain=None) -> None:
-    """Reject a negative rate, a nonpositive shadowing factor or a negative gain among the arrays given."""
-    if rho is not None and np.any(rho < 0):
-        raise ParameterError("rho must be nonnegative")
-    if w_ii is not None and np.any(w_ii <= 0):
-        raise ParameterError("w_ii must be positive")
-    if gain is not None and np.any(gain < 0):
-        raise ParameterError("gain must be nonnegative")
 
 
 def _link_power(rho: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, link_gain: np.ndarray, i_avg: float):
@@ -259,73 +252,28 @@ def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
             yield k, _ee_terms(rho, p, cfg, tm, energy, station_intensity)
 
 
-def _exp_kernel(theta: float, u):
-    """The special-function part of :func:`_exp_moment`'s antiderivative at ``u``.
-
-    ``u^a/a 1F1(a; a+1; u)`` with ``a = 2 - theta``, the integral of ``e^u u^(a-1)``; ``Ei(u)`` at
-    ``theta = 2`` (where that integral is ``Ei``) and at ``theta = 1`` (where the antiderivative needs it).
-    """
-    if theta == 1.0 or theta == 2.0:
-        return expi(u)
-    return exp_integral(2.0 - theta, u)
-
-
-def _exp_moment(theta: float, u_min: float, u_star: np.ndarray, k_star: np.ndarray) -> np.ndarray:
-    """Integral of ``theta u_min^theta (e^u - 1) u^(-theta-1)`` from ``u_min`` to ``u_star``.
-
-    By parts twice down to ``int e^u u^(a-1) du = u^a/a 1F1(a; a+1; u)``, ``a = 2 - theta``, which
-    is ``Ei(u)`` at ``theta = 2``; at ``theta = 1`` the antiderivative is ``u_min (Ei(u) - (e^u - 1)/u)``.
-    ``k_star`` is that kernel at ``u_star``, :func:`_exp_kernel`.  It alone needs a special function,
-    and it does not depend on ``u_min``; the elementary rest does, so one kernel serves every ``u_min``.
-    """
-    def antiderivative(u, k):
-        if theta == 1.0:
-            return u_min * (k - np.expm1(u) / u)
-        r = u_min / u
-        tail = u_min ** (theta - 1.0) * k - np.exp(u) * r ** (theta - 1.0)
-        return u_min / (theta - 1.0) * tail - np.expm1(u) * r**theta
-
-    return antiderivative(u_star, k_star) - antiderivative(u_min, _exp_kernel(theta, u_min))
-
-
-_EDGE_BAND = 3e-4  # nearer theta = 1 or 2 than this, _exp_moment loses digits to cancellation
-
-
-def _moment_thetas(theta: float) -> tuple[float, ...]:
-    """The heaviness indices at which :func:`_exp_moment` is evaluated for a curve at ``theta``.
-
-    ``theta`` itself; within ``_EDGE_BAND`` of ``theta = 1`` or ``2``, the edge and two band points
-    that :func:`_pareto_capped_moments` interpolates between.
-    """
-    edge = 1.0 if theta < 1.5 else 2.0
-    if 0.0 < abs(theta - edge) / _EDGE_BAND < 1.0:
-        step = math.copysign(_EDGE_BAND, 1.5 - edge)
-        return edge, edge + step, edge + step / 2.0
-    return (theta,)
-
-
-def _pareto_capped_moments(theta: float, rho_min: float, b: float, u_star: np.ndarray, kernels):
+def _pareto_capped_moments(theta: float, rho_min: float, b: float, u_star: np.ndarray, tail_star: np.ndarray):
     """Moments of the Pareto rate truncated at per-node caps ``rho* = u_star / b``, all closed-form.
 
     Returns ``(P(served), E[rho; served], E[e^(b rho) - 1; served])`` per entry of ``u_star``, zeros
     where ``rho* < rho_min`` (not even the minimum rate is served).  With ``l = ln(rho* / rho_min)``,
     ``P(served) = -expm1(-theta l)`` and ``E[rho; served] = theta rho_min l exprel(-(theta-1) l)``, exact
-    as ``theta -> 1`` and ``rho* -> rho_min``.  The last is :func:`_exp_moment` (``Ei`` at ``theta = 2``);
-    within ``_EDGE_BAND`` of ``theta = 1`` or ``2``, the quadratic through the endpoint and two band points.
-    ``kernels`` holds :func:`_exp_kernel` at ``u_star`` for each of :func:`_moment_thetas`.
+    as ``theta -> 1`` and ``rho* -> rho_min``.  For the last, ``u = b rho`` has the density ``theta
+    u_min^theta u^(-theta-1)`` from ``u_min = b rho_min``, and ``e^u - 1 = u + u^2/2 + (e^u - 1 - u - u^2/2)``:
+    ``b E[rho; served] + theta l (u_min^2/2) exprel((2-theta) l) + theta u_min^theta (R(u*) - R(u_min))``
+    with ``R`` = :func:`~hcppnet._special.exp_tail`, whose value at ``u_star`` is ``tail_star``.  Every
+    term is positive and none has a pole in ``theta``.
     """
     u_min = b * rho_min
     served = u_star >= u_min
-    u_cap = np.maximum(u_star, u_min)
-    ell = np.log(u_cap / u_min)
+    ell = np.log(np.maximum(u_star, u_min) / u_min)
     p_ok = np.where(served, -np.expm1(-theta * ell), 0.0)
     e_rho = np.where(served, theta * rho_min * ell * exprel(-(theta - 1.0) * ell), 0.0)
-    thetas = _moment_thetas(theta)
-    e_exp, *band = (_exp_moment(th, u_min, u_cap, k) for th, k in zip(thetas, kernels))
-    if band:
-        e1, e_half = band
-        t = abs(theta - thetas[0]) / _EDGE_BAND
-        e_exp = (2.0 * t - 1.0) * ((t - 1.0) * e_exp + t * e1) + 4.0 * t * (1.0 - t) * e_half
+    e_exp = (
+        b * e_rho
+        + theta * ell * (u_min**2 / 2.0) * exprel((2.0 - theta) * ell)
+        + theta * u_min**theta * (tail_star - exp_tail(theta, u_min))
+    )
     return p_ok, e_rho, np.where(served, e_exp, 0.0)
 
 
@@ -335,13 +283,13 @@ _N_GAIN = 128
 
 @functools.lru_cache(maxsize=1)
 def _curve_nodes(theta: float, sigma: float, m: int, c: float, n_shadow: int, n_gain: int):
-    """Read-only node weights, peak SNRs ``x = c w g``, caps ``u* = ln(1 + x)`` and kernels at ``u*``.
+    """Read-only node weights, peak SNRs ``x = c w g``, caps ``u* = ln(1 + x)`` and ``R(u*)``.
 
     ``w`` are the shadowing nodes, ``g`` the gain nodes and ``c = p_link_max path_gain / i_avg``.  The
     stream count ``s`` cancels: the rate cap is ``rho* = s b_w log2(1 + x)`` and ``b = ln 2 / (s b_w)``,
-    so ``u* = b rho*`` does not depend on it, nor do the :func:`_exp_kernel` values at ``u*``, one per
-    :func:`_moment_thetas`.  Along a curve of figures 9-11 (``n = n_t = s``, gain shape 1) every
-    point shares one entry; the memo holds only the current curve's.
+    so ``u* = b rho*`` does not depend on it, nor does ``R(u*)``, the :func:`~hcppnet._special.exp_tail`
+    at ``theta``.  Along a curve of figures 9-11 (``n = n_t = s``, gain shape 1) every point shares one
+    entry; the memo holds only the current curve's.
     """
     if sigma > 0:
         t, wt = _gauss_nodes(_roots_hermite, n_shadow)
@@ -357,8 +305,7 @@ def _curve_nodes(theta: float, sigma: float, m: int, c: float, n_shadow: int, n_
     if not x_peak.max() < 1e300:  # the e^(b rho) terms of the power moment would overflow
         raise ParameterError(f"peak SNR at the power cap reaches {x_peak.max():.3g}; interference too weak")
     u_star = np.log1p(x_peak)
-    kernels = [_exp_kernel(th, u_star) for th in _moment_thetas(theta)]
-    arrays = (np.outer(w_weights, g_weights), x_peak, u_star, *kernels)
+    arrays = (np.outer(w_weights, g_weights), x_peak, u_star, exp_tail(theta, u_star))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -376,23 +323,24 @@ def energy_efficiency_quad(
 
     Gauss-Hermite nodes cover the lognormal shadowing, generalized Gauss-Laguerre
     nodes the Gamma stream gain; at each node the capped Pareto rate moments are
-    closed-form: elementary for the traffic, one ``1F1(a; a+1; u)`` antiderivative
-    with ``a = 2 - theta`` for the power, ``Ei`` at ``theta = 2``.  The power cap creates
-    kinks in the per-node integrands, so the node counts (``_N_SHADOW`` x ``_N_GAIN``)
-    are high; halving them moves results by well under a percent.
+    closed-form: elementary for the traffic, and for the power elementary terms plus
+    the pole-free series ``R(u) = int_0^u (e^t - 1 - t - t^2/2) t^(-theta-1) dt``
+    (:func:`_pareto_capped_moments`).  The power cap creates kinks in the per-node
+    integrands, so the node counts (``_N_SHADOW`` x ``_N_GAIN``) are high; halving
+    them moves results by well under a percent.
 
-    The nodes, peak SNRs and ``1F1`` kernels depend on ``theta``, the shadowing spread,
+    The nodes, peak SNRs and ``R`` at the caps depend on ``theta``, the shadowing spread,
     the gain shape and ``p_link_max path_gain / i_avg``, not on the stream count, whose
     ``ln 2 / (s b_w)`` scale cancels in the cap ``u* = ln(1 + x)``.  They are computed
     once per curve (:func:`_curve_nodes`); only the elementary, ``s``-dependent part of
-    the moments is evaluated per point.
+    the moments and the one value ``R(u_min)`` are evaluated per point.
     """
     c = float(energy.p_link_max * path_gain(scenario.channel, scenario.x_off) / i_avg)
-    wt2d, x_peak, u_star, *kernels = _curve_nodes(
+    wt2d, x_peak, u_star, tail_star = _curve_nodes(
         tm.theta, scenario.channel.sigma_s_db, cfg.gain_shape, c, _N_SHADOW, _N_GAIN
     )
     b = math.log(2.0) / (cfg.s * tm.b_w)
-    p_ok, e_rho, e_exp = _pareto_capped_moments(tm.theta, tm.rho_min, b, u_star, kernels)
+    p_ok, e_rho, e_exp = _pareto_capped_moments(tm.theta, tm.rho_min, b, u_star, tail_star)
     # required power is (e^(b rho) - 1) * cap / x_peak
     with np.errstate(invalid="ignore"):
         e_pow = np.where(p_ok > 0, e_exp * energy.p_link_max / x_peak, 0.0)

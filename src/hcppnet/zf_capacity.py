@@ -49,6 +49,16 @@ class AntennaConfig:
         return self.n_t - self.s + 1
 
 
+def _check_link_draws(rho=None, w_ii=None, gain=None) -> None:
+    """Reject a negative rate, a nonpositive shadowing factor or a negative gain among the arrays given."""
+    if rho is not None and np.any(rho < 0):
+        raise ParameterError("rho must be nonnegative")
+    if w_ii is not None and np.any(w_ii <= 0):
+        raise ParameterError("w_ii must be positive")
+    if gain is not None and np.any(gain < 0):
+        raise ParameterError("gain must be nonnegative")
+
+
 def subchannel_capacity(
     cfg: AntennaConfig,
     b_w: float,
@@ -71,10 +81,7 @@ def subchannel_capacity(
     check("p_ik", p_ik, (">=", 0))
     w_arr = np.asarray(w_ii, dtype=float)
     g_arr = np.asarray(gain, dtype=float)
-    if np.any(w_arr <= 0):
-        raise ParameterError("w_ii must be positive")
-    if np.any(g_arr < 0):
-        raise ParameterError("gain must be nonnegative")
+    _check_link_draws(w_ii=w_arr, gain=g_arr)
     snr = p_ik * path_gain(channel, x_off) * w_arr * g_arr / i_avg
     out = cfg.s * b_w * np.log1p(snr) / math.log(2.0)  # log1p: exact at small SNR
     return out if out.ndim else float(out)
@@ -125,7 +132,7 @@ def _gamma_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) -> np
 
 def _se_estimate(cfg: AntennaConfig, xi: float, gains: np.ndarray) -> Estimate:
     """Spectral efficiency at ``xi`` on the gain draws of :func:`_gamma_gains`."""
-    return Estimate.from_samples(np.log2(1.0 + (xi / cfg.s) * gains).sum(axis=1))
+    return Estimate.from_samples(np.log1p((xi / cfg.s) * gains).sum(axis=1) / math.log(2.0))
 
 
 def _jacobi_rule(n: int, mu0: float, diag, off, poly, dpoly, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:
@@ -232,4 +239,4 @@ def spectral_efficiency_exact(cfg: AntennaConfig, xi: float) -> float:
 def spectral_efficiency_bound(cfg: AntennaConfig, xi: float) -> float:
     """Closed-form upper bound ``s * log2(1 + (xi/s)(n_t - s + 1))`` (mean gain inside the log)."""
     _check_xi(xi)
-    return cfg.s * math.log2(1.0 + (xi / cfg.s) * cfg.gain_shape)
+    return cfg.s * math.log1p((xi / cfg.s) * cfg.gain_shape) / math.log(2.0)

@@ -181,8 +181,16 @@ def test_avg_link_power_all_outage_degenerate():
 
 
 @pytest.mark.filterwarnings("error")
+def test_energy_efficiency_quad_serves_nothing_quietly_past_the_double_range():
+    # a rate floor whose e^(b rho_min) is past the double range: R(u_min) is inf and every node is in outage
+    tm, en, sc = default_models()
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+    assert energy_efficiency_quad(AntennaConfig(8, 1), replace(tm, rho_min=1e9), sc, en, i_avg, intensity) == 0.0
+
+
+@pytest.mark.filterwarnings("error")
 def test_energy_efficiency_quad_rejects_overflowing_peak_snr():
-    # past e^709 the power moment overflows, and the 1F1 kernel is not finite at an infinite argument;
+    # past e^709 the power moment overflows, and exp_tail is not finite at an infinite argument;
     # at 1e-315 the peak SNR itself overflows to inf, and the ParameterError is still the only report
     tm, en, sc = default_models()
     _, intensity, _ = model_interference("hcpp", sc)
@@ -248,15 +256,15 @@ def test_energy_efficiency_quad_is_independent_of_the_memo():
 
 
 def test_energy_efficiency_quad_evaluates_one_kernel_per_curve(monkeypatch):
-    # figure 9 sweeps n = n_t = s at gain shape 1: its 4 curves of 16 points need 4 full-grid 1F1 calls
+    # figure 9 sweeps n = n_t = s at gain shape 1: its 4 curves of 16 points need 4 full-grid exp_tail calls
     calls = []
-    exp_integral = energy.exp_integral
+    exp_tail = energy.exp_tail
 
-    def counting(a, u):
+    def counting(theta, u):
         calls.append(np.size(u))
-        return exp_integral(a, u)
+        return exp_tail(theta, u)
 
-    monkeypatch.setattr(energy, "exp_integral", counting)
+    monkeypatch.setattr(energy, "exp_tail", counting)
     energy._curve_nodes.cache_clear()
     run_figure(9, config_from_dict({"seed": 7}), reps=3, workers=1)
     assert sum(n == energy._N_SHADOW * energy._N_GAIN for n in calls) == 4
@@ -334,10 +342,13 @@ def test_energy_efficiency_heavier_traffic_tail_carries_more_bits():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(1.01, 2.0), st.integers(1, 16), st.floats(0.0, 1.0))
+@given(st.floats(1.0, 2.0, exclude_min=True), st.integers(1, 16), st.floats(0.0, 1.0))
 @example(2.0, 1, 0.0)
 @example(2.0, 16, 1.0)
 @example(1.01, 4, 1.0)
+@example(1.0 + 1e-9, 1, 0.5)
+@example(1.0002, 2, 0.3)
+@example(2.0 - 1e-9, 8, 0.7)
 def test_capped_moments_match_mpmath_quadrature(theta, s, x):
     # u = b rho from 1.01 b rho_min to 60, log-uniform in x
     rho_min, b_w = 2e4, 1e4
@@ -345,8 +356,7 @@ def test_capped_moments_match_mpmath_quadrature(theta, s, x):
     u_lo = 1.01 * b * rho_min
     u_star = u_lo * (60.0 / u_lo) ** x
     u = np.array([u_star])
-    kernels = [energy._exp_kernel(th, u) for th in energy._moment_thetas(theta)]
-    p_ok, e_rho, e_exp = energy._pareto_capped_moments(theta, rho_min, b, u, kernels)
+    p_ok, e_rho, e_exp = energy._pareto_capped_moments(theta, rho_min, b, u, energy.exp_tail(theta, u))
     with mpmath.workdps(40):
         th, u_min, u_hi = mpmath.mpf(theta), mpmath.mpf(b * rho_min), mpmath.mpf(u_star)
 
@@ -356,7 +366,7 @@ def test_capped_moments_match_mpmath_quadrature(theta, s, x):
 
         want = (moment(lambda u: 1), moment(lambda u: u / b), moment(mpmath.expm1))
     for got, ref in zip((p_ok, e_rho, e_exp), want):
-        assert got[0] == pytest.approx(float(ref), rel=1e-9, abs=0.0)
+        assert got[0] == pytest.approx(float(ref), rel=1e-13, abs=0.0)
 
 
 def _default_ee(theta, n_t, s):
@@ -387,7 +397,6 @@ def test_energy_efficiency_quad_at_theta_edges(theta, n_t, s, expected):
 
 
 def test_energy_efficiency_quad_is_continuous_at_theta_edges():
-    # one ulp inside (1, 2], where the 1/(theta - 1) and 1/(2 - theta) terms
-    # of the closed form would cancel to no correct digit
+    # one ulp inside (1, 2]: no moment has a pole at either end, so the value is continuous there
     assert _default_ee(math.nextafter(2.0, 1.0), 8, 1) == pytest.approx(_default_ee(2.0, 8, 1), rel=1e-12, abs=0.0)
     assert _default_ee(math.nextafter(1.0, 2.0), 8, 1) == pytest.approx(_default_ee(1.0 + 1e-6, 8, 1), rel=1e-6, abs=0.0)

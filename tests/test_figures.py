@@ -38,37 +38,37 @@ GOLDEN = {
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
     ),
     6: (
-        "1fc1703ce58b2d7a52be235a51f9c7ef3304ea020dd4d1b71f6067edeb1edbe2",
+        "b7dcfe38c4d1a939a1aa8620340f5784eabfe642beff8ce344d0046a6958857f",
         39,
         "xi",
         ["n_t=2", "n_t=4", "n_t=8"],
     ),
     7: (
-        "4eaf6f9557455d1e851c4e2ca4224bbd6d96df983d402344a3223e6261116ea4",
+        "be48aafe9abb947aab4cfc4499306c890799f72e2bc35a1ffca8b2655d8b8068",
         52,
         "xi",
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "5791fcd65043f4020e831701106ee5695a27aa9c90ea794438449c7b3eb0d0ad",
+        "e9abfc05efd5c7b5b6fdddd6a407aa56601771dcd4b30a7bd6b04748037108b5",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "d881421ebe27d8587aaffc06860a67c084bd7268d03813faef5f823b39604aec",
+        "8726ef633f5f3d1029307e0ab19f65c7b298661e9b2a62806df6cccda67dabeb",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "d21e2e4f6447c7ebd1491ef034f9f7477b15eaacd346ef4ec95056aab0d46a89",
+        "a883d0bdcf24c1df59c24d3f6446cdd2d95e38748fdb43fc8b8d39478e9dfff0",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "a681aada5ce76b1b71036a948fe79c9613d64cab477d402e95ac68c4dfae6495",
+        "2c2a7e47912f8d221b6c049c65b1f0bfd422f6904bd68beacabfd36abec3ad02",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import special, stats
@@ -84,7 +85,7 @@ def test_spectral_efficiency_mc_agrees_with_exact():
 
 @pytest.mark.parametrize(
     ("n_t", "s", "xi", "mean", "std_error"),
-    [(8, 4, 10.0, 14.534687485682888, 0.02621032962482508), (2, 1, 0.1, 0.26085762153470604, 0.0035877659880908775)],
+    [(8, 4, 10.0, 14.534687485682888, 0.026210329624825085), (2, 1, 0.1, 0.26085762153470604, 0.0035877659880908775)],
 )
 def test_single_row_estimate_is_pinned(n_t, s, xi, mean, std_error):
     # a single-row run draws and estimates exactly as before figure curves shared their gains
@@ -130,7 +131,7 @@ def test_spectral_efficiency_mc_matrix_route_agrees():
 def test_bound_dominates_and_is_tight_at_low_xi():
     for n_t, s in ((2, 1), (4, 2), (8, 8)):
         cfg = AntennaConfig(n_t, s)
-        for xi in (0.01, 0.1, 1.0, 10.0, 100.0, 1000.0):
+        for xi in (1e-12, 1e-9, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0):
             bound = spectral_efficiency_bound(cfg, xi)
             exact = spectral_efficiency_exact(cfg, xi)
             assert bound >= exact
@@ -139,6 +140,16 @@ def test_bound_dominates_and_is_tight_at_low_xi():
     assert spectral_efficiency_bound(cfg, 1e-4) == pytest.approx(
         spectral_efficiency_exact(cfg, 1e-4), rel=0.02
     )
+
+
+@pytest.mark.parametrize(("n_t", "s"), [(2, 1), (4, 2), (8, 8)])
+def test_bound_keeps_its_digits_down_to_the_smallest_xi(n_t, s):
+    # log2(1 + y) would round y to the unit roundoff: the bound would fall below exact and, by 1e-300, to 0.0
+    cfg = AntennaConfig(n_t, s)
+    for xi in 10.0 ** -np.arange(0.0, 301.0, 10.0):
+        with mpmath.workdps(40):
+            want = s * mpmath.log1p(mpmath.mpf(xi) * cfg.gain_shape / s) / mpmath.log(2)
+        assert spectral_efficiency_bound(cfg, xi) == pytest.approx(float(want), rel=1e-15, abs=0.0)
 
 
 def test_bound_closed_form():
