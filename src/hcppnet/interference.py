@@ -73,9 +73,19 @@ class Estimate:
 
     @classmethod
     def from_samples(cls, values: np.ndarray) -> "Estimate":
-        """Sample mean of i.i.d. draws with its standard error (``inf`` for one draw)."""
+        """Sample mean of i.i.d. draws with its standard error (``inf`` for one draw).
+
+        The deviations are squared after scaling the draws by a power of two
+        that brings the largest into [1/2, 1), so tiny draws, subnormal ones
+        included, keep a positive standard error; the scaling is exact, so
+        draws of normal size give the bits of the unscaled formula.
+        """
         n = values.shape[0]
-        std_error = float(values.std(ddof=1) / math.sqrt(n)) if n >= 2 else float("inf")
+        std_error = float("inf")
+        if n >= 2:
+            e = int(np.frexp(np.max(np.abs(values)))[1])
+            scaled = np.ldexp(values, -e)  # not values * ldexp(1, -e): that factor overflows for subnormal draws
+            std_error = math.ldexp(float(scaled.std(ddof=1) / math.sqrt(n)), e)
         return cls(mean=float(values.mean()), std_error=std_error, replications=n)
 
 
@@ -202,27 +212,34 @@ def _truncation_radius(rows) -> float:
     return max(2.0 * (s.hcpp.delta + s.x_off) + 2.0 / math.sqrt(s.hcpp.lambda_p) for s, _ in rows)
 
 
-def _min_image(points: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray]:
-    """Differences ``points[j] - points[i]`` at ``[i, j]`` on the torus of edge ``side``, and their squared norms."""
-    diff = points[None, :, :] - points[:, None, :]
-    diff -= side * np.round(diff / side)  # minimum image
-    return diff, np.einsum("ijk,ijk->ij", diff, diff)
+def _min_image(points: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Differences ``points[j] - points[i]`` at ``[i, j]`` on the torus of edge ``side``, and their squared norms.
+
+    The differences come as an x and a y plane, each minimum-imaged on its own.
+    """
+    x, y = points.T
+    dx = x[None, :] - x[:, None]
+    dy = y[None, :] - y[:, None]
+    dx -= side * np.rint(dx / side)
+    dy -= side * np.rint(dy / side)
+    return dx, dy, dx * dx + dy * dy
 
 
-def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, delta: float) -> np.ndarray:
-    """Indices of the Matern type-II survivors, given the squared pair distances ``dist2`` of the parents.
+def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, deltas) -> list[np.ndarray]:
+    """Matern type-II survivor masks at each spacing of ``deltas``, given the squared pair distances ``dist2``.
 
     A parent dies when another within ``delta`` (inclusive) has a smaller
     mark, or an equal mark and an earlier index, as in
-    :func:`~hcppnet.point_process.matern2_thin`; ``delta == 0`` keeps every parent.
+    :func:`~hcppnet.point_process.matern2_thin`; ``delta == 0`` keeps every
+    parent.  The marks are ranked once for all the spacings.
     """
     n = len(marks)
-    if delta == 0:
-        return np.arange(n)
     rank = np.empty(n, dtype=np.intp)
     rank[np.argsort(marks, kind="stable")] = np.arange(n)
-    beaten = (dist2 <= delta**2) & (rank[:, None] < rank[None, :])
-    return np.flatnonzero(~beaten.any(axis=0))
+    outranks = rank[:, None] < rank[None, :]
+    return [
+        np.ones(n, dtype=bool) if delta == 0 else ~((dist2 <= delta**2) & outranks).any(axis=0) for delta in deltas
+    ]
 
 
 def _user_distances2(offsets: np.ndarray, px: np.ndarray, py: np.ndarray, ux: np.ndarray, uy: np.ndarray):
@@ -245,42 +262,44 @@ def _user_distances2(offsets: np.ndarray, px: np.ndarray, py: np.ndarray, ux: np
 def _one_realization(lambda_p: float, plan, r_trunc: float, rng: np.random.Generator, n_rows: int):
     """Summed truncated path loss ``d**-alpha`` per row over every station of one deployment, and their count.
 
-    The parents live on a torus of side ``2 * r_trunc``; each spacing of
-    ``plan`` (see :func:`_row_plan`) thins them on one minimum-image matrix,
-    and each survivor is tagged in turn, as :func:`mc_interference`
-    describes.  A spacing's pairs within ``r_trunc`` are gathered once; the
-    user-to-station distances are computed once per distinct offset, and
-    the rows' powers and sums are whole-array operations over that offset
-    table.  ``nearest`` rows also drop interferers within ``x_off`` of the
-    user (nearest-station association, for the Poisson baseline), filtered
-    per offset so that each row sums the same values in the same order as
-    it would alone.
+    The parents live on a torus of side ``2 * r_trunc``, held as one
+    minimum-image x plane, y plane and squared-distance matrix.  The mark
+    ranks and the in-play mask (pairs within ``r_trunc``) are computed once;
+    each spacing of ``plan`` (see :func:`_row_plan`) thins the parents by
+    mark comparison and takes its pairs with one flat-index search over the
+    in-play mask of its survivors, and each survivor is tagged in turn, as
+    :func:`mc_interference` describes.  The user-to-station distances are
+    computed once per distinct offset, and the rows' powers and sums are
+    whole-array operations over that offset table.  ``nearest`` rows also
+    drop interferers within ``x_off`` of the user (nearest-station
+    association, for the Poisson baseline), filtered per offset so that each
+    row sums the same values in the same order as it would alone.
     """
     side = 2.0 * r_trunc
     parents = sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
-    marks = rng.random(len(parents))
-    diff, dist2 = _min_image(parents, side)
-    kept = [_mark_thinning(dist2, marks, delta) for delta, *_ in plan]
+    n = len(parents)
+    marks = rng.random(n)
+    dx, dy, dist2 = _min_image(parents, side)
+    kept = _mark_thinning(dist2, marks, [delta for delta, *_ in plan])
     # the survivors of the smallest spacing include those of every larger one
-    theta = rng.uniform(0.0, 2.0 * np.pi, len(kept[0]))
-    ux, uy = np.empty(len(parents)), np.empty(len(parents))
+    theta = rng.uniform(0.0, 2.0 * np.pi, np.count_nonzero(kept[0]))
+    ux, uy = np.empty(n), np.empty(n)
     ux[kept[0]], uy[kept[0]] = np.cos(theta), np.sin(theta)
+    inplay = dist2 <= r_trunc**2
+    np.fill_diagonal(inplay, False)
     totals, counts = np.empty(n_rows), np.empty(n_rows)
-    for stations, (_, offsets, ks, plain, near) in zip(kept, plan):
-        inplay = dist2[np.ix_(stations, stations)] <= r_trunc**2
-        np.fill_diagonal(inplay, False)
-        user_idx, station_idx = np.nonzero(inplay)
-        users = stations[user_idx]
-        # take on the flat index is several times faster than indexing diff by the two index arrays
-        px, py = diff.reshape(-1, 2).take(users * len(parents) + stations[station_idx], axis=0).T
-        d2 = _user_distances2(offsets, px, py, ux[users], uy[users])
+    for keep, (_, offsets, ks, plain, near) in zip(kept, plan):
+        # row-major over the survivors' pairs: each row sums its pairs in the same order at any spacing
+        flat = np.flatnonzero(inplay & keep[:, None] & keep[None, :])
+        users = flat // n
+        d2 = _user_distances2(offsets, dx.take(flat), dy.take(flat), ux.take(users), uy.take(users))
         k, x_idx, neg_half_alpha = plain
         powered = d2[x_idx]  # (rows, pairs); the power overwrites it, so one such array is alive at a time
         totals[k] = np.power(powered, neg_half_alpha[:, None], out=powered).sum(axis=1)
         for j, x_sq, k, neg_half_alpha in near:
             beyond = d2[j][d2[j] > x_sq]
             totals[k] = (beyond ** neg_half_alpha[:, None]).sum(axis=1)
-        counts[ks] = len(stations)
+        counts[ks] = np.count_nonzero(keep)
     return totals, counts
 
 

@@ -173,6 +173,15 @@ def test_se_reports_bound_exact_and_mc(capsys):
     assert payload["mc_mean_bit_s_hz"] == pytest.approx(payload["exact_bit_s_hz"], rel=0.05)
 
 
+@pytest.mark.parametrize("xi", ["1e-300", "1e-310", "1e-320"])
+def test_se_standard_error_of_tiny_rates_stays_positive(xi, capsys):
+    # squaring deviations of about xi underflows to 0 unless the draws are scaled first
+    code, out, err = run_cli(["se", "--n-t", "4", "--s", "2", "--xi", xi], capsys)
+    assert code == 0, err
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert 0.0 < payload["mc_std_error"] < payload["mc_mean_bit_s_hz"]
+
+
 def test_se_rejects_more_streams_than_antennas(capsys):
     code, _, err = run_cli(["se", "--n-t", "2", "--s", "4"], capsys)
     assert code == 3

@@ -32,6 +32,7 @@ from hcppnet import (
 from hcppnet import interference
 from hcppnet.figures import _by_seed_key, _rng_for, _tasks
 from hcppnet.interference import (
+    Estimate,
     _child_streams,
     _mark_thinning,
     _mc_row,
@@ -350,14 +351,24 @@ def test_layout_rows_must_share_the_parent_intensity():
 
 
 def _row_loop_realization(lambda_p, by_delta, r_trunc, rng, n_rows):
-    # the reference: one realization summed row by row, each row on its own gathered pairs
+    # the reference: one realization summed row by row, each row on its own gathered pairs, with the minimum
+    # image, Matern-II thinning and pair gathers written out on the (n, n, 2) difference tensor
     side = 2.0 * r_trunc
     parents = interference.sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
-    marks = rng.random(len(parents))
-    diff, dist2 = _min_image(parents, side)
-    kept = [_mark_thinning(dist2, marks, delta) for delta, _ in by_delta]
+    n = len(parents)
+    marks = rng.random(n)
+    diff = parents[None, :, :] - parents[:, None, :]
+    diff -= side * np.round(diff / side)
+    dist2 = np.einsum("ijk,ijk->ij", diff, diff)
+    rank = np.empty(n, dtype=np.intp)
+    rank[np.argsort(marks, kind="stable")] = np.arange(n)
+    beats = rank[:, None] < rank[None, :]  # a smaller mark, or an equal one at an earlier index
+    kept = [
+        np.flatnonzero(~((dist2 <= delta**2) & beats).any(axis=0)) if delta > 0 else np.arange(n)
+        for delta, _ in by_delta
+    ]
     theta = rng.uniform(0.0, 2.0 * np.pi, len(kept[0]))
-    unit = np.empty((len(parents), 2))
+    unit = np.empty((n, 2))
     unit[kept[0]] = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     totals, counts = np.empty(n_rows), np.empty(n_rows)
     for stations, (_, rows) in zip(kept, by_delta):
@@ -419,8 +430,10 @@ def test_grouped_rows_sum_exactly_as_the_row_loop(specs, lambda_scale, parents_k
     ]
     draw = interference.sample_ppp
     truncated = draw if parents_kept is None else (lambda *args: draw(*args)[:parents_kept])
-    with mock.patch.object(interference, "sample_ppp", truncated):
+    with mock.patch.object(interference, "sample_ppp", wraps=truncated) as draws:
         grouped = _tagged_station_mc(rows, 3, np.random.default_rng(seed))
+        # every realization draws its parents through the patched name, so the truncated cases test something
+        assert draws.call_count == 3
         looped = _row_loop_mc(rows, 3, np.random.default_rng(seed))
     assert np.array_equal(grouped[0], looped[0]) and np.array_equal(grouped[1], looped[1])
 
@@ -442,6 +455,22 @@ def test_figure_family_sums_are_pinned(figure_id, digest):
     assert hashlib.sha256(totals.tobytes() + counts.tobytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "grid_idx, delta, x_off, alpha, digest",
+    [
+        (13, 300.0, 200.0, 4.2, "71282e309a986bb70ba1007b014d22de91c47251aa6de30be61aec61eb10d797"),
+        (16, 500.0, 0.0, 3.4, "fa6d577daf3c224bfbdc6f2c0491275f07522aa89c06f9629751553cff3bd9fd"),
+        (25, 500.0, 400.0, 3.8, "29b73916d484237f3f60df144bd9bc221ffd5825664c439b85147615c7204f2f"),
+    ],
+)
+def test_c03_grid_point_sums_are_pinned(grid_idx, delta, x_off, alpha, digest):
+    # the first 64 realizations of three c03 grid points, at c03's own seed keys: its fixed-seed
+    # z-scores rest on these draws and sums, at points away from the default one pinned above
+    rng = np.random.default_rng(np.random.SeedSequence((20260818, grid_idx)))
+    totals, counts = _tagged_station_mc([_mc_row("hcpp", scenario(x_off, delta, alpha))], 64, rng)
+    assert hashlib.sha256(totals.tobytes() + counts.tobytes()).hexdigest() == digest
+
+
 # Integer coordinates keep every squared distance exact, so points exactly
 # delta apart are decided the same way by both sides; three mark values force ties.
 @settings(max_examples=400, deadline=None)
@@ -457,7 +486,7 @@ def test_mc_thinning_matches_matern2_thin_where_no_pair_wraps(marked, delta):
     side = 26.0
     pts = np.array([(x, y) for x, y, _ in marked], dtype=float).reshape(-1, 2)
     marks = np.array([m for _, _, m in marked])
-    kept = _mark_thinning(_min_image(pts, side)[1], marks, float(delta))
+    (kept,) = _mark_thinning(_min_image(pts, side)[2], marks, [float(delta)])
     expected = matern2_thin(pts, float(delta), marks, Window(0.0, side, 0.0, side))
     assert np.array_equal(pts[kept], expected)
 
@@ -465,7 +494,8 @@ def test_mc_thinning_matches_matern2_thin_where_no_pair_wraps(marked, delta):
 def test_mc_thinning_competes_across_the_seam():
     # 2 m apart across the edge of a 20 m torus, 18 m apart in the plane
     pts = np.array([[19.0, 5.0], [1.0, 5.0]])
-    assert _mark_thinning(_min_image(pts, 20.0)[1], np.array([0.6, 0.2]), 3.0).tolist() == [1]
+    (kept,) = _mark_thinning(_min_image(pts, 20.0)[2], np.array([0.6, 0.2]), [3.0])
+    assert np.flatnonzero(kept).tolist() == [1]
     assert matern2_thin(pts, 3.0, marks=[0.6, 0.2], window=Window(0.0, 20.0, 0.0, 20.0)).tolist() == pts.tolist()
 
 
@@ -539,3 +569,15 @@ def test_estimate_single_replication_flags_unknown_error():
     est = mc_interference(scenario(100.0), 1, np.random.default_rng(3))
     assert est.replications == 1
     assert math.isinf(est.std_error)
+
+
+_SAMPLE = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_SAMPLE, min_size=1, max_size=40), st.integers(-900, 900))
+def test_estimate_scales_exactly_by_powers_of_two(values, k):
+    # a power-of-two scale is exact, so scaling the draws scales the mean and the standard error bit for bit
+    est = Estimate.from_samples(np.array(values))
+    scaled = Estimate.from_samples(np.ldexp(np.array(values), k))
+    assert scaled == Estimate(math.ldexp(est.mean, k), math.ldexp(est.std_error, k), len(values))

@@ -62,6 +62,27 @@ def test_sample_ppp_count_and_bounds():
     assert w.contains(pts).all()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(-1e6, 1e6),
+    st.floats(-1e6, 1e6),
+    st.floats(1e-3, 1e6),
+    st.floats(1e-3, 1e6),
+    st.floats(0.1, 300.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_sample_ppp_draws_what_rng_uniform_draws(x_min, y_min, width, height, mean_count, seed):
+    # the in-place scale and shift is rng.uniform's own arithmetic on the same draws, bit for bit,
+    # and leaves the generator where rng.uniform leaves it
+    w = Window(x_min, x_min + width, y_min, y_min + height)
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    pts = sample_ppp(mean_count / w.area, w, ours)
+    n = theirs.poisson(mean_count / w.area * w.area)
+    expected = theirs.uniform((w.x_min, w.y_min), (w.x_max, w.y_max), size=(n, 2))
+    assert pts.shape == expected.shape and pts.tobytes() == expected.tobytes()
+    assert ours.random() == theirs.random()
+
+
 def test_matern_thinning_enforces_hard_core():
     rng = np.random.default_rng(2)
     w = Window.square(5000.0)
