@@ -8,6 +8,7 @@ divergence error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,6 +41,7 @@ def _override(parser: argparse.ArgumentParser, flag: str, key: str, text: str) -
     parser.add_argument(flag, dest="/" + key, type=key_type(key), metavar=metavar, help=f"{text}; sets {key}")
 
 
+@functools.cache  # built once per process: parsing does not change the parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcppnet",

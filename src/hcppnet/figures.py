@@ -15,10 +15,10 @@ row drawn from the same set.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import os
 from dataclasses import dataclass, field, replace
-from importlib import metadata as _im
 
 import numpy as np
 
@@ -39,10 +39,16 @@ from .zf_capacity import AntennaConfig, _gamma_gains, _se_estimate, spectral_eff
 
 __all__ = ["FIGURE_IDS", "ResultRow", "ResultTable", "run_figure"]
 
-try:
-    _VERSION = _im.version("hcppnet")
-except _im.PackageNotFoundError:
-    _VERSION = "0.0.0"
+
+@functools.cache
+def _package_version() -> str:
+    """The installed package's version, or ``0.0.0`` in a source tree; read on a figure's first run."""
+    from importlib import metadata
+
+    try:
+        return metadata.version("hcppnet")
+    except metadata.PackageNotFoundError:
+        return "0.0.0"
 
 
 @dataclass(frozen=True)
@@ -393,7 +399,7 @@ def run_figure(
         "axis": axis,
         "seed": cfg.seed,
         "workers_affect_output": False,
-        "package_version": _VERSION,
+        "package_version": _package_version(),
         "series": list(dict.fromkeys(r.series for r in rows)),
         "units": rows[0].units if rows else None,
         "columns": list(ResultTable.CSV_HEADER),

@@ -231,9 +231,12 @@ def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, deltas) -> list[np.ndar
     A parent dies when another within ``delta`` (inclusive) has a smaller
     mark, or an equal mark and an earlier index, as in
     :func:`~hcppnet.point_process.matern2_thin`; ``delta == 0`` keeps every
-    parent.  The marks are ranked once for all the spacings.
+    parent.  The marks are ranked once for all the spacings, and not at all
+    when every spacing is 0.
     """
     n = len(marks)
+    if not any(deltas):
+        return [np.ones(n, dtype=bool)] * len(deltas)
     rank = np.empty(n, dtype=np.intp)
     rank[np.argsort(marks, kind="stable")] = np.arange(n)
     outranks = rank[:, None] < rank[None, :]
@@ -288,9 +291,10 @@ def _one_realization(lambda_p: float, plan, r_trunc: float, rng: np.random.Gener
     inplay = dist2 <= r_trunc**2
     np.fill_diagonal(inplay, False)
     totals, counts = np.empty(n_rows), np.empty(n_rows)
-    for keep, (_, offsets, ks, plain, near) in zip(kept, plan):
-        # row-major over the survivors' pairs: each row sums its pairs in the same order at any spacing
-        flat = np.flatnonzero(inplay & keep[:, None] & keep[None, :])
+    for keep, (delta, offsets, ks, plain, near) in zip(kept, plan):
+        # row-major over the survivors' pairs: each row sums its pairs in the same order at any spacing;
+        # at spacing 0 every parent survives, so its pairs are the in-play ones
+        flat = np.flatnonzero(inplay if delta == 0 else inplay & keep[:, None] & keep[None, :])
         users = flat // n
         d2 = _user_distances2(offsets, dx.take(flat), dy.take(flat), ux.take(users), uy.take(users))
         k, x_idx, neg_half_alpha = plain

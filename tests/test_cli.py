@@ -77,6 +77,22 @@ def test_usage_error_exits_2():
     assert exc.value.code == 2
 
 
+def test_the_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_usage_error_exits_2_after_a_successful_run(capsys):
+    # the shared parser keeps no state from a run that parsed: no error is lost, no value carried over
+    code, default_out, _ = run_cli(["interference"], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["interference", "--x-off", "250"], capsys)
+    assert code == 0 and out != default_out
+    with pytest.raises(SystemExit) as exc:
+        main(["interference", "--x-off"])
+    assert exc.value.code == 2
+    assert run_cli(["interference"], capsys)[:2] == (0, default_out)
+
+
 def test_interference_analytic_json(capsys):
     code, out, _ = run_cli(["interference", "--x-off", "300"], capsys)
     assert code == 0
@@ -514,8 +530,9 @@ def test_no_library_module_imports_scipy():
 
 
 def test_loading_the_defaults_needs_no_schema_or_spatial_module():
-    # nor the YAML parser, which only a config file needs, nor the process pool, which a serial run skips
-    lazy = "{'jsonschema', 'scipy.spatial', 'yaml', 'concurrent.futures.process'}"
+    # nor the YAML parser, which only a config file needs, nor the process pool, which a serial run skips,
+    # nor the package metadata reader, which only a figure's .meta.json needs
+    lazy = "{'jsonschema', 'scipy.spatial', 'yaml', 'concurrent.futures.process', 'importlib.metadata'}"
     code = (
         "import sys, hcppnet, hcppnet.cli; hcppnet.load_config(None); "
         f"print(sorted({lazy} & set(sys.modules))); "

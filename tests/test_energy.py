@@ -256,7 +256,8 @@ def test_energy_efficiency_quad_is_independent_of_the_memo():
 
 
 def test_energy_efficiency_quad_evaluates_one_kernel_per_curve(monkeypatch):
-    # figure 9 sweeps n = n_t = s at gain shape 1: its 4 curves of 16 points need 4 full-grid exp_tail calls
+    # figure 9 sweeps n = n_t = s at gain shape 1: its 4 curves of 16 points need 4 exp_tail calls on the kept
+    # nodes, about a third of the grid; every other call is the one value R(u_min) of a point
     calls = []
     exp_tail = energy.exp_tail
 
@@ -267,7 +268,56 @@ def test_energy_efficiency_quad_evaluates_one_kernel_per_curve(monkeypatch):
     monkeypatch.setattr(energy, "exp_tail", counting)
     energy._curve_nodes.cache_clear()
     run_figure(9, config_from_dict({"seed": 7}), reps=3, workers=1)
-    assert sum(n == energy._N_SHADOW * energy._N_GAIN for n in calls) == 4
+    node_calls = [n for n in calls if n > 1]
+    assert len(node_calls) == 4
+    assert all(3000 < n < energy._N_SHADOW * energy._N_GAIN / 3 for n in node_calls)
+
+
+def _full_tensor_ee(cfg, tm, sc, en, i_avg, intensity):
+    # energy_efficiency_quad written out over every node of the 96 x 128 tensor, none dropped
+    sigma = sc.channel.sigma_s_db
+    if sigma > 0:
+        t, wt = energy._gauss_nodes(energy._roots_hermite, energy._N_SHADOW)
+        w, w_wt = np.exp(math.sqrt(2.0) * sigma * t * (math.log(10.0) / 10.0)), wt / math.sqrt(math.pi)
+    else:
+        w, w_wt = np.array([1.0]), np.array([1.0])
+    g, g_wt = energy._gauss_nodes(energy._roots_genlaguerre, energy._N_GAIN, cfg.gain_shape - 1)
+    x = float(en.p_link_max * path_gain(sc.channel, sc.x_off) / i_avg) * np.outer(w, g)
+    u = np.log1p(x)
+    b = math.log(2.0) / (cfg.s * tm.b_w)
+    p_ok, e_rho, e_exp = energy._pareto_capped_moments(tm.theta, tm.rho_min, b, u, energy.exp_tail(tm.theta, u))
+    with np.errstate(invalid="ignore"):
+        e_pow = np.where(p_ok > 0, e_exp * en.p_link_max / x, 0.0)
+    weights = np.outer(w_wt, g_wt)
+    p_served = float((weights * p_ok).sum())
+    if 1.0 - p_served >= 1.0:
+        return 0.0
+    mean_traffic = float((weights * e_rho).sum()) / p_served
+    mean_power = float((weights * e_pow).sum()) / p_served
+    watts = mean_power / en.eta + cfg.n_t * en.p_rf_chain + en.p_sta / links_per_bs(en, intensity)
+    return (mean_traffic / tm.b_w) / watts
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(1.0, 2.0, exclude_min=True),
+    st.integers(1, 16).flatmap(lambda n_t: st.tuples(st.just(n_t), st.integers(1, n_t))),
+    st.floats(0.0, 14.0),
+    st.floats(-6.0, 2.0),
+    st.floats(2.0, 6.0),
+)
+@example(1.8, (8, 4), 6.0, -7.0, math.log10(2e4))  # the defaults at p_link_max = 1e-7: P(served) about 3.7e-15
+@example(1.0 + 1e-9, (16, 16), 0.0, 2.0, 2.0)
+@example(1.5, (8, 4), 6.0, -6.0, 6.0)  # nothing served
+def test_kept_nodes_sum_to_the_full_tensor(theta, antennas, sigma, log_p_link_max, log_rho_min):
+    cfg = load_config(None)
+    sc = cfg.ee_scenario()
+    sc = replace(sc, channel=replace(sc.channel, sigma_s_db=sigma))
+    tm = replace(cfg.traffic, theta=theta, rho_min=10.0**log_rho_min)
+    en = replace(cfg.energy, p_link_max=10.0**log_p_link_max)
+    i_avg, intensity, _ = model_interference("hcpp", sc)
+    args = (AntennaConfig(*antennas), tm, sc, en, i_avg, intensity)
+    assert energy_efficiency_quad(*args) == pytest.approx(_full_tensor_ee(*args), rel=1e-14, abs=0.0)
 
 
 @pytest.mark.parametrize(

@@ -50,25 +50,25 @@ GOLDEN = {
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "e9abfc05efd5c7b5b6fdddd6a407aa56601771dcd4b30a7bd6b04748037108b5",
+        "47dbe7ff8ad8f412a76bdde0f17ebc199075db64bc31dcf85d2dbed3d889d9d5",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "8726ef633f5f3d1029307e0ab19f65c7b298661e9b2a62806df6cccda67dabeb",
+        "2923d1e32b1eb6b4e878f5bffdf407de40d5a3afaf879402514ab9b1a223b6f9",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "a883d0bdcf24c1df59c24d3f6446cdd2d95e38748fdb43fc8b8d39478e9dfff0",
+        "d9d2f77f9072b9263e75ce8d411a9f24e228927bec2f4dbb6f31a318cb77e047",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "2c2a7e47912f8d221b6c049c65b1f0bfd422f6904bd68beacabfd36abec3ad02",
+        "45ecf5bbd06fc6ddc76dc5384cd9f9dec0e3f4c91857a2b7115a5724d7ec37ba",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],

@@ -344,6 +344,15 @@ def test_a_row_sharing_its_spacing_and_radius_keeps_its_sums():
     assert not np.array_equal(shared[0][0], shared[0][1])
 
 
+def test_a_poisson_only_layout_set_ranks_no_marks():
+    # at spacing 0 no parent can die, so the marks are ranked only when some row has a positive spacing
+    poisson = [_mc_row("ppp", scenario(200.0)), _mc_row("ppp", scenario(300.0, alpha=4.2))]
+    for rows, ranked in ((poisson, 0), (poisson + [_mc_row("hcpp", scenario(300.0))], 5)):
+        with mock.patch.object(interference.np, "argsort", wraps=np.argsort) as argsort:
+            _tagged_station_mc(rows, 5, np.random.default_rng(3))
+        assert argsort.call_count == ranked
+
+
 def test_layout_rows_must_share_the_parent_intensity():
     rows = [_mc_row("hcpp", scenario(300.0)), _mc_row("hcpp", scenario(300.0, lambda_p=2 * LAMBDA_P))]
     with pytest.raises(ParameterError, match="share lambda_p"):
