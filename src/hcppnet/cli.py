@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import _read_yaml, config_from_dict, key_type, validate_config
 from .energy import energy_efficiency_mc, energy_efficiency_quad
-from .errors import ConfigurationError, DivergenceError, ParameterError
+from .errors import ConfigurationError, DivergenceError, ParameterError, check
 from .figures import FIGURE_IDS, run_figure
 from .interference import MODELS, model_interference
 from .zf_capacity import (
@@ -116,6 +116,8 @@ def _emit(payload: dict) -> None:
 
 
 def _cmd_figure(args) -> int:
+    if args.reps is not None:  # rejected before any work, under the flag's own name
+        check("--reps", args.reps, (">=", 1))
     cfg = _load(args)
     table = run_figure(args.id, cfg, reps=args.reps, workers=args.workers)
     out = args.out or (cfg.out_path or f"figure{args.id}.csv")

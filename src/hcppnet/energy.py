@@ -106,16 +106,24 @@ def required_link_power(
     check("i_avg", i_avg, (">", 0))
     rho_arr, w_arr, g_arr = (np.asarray(a, dtype=float) for a in (rho, w_ii, gain))
     _check_link_draws(rho_arr, w_arr, g_arr)
-    out = _link_power(rho_arr, cfg, tm, path_gain(channel, x_off) * w_arr * g_arr, i_avg)
+    link_gain = path_gain(channel, x_off) * w_arr * g_arr
+    out = np.empty(np.broadcast_shapes(rho_arr.shape, link_gain.shape))
+    _link_power(rho_arr, cfg, tm, link_gain, i_avg, out)
     return out if out.ndim else float(out)
 
 
-def _link_power(rho: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, link_gain: np.ndarray, i_avg: float):
-    """:func:`required_link_power` of checked arrays, with ``link_gain = path_gain * w_ii * gain``."""
+def _link_power(rho: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, link_gain: np.ndarray, i_avg: float,
+                out: np.ndarray) -> np.ndarray:
+    """:func:`required_link_power` of checked arrays, with ``link_gain = path_gain * w_ii * gain``, written to ``out``.
+
+    ``out`` has the broadcast shape of ``rho`` and ``link_gain``; the power is ``(expm1(b rho) i_avg) / link_gain``
+    with ``b = ln 2 / (s b_w)``, in that order.
+    """
     with np.errstate(over="ignore"):  # huge rate demands overflow to inf = sure outage
-        snr_needed = np.expm1(rho * (math.log(2.0) / (cfg.s * tm.b_w)))
+        np.expm1(np.multiply(rho, math.log(2.0) / (cfg.s * tm.b_w), out=out), out=out)
     with np.errstate(divide="ignore", over="ignore"):  # inf: unreachable at any power
-        return snr_needed * i_avg / link_gain
+        np.multiply(out, i_avg, out=out)
+        return np.divide(out, link_gain, out=out)
 
 
 def links_per_bs(energy: EnergyModel, station_intensity: float | None) -> float:
@@ -162,35 +170,60 @@ def energy_efficiency_mc(
     rho = traffic_sample(tm, rng, draws)
     w = sample_shadowing(scenario.channel.sigma_s_db, rng, draws)
     g = rng.gamma(cfg.gain_shape, 1.0, draws)
-    p = required_link_power(rho, cfg, tm, scenario.channel, w, scenario.x_off, g, i_avg)
-    return _ee_estimate(_ee_terms(rho, p, cfg, tm, energy, station_intensity), draws)
+    check("i_avg", i_avg, (">", 0))
+    _check_link_draws(rho, w, g)
+    link_gain = path_gain(scenario.channel, scenario.x_off) * w
+    link_gain *= g
+    terms = _ee_row(rho, link_gain, cfg, tm, energy, i_avg, station_intensity, _row_buffers(draws))
+    return _ee_estimate(terms, draws)
 
 
-def _ee_terms(rho: np.ndarray, p: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, energy: EnergyModel,
-              station_intensity: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """Energy efficiency of paired rate and required-power draws: ``(ee, served, dev)``.
+def _row_buffers(draws: int) -> tuple[np.ndarray, ...]:
+    """The work buffers of :func:`_ee_row` for rows of ``draws`` draws: power, served mask, served powers."""
+    return np.empty(draws), np.empty(draws, dtype=bool), np.empty(draws)
 
+
+def _ee_row(rho: np.ndarray, link_gain: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, energy: EnergyModel,
+            i_avg: float, station_intensity: float, buffers: tuple[np.ndarray, ...]):
+    """Energy efficiency of one row of checked draws: ``(ee, served, dev)``, evaluated in ``buffers``.
+
+    ``rho`` are the rate draws and ``link_gain`` the ``path_gain * w_ii * gain``
+    draws paired with them; ``buffers`` are :func:`_row_buffers` of their
+    length.  Beyond them a row allocates only the served draws' indices and
+    the staging copies ``take`` makes of its bounds-checked gathers.
     ``served`` marks the draws within the power cap.  ``dev`` holds, per
     served draw, the gradient of ``ee`` in the two served-draw means dotted
     with that draw's deviation from them; divided by the served count, it
     is the draw's influence on ``ee``.  With no draw served, ``ee`` is 0 and
-    ``dev`` is empty.
+    ``dev`` is empty.  ``served`` and ``dev`` are views of ``buffers``: use
+    them before the next row is evaluated in the same buffers.
     """
-    served = p <= energy.p_link_max
-    rho, p = rho[served], p[served]
-    if rho.size == 0:
-        return 0.0, served, rho
-    t_mean = float(rho.mean())
-    p_mean = float(p.mean())
+    power, served, p_ok = buffers
+    _link_power(rho, cfg, tm, link_gain, i_avg, power)
+    np.less_equal(power, energy.p_link_max, out=served)
+    idx = np.flatnonzero(served)
+    n_ok = idx.size
+    p_ok = power.take(idx, out=p_ok[:n_ok])
+    rho_ok = rho.take(idx, out=power[:n_ok])  # the powers are gathered: reuse their buffer
+    if n_ok == 0:
+        return 0.0, served, rho_ok
+    t_mean = float(rho_ok.mean())
+    p_mean = float(p_ok.mean())
     watts = _per_link_watts(p_mean, cfg, energy, station_intensity)
     ee = (t_mean / tm.b_w) / watts
     grad_t = 1.0 / (tm.b_w * watts)
     grad_p = -ee / (watts * energy.eta)
-    return ee, served, grad_t * (rho - t_mean) + grad_p * (p - p_mean)
+    # dev = grad_t * (rho - t_mean) + grad_p * (p - p_mean), in the served rates' buffer
+    dev = np.subtract(rho_ok, t_mean, out=rho_ok)
+    dev *= grad_t
+    p_ok -= p_mean
+    p_ok *= grad_p
+    dev += p_ok
+    return ee, served, dev
 
 
 def _ee_estimate(terms: tuple[float, np.ndarray, np.ndarray], draws: int) -> Estimate:
-    """The estimate of :func:`_ee_terms`' result over ``draws`` draws; its standard error is unknown below two served."""
+    """The estimate of :func:`_ee_row`'s result over ``draws`` draws; its standard error is unknown below two served."""
     ee, _, dev = terms
     n_ok = dev.size
     # the gradient's quadratic form with the sample covariance, summed per draw
@@ -216,7 +249,7 @@ def _summed_exponentials(rng: np.random.Generator, draws: int, shapes):
 
 
 def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
-    """Yield ``(k, terms)``: the :func:`_ee_terms` of each row ``k`` of ``rows``, all on one set of draws.
+    """Yield ``(k, terms)``: the :func:`_ee_row` of each row ``k`` of ``rows``, all on one set of draws.
 
     A row is the ``(cfg, tm, scenario, energy, i_avg, station_intensity)`` of
     :func:`energy_efficiency_quad`; the rows share the shadowing spread.  The
@@ -226,7 +259,10 @@ def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
     ``m`` of which sum to the gain of a row of gain shape ``m``
     (:func:`_summed_exponentials`).  Rows are evaluated in order of gain
     shape, and in the given order within one.  Rows that share draws are
-    correlated.  Each array is checked once, not once per row.
+    correlated.  Each array is checked once, not once per row.  Every row is
+    evaluated in one set of :func:`_row_buffers`, and the link gain is formed
+    once per path gain and gain shape, so a row's ``served`` and ``dev`` are
+    valid only until the next step, as :func:`_summed_exponentials`' gains are.
     """
     check("draws", draws, (">=", 1))
     sigma = rows[0][2].channel.sigma_s_db
@@ -238,18 +274,26 @@ def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
     by_shape: dict[int, list[int]] = {}
     for k, row in enumerate(rows):
         by_shape.setdefault(row[0].gain_shape, []).append(k)
-    rates_of = rho = None
+    buffers = _row_buffers(draws)
+    link_gain, rho = np.empty(draws), np.empty(draws)
+    rates_of = None
     for m, g in _summed_exponentials(rng, draws, sorted(by_shape)):
         _check_link_draws(gain=g)
+        gain_of = None
         for k in by_shape[m]:
             cfg, tm, scenario, energy, i_avg, station_intensity = rows[k]
             if rates_of != (tm.theta, tm.rho_min):  # rows come curve by curve: one traffic model's rates at a time
                 rates_of = tm.theta, tm.rho_min
-                rho = tm.rho_min * u ** (-1.0 / tm.theta)
+                np.power(u, -1.0 / tm.theta, out=rho)
+                rho *= tm.rho_min  # rho_min * u^(-1/theta), as traffic_sample computes it
                 _check_link_draws(rho=rho)
             check("i_avg", i_avg, (">", 0))
-            p = _link_power(rho, cfg, tm, path_gain(scenario.channel, scenario.x_off) * w * g, i_avg)
-            yield k, _ee_terms(rho, p, cfg, tm, energy, station_intensity)
+            pg = path_gain(scenario.channel, scenario.x_off)
+            if gain_of != pg:  # (path_gain * w) * g, once per path gain at this gain shape
+                gain_of = pg
+                np.multiply(pg, w, out=link_gain)
+                link_gain *= g
+            yield k, _ee_row(rho, link_gain, cfg, tm, energy, i_avg, station_intensity, buffers)
 
 
 def _pareto_capped_moments(theta: float, rho_min: float, b: float, u_star: np.ndarray, tail_star: np.ndarray):
@@ -272,9 +316,15 @@ def _pareto_capped_moments(theta: float, rho_min: float, b: float, u_star: np.nd
     e_exp = (
         b * e_rho
         + theta * ell * (u_min**2 / 2.0) * exprel((2.0 - theta) * ell)
-        + theta * u_min**theta * (tail_star - exp_tail(theta, u_min))
+        + theta * u_min**theta * (tail_star - _floor_tail(theta, u_min))
     )
     return p_ok, e_rho, np.where(served, e_exp, 0.0)
+
+
+@functools.lru_cache(maxsize=128)
+def _floor_tail(theta: float, u_min: float):
+    """``R(u_min)`` at the rate floor ``u_min = b rho_min``: one value per ``theta`` and stream count of a sweep."""
+    return exp_tail(theta, u_min)
 
 
 _N_SHADOW = 96
@@ -345,7 +395,8 @@ def energy_efficiency_quad(
     the gain shape and ``p_link_max path_gain / i_avg``, not on the stream count, whose
     ``ln 2 / (s b_w)`` scale cancels in the cap ``u* = ln(1 + x)``.  They are computed
     once per curve (:func:`_curve_nodes`); only the elementary, ``s``-dependent part of
-    the moments and the one value ``R(u_min)`` are evaluated per point.
+    the moments is evaluated per point, and the one value ``R(u_min)`` once per ``theta``
+    and stream count (:func:`_floor_tail`).
     """
     c = float(energy.p_link_max * path_gain(scenario.channel, scenario.x_off) / i_avg)
     weights, x_peak, u_star, tail_star = _curve_nodes(

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import hcppnet
-from hcppnet import config
+from hcppnet import cli, config
 from hcppnet.cli import _build_parser, _load, main
 from hcppnet.config import DEFAULTS
 from hcppnet.interference import _SPAWN_CHUNK
@@ -215,6 +215,22 @@ def test_explicit_nonpositive_effort_exits_3(argv, value, capsys, tmp_path):
     code, stdout, err = run_cli([*argv, value] + (["--out", str(out)] if argv[0] == "figure" else []), capsys)
     assert code == 3, err
     assert not stdout and ">= 1" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("figure_id", ["2", "6", "9"])
+def test_figure_nonpositive_reps_is_rejected_before_any_work(figure_id, value, monkeypatch, capsys, tmp_path):
+    # the count is checked before the config is built or any column computed, under the flag's name
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the figure ran")
+
+    monkeypatch.setattr(cli, "_load", must_not_run)
+    monkeypatch.setattr(cli, "run_figure", must_not_run)
+    out = tmp_path / "f.csv"
+    code, stdout, err = run_cli(["figure", figure_id, "--reps", value, "--out", str(out)], capsys)
+    assert code == 3
+    assert not stdout and err == f"error: --reps must be >= 1, got {value}\n"
     assert not out.exists()
 
 

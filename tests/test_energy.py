@@ -257,7 +257,8 @@ def test_energy_efficiency_quad_is_independent_of_the_memo():
 
 def test_energy_efficiency_quad_evaluates_one_kernel_per_curve(monkeypatch):
     # figure 9 sweeps n = n_t = s at gain shape 1: its 4 curves of 16 points need 4 exp_tail calls on the kept
-    # nodes, about a third of the grid; every other call is the one value R(u_min) of a point
+    # nodes, about a third of the grid; every other call is the one value R(u_min) of a theta and stream count,
+    # which the curves share: 16 in figure 9, 3 thetas x 16 in figure 10
     calls = []
     exp_tail = energy.exp_tail
 
@@ -266,11 +267,15 @@ def test_energy_efficiency_quad_evaluates_one_kernel_per_curve(monkeypatch):
         return exp_tail(theta, u)
 
     monkeypatch.setattr(energy, "exp_tail", counting)
-    energy._curve_nodes.cache_clear()
-    run_figure(9, config_from_dict({"seed": 7}), reps=3, workers=1)
-    node_calls = [n for n in calls if n > 1]
-    assert len(node_calls) == 4
-    assert all(3000 < n < energy._N_SHADOW * energy._N_GAIN / 3 for n in node_calls)
+    for figure_id, curves, most_floors in ((9, 4, 16), (10, 6, 48)):
+        calls.clear()
+        energy._curve_nodes.cache_clear()
+        energy._floor_tail.cache_clear()
+        run_figure(figure_id, config_from_dict({"seed": 7}), reps=3, workers=1)
+        node_calls = [n for n in calls if n > 1]
+        assert len(node_calls) == curves
+        assert all(3000 < n < energy._N_SHADOW * energy._N_GAIN / 3 for n in node_calls)
+        assert len(calls) - len(node_calls) <= most_floors
 
 
 def _full_tensor_ee(cfg, tm, sc, en, i_avg, intensity):
@@ -339,6 +344,81 @@ def test_single_row_estimate_is_pinned(model, n_t, s, mean, std_error):
         AntennaConfig(n_t, s), cfg.traffic, scenario, cfg.energy, 2000, np.random.default_rng(5), i_avg, intensity
     )
     assert (est.mean, est.std_error, est.replications) == (mean, std_error, 2000)
+
+
+def _allocating_row(rho, link_gain, cfg, tm, en, i_avg, intensity):
+    # a row as the required power and its terms were computed before the work buffers, one new array per step
+    with np.errstate(over="ignore"):
+        snr_needed = np.expm1(rho * (math.log(2.0) / (cfg.s * tm.b_w)))
+    with np.errstate(divide="ignore", over="ignore"):
+        p = snr_needed * i_avg / link_gain
+    served = p <= en.p_link_max
+    rho, p = rho[served], p[served]
+    if rho.size == 0:
+        return 0.0, served, rho
+    t_mean = float(rho.mean())
+    p_mean = float(p.mean())
+    watts = p_mean / en.eta + cfg.n_t * en.p_rf_chain + en.p_sta / links_per_bs(en, intensity)
+    ee = (t_mean / tm.b_w) / watts
+    grad_t = 1.0 / (tm.b_w * watts)
+    grad_p = -ee / (watts * en.eta)
+    return ee, served, grad_t * (rho - t_mean) + grad_p * (p - p_mean)
+
+
+# a row: gain shape, streams, theta, path-loss exponent, and how many draws the cap serves
+_ROW = st.tuples(
+    st.integers(1, 4), st.integers(1, 4), st.sampled_from((1.2, 1.8)), st.sampled_from((3.8, 4.2)),
+    st.sampled_from(("none", "one", "some")),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 2**32 - 1), st.lists(_ROW, min_size=1, max_size=10))
+@example(1, 3, [(1, 1, 1.8, 3.8, "some"), (1, 2, 1.8, 3.8, "none"), (1, 4, 1.8, 3.8, "one")])
+@example(30, 5, [(2, 1, 1.2, 3.8, "some"), (2, 4, 1.2, 4.2, "one"), (2, 2, 1.8, 4.2, "none"),
+                 (4, 1, 1.8, 3.8, "some"), (3, 3, 1.2, 3.8, "one"), (1, 1, 1.2, 4.2, "some")])
+def test_row_evaluator_in_shared_buffers_matches_the_allocating_expression(draws, seed, specs):
+    # consecutive rows of one draw set share the work buffers; a row serving fewer draws than the one
+    # before it would show any stale buffer contents in its served mask or influence terms
+    tm0, en, sc = default_models()
+    _, intensity, _ = model_interference("hcpp", sc)
+    rng = np.random.default_rng(seed)  # the draws _shared_draw_terms makes, in its order
+    u = 1.0 - rng.random(draws)
+    w = sample_shadowing(sc.channel.sigma_s_db, rng, draws)
+    gains = {m: g.copy() for m, g in energy._summed_exponentials(rng, draws, sorted({r[0] for r in specs}))}
+
+    rows, expected = [], []
+    for m, s, theta, alpha, serves in specs:
+        cfg = AntennaConfig(s + m - 1, s)
+        tm = replace(tm0, theta=theta)
+        scenario = replace(sc, channel=replace(sc.channel, alpha=alpha))
+        rho = tm.rho_min * u ** (-1.0 / tm.theta)
+        link_gain = path_gain(scenario.channel, scenario.x_off) * w * gains[m]
+        with np.errstate(over="ignore", divide="ignore"):
+            unit = np.sort(np.expm1(rho * (math.log(2.0) / (cfg.s * tm.b_w))) / link_gain)  # power at i_avg = 1
+        i_avg = 1e-13
+        if serves == "none":
+            i_avg = 1.0  # every draw over the cap
+        elif serves == "one" and np.isfinite(unit[0]):
+            # between the two smallest powers' cap levels, so the cap serves exactly the first
+            ratio = unit[1] / unit[0] if draws > 1 and np.isfinite(unit[1]) else 4.0
+            i_avg = en.p_link_max / (unit[0] * math.sqrt(ratio))
+        rows.append((cfg, tm, scenario, en, i_avg, intensity))
+        expected.append(_allocating_row(rho, link_gain, cfg, tm, en, i_avg, intensity))
+        served_count = expected[-1][1].sum()
+        if serves == "none":
+            assert served_count == 0
+        elif serves == "one" and np.isfinite(unit[0]) and (draws == 1 or unit[1] > unit[0] * (1 + 1e-9)):
+            assert served_count == 1
+
+    seen = []
+    for k, (ee, served, dev) in energy._shared_draw_terms(rows, draws, np.random.default_rng(seed)):
+        want_ee, want_served, want_dev = expected[k]
+        assert ee == want_ee
+        assert np.array_equal(served, want_served)
+        assert np.array_equal(dev, want_dev)
+        seen.append(k)
+    assert sorted(seen) == list(range(len(rows)))
 
 
 def test_summed_exponential_gains_follow_the_gamma_law():
