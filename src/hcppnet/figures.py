@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ExperimentConfig, load_config
 from .energy import EnergyModel, TrafficModel, _ee_estimate, _shared_draw_terms, energy_efficiency_quad
-from .errors import ConfigurationError, ParameterError
+from .errors import ConfigurationError, ParameterError, check
 from .interference import (
     _SPAWN_CHUNK,
     MODELS,
@@ -231,10 +231,12 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task
     depends on the grid.
     """
     spec = FIGURES[figure_id]
-    grid = _grid(cfg, spec.axis, spec.grid)
-    base = cfg.ee_scenario() if spec.kind == "ee" else cfg.scenario()
     if reps is None:
         reps = {"itf": cfg.realizations, "se": cfg.se_draws, "ee": cfg.ee_draws}[spec.kind]
+    else:  # rejected before any analytic column is built
+        check("reps", reps, (">=", 1))
+    grid = _grid(cfg, spec.axis, spec.grid)
+    base = cfg.ee_scenario() if spec.kind == "ee" else cfg.scenario()
     families = list(dict.fromkeys(series.lambda_scale for series in spec.series))
     tasks: list[Task] = []
     for series_idx, series in enumerate(spec.series):

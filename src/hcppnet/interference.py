@@ -98,6 +98,7 @@ def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
 
 _PANEL_RATIO = 4.0  # largest ratio of outer to inner r - x_off on one near-field panel
 _SPAWN_CHUNK = 1024  # Monte Carlo child streams spawned at a time; realizations per unit of a figure's pool work
+_GROUP_ENTRIES = 8192  # most entries of one (realizations, n, n) plane of a group of realizations with n parents
 # Gauss-Legendre nodes and weights of one panel, on [0, 1]: the values of scipy.special.roots_sh_legendre(16),
 # written out so that no run needs scipy
 _GL_U = np.array([
@@ -213,13 +214,15 @@ def _truncation_radius(rows) -> float:
 
 
 def _min_image(points: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Differences ``points[j] - points[i]`` at ``[i, j]`` on the torus of edge ``side``, and their squared norms.
+    """Differences ``points[g, j] - points[g, i]`` at ``[g, i, j]`` on the torus of edge ``side``, and squared norms.
 
-    The differences come as an x and a y plane, each minimum-imaged on its own.
+    ``points`` is a ``(realizations, n, 2)`` array; the differences come as an
+    x and a y plane of shape ``(realizations, n, n)``, each minimum-imaged on
+    its own.
     """
-    x, y = points.T
-    dx = x[None, :] - x[:, None]
-    dy = y[None, :] - y[:, None]
+    x, y = points[..., 0], points[..., 1]
+    dx = x[:, None, :] - x[:, :, None]
+    dy = y[:, None, :] - y[:, :, None]
     dx -= side * np.rint(dx / side)
     dy -= side * np.rint(dy / side)
     return dx, dy, dx * dx + dy * dy
@@ -228,20 +231,23 @@ def _min_image(points: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray,
 def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, deltas) -> list[np.ndarray]:
     """Matern type-II survivor masks at each spacing of ``deltas``, given the squared pair distances ``dist2``.
 
-    A parent dies when another within ``delta`` (inclusive) has a smaller
-    mark, or an equal mark and an earlier index, as in
+    ``dist2`` is ``(realizations, n, n)`` and ``marks`` ``(realizations, n)``;
+    each mask is ``(realizations, n)``.  Within a realization a parent dies
+    when another within ``delta`` (inclusive) has a smaller mark, or an equal
+    mark and an earlier index, as in
     :func:`~hcppnet.point_process.matern2_thin`; ``delta == 0`` keeps every
     parent.  The marks are ranked once for all the spacings, and not at all
     when every spacing is 0.
     """
-    n = len(marks)
     if not any(deltas):
-        return [np.ones(n, dtype=bool)] * len(deltas)
-    rank = np.empty(n, dtype=np.intp)
-    rank[np.argsort(marks, kind="stable")] = np.arange(n)
-    outranks = rank[:, None] < rank[None, :]
+        return [np.ones(marks.shape, dtype=bool)] * len(deltas)
+    g, n = marks.shape
+    rank = np.empty((g, n), dtype=np.intp)
+    rank[np.arange(g)[:, None], np.argsort(marks, axis=1, kind="stable")] = np.arange(n)
+    outranks = rank[:, :, None] < rank[:, None, :]
     return [
-        np.ones(n, dtype=bool) if delta == 0 else ~((dist2 <= delta**2) & outranks).any(axis=0) for delta in deltas
+        np.ones((g, n), dtype=bool) if delta == 0 else ~((dist2 <= delta**2) & outranks).any(axis=1)
+        for delta in deltas
     ]
 
 
@@ -262,90 +268,102 @@ def _user_distances2(offsets: np.ndarray, px: np.ndarray, py: np.ndarray, ux: np
     return dx
 
 
-def _one_realization(lambda_p: float, plan, r_trunc: float, rng: np.random.Generator, n_rows: int):
-    """Summed truncated path loss ``d**-alpha`` per row over every station of one deployment, and their count.
+def _sum_each(powered: np.ndarray, edges: list[int] | None, out: np.ndarray) -> None:
+    """Sum each realization's columns ``edges[i]:edges[i + 1]`` of ``powered`` on their own, into ``out[i]``.
 
-    The parents live on a torus of side ``2 * r_trunc``, held as one
-    minimum-image x plane, y plane and squared-distance matrix.  The mark
-    ranks and the in-play mask (pairs within ``r_trunc``) are computed once;
-    each spacing of ``plan`` (see :func:`_row_plan`) thins the parents by
-    mark comparison and takes its pairs with one flat-index search over the
-    in-play mask of its survivors, and each survivor is tagged in turn, as
-    :func:`mc_interference` describes.  The user-to-station distances are
-    computed once per distinct offset, and the rows' powers and sums are
-    whole-array operations over that offset table.  ``nearest`` rows also
-    drop interferers within ``x_off`` of the user (nearest-station
-    association, for the Poisson baseline), filtered per offset so that each
-    row sums the same values in the same order as it would alone.
+    ``edges`` is ``None`` for a group of one realization, which owns every column.
     """
-    side = 2.0 * r_trunc
-    parents = sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
-    n = len(parents)
-    marks = rng.random(n)
-    dx, dy, dist2 = _min_image(parents, side)
-    kept = _mark_thinning(dist2, marks, [delta for delta, *_ in plan])
+    if edges is None:
+        np.add.reduce(powered, axis=1, out=out[0])
+        return
+    for i, row in enumerate(out):
+        np.add.reduce(powered[:, edges[i]:edges[i + 1]], axis=1, out=row)
+
+
+def _group_sums(plan, r_trunc: float, points: np.ndarray, marks: np.ndarray, streams, n_rows: int):
+    """Serve every row from a group of realizations that drew the same parent count.
+
+    ``points`` and ``marks`` are the group's parents, ``(realizations, n, 2)``
+    and ``(realizations, n)``, on the torus of side ``2 * r_trunc``, and
+    ``streams`` their generators.  The minimum-image planes, the survivor
+    masks of each spacing of ``plan`` (see :func:`_row_plan`) and the in-play
+    mask (pairs within ``r_trunc``) are built once for the group; then each
+    stream draws its survivors' user angles.  Each spacing takes its pairs
+    with one flat-index search over the in-play mask of its survivors,
+    row-major within each realization, and each survivor is tagged in turn,
+    as :func:`mc_interference` describes.  The user-to-station distances are
+    computed once per distinct offset, and the rows' powers are whole-array
+    operations over that offset table.  ``nearest`` rows also drop
+    interferers within ``x_off`` of the user (nearest-station association,
+    for the Poisson baseline), filtered per offset.  Each realization sums
+    each row's pairs on their own, so every sum is that of the realization
+    run alone.  Returns the row sums and station counts, two
+    ``(realizations, n_rows)`` arrays in the slots of ``plan``.
+    """
+    g, n = marks.shape
+    dx, dy, dist2 = _min_image(points, 2.0 * r_trunc)
+    kept = _mark_thinning(dist2, marks, [entry[0] for entry in plan])
     # the survivors of the smallest spacing include those of every larger one
-    theta = rng.uniform(0.0, 2.0 * np.pi, np.count_nonzero(kept[0]))
-    ux, uy = np.empty(n), np.empty(n)
+    angles = np.add.reduce(kept[0], axis=1).tolist()
+    # 2 pi times rng.random(k) is the arithmetic of rng.uniform(0, 2 pi, k) on the same draws
+    theta = np.concatenate([stream.random(k) for stream, k in zip(streams, angles)])
+    theta *= 2.0 * np.pi
+    ux, uy = np.empty((g, n)), np.empty((g, n))
     ux[kept[0]], uy[kept[0]] = np.cos(theta), np.sin(theta)
     inplay = dist2 <= r_trunc**2
-    np.fill_diagonal(inplay, False)
-    totals, counts = np.empty(n_rows), np.empty(n_rows)
-    for keep, (delta, offsets, ks, plain, near) in zip(kept, plan):
-        # row-major over the survivors' pairs: each row sums its pairs in the same order at any spacing;
+    inplay.reshape(g, n * n)[:, :: n + 1] = False
+    # where each realization's entries start in the flattened planes; a group of one needs no edges
+    plane_edges = None if g == 1 else [i * n * n for i in range(g + 1)]
+    sums, counts = np.empty((2, g, n_rows))
+    for keep, (delta, slots, offsets, (x_idx, neg_half_alpha), near) in zip(kept, plan):
         # at spacing 0 every parent survives, so its pairs are the in-play ones
-        flat = np.flatnonzero(inplay if delta == 0 else inplay & keep[:, None] & keep[None, :])
+        flat = (inplay if delta == 0 else inplay & keep[:, :, None] & keep[:, None, :]).ravel().nonzero()[0]
         users = flat // n
         d2 = _user_distances2(offsets, dx.take(flat), dy.take(flat), ux.take(users), uy.take(users))
-        k, x_idx, neg_half_alpha = plain
-        powered = d2[x_idx]  # (rows, pairs); the power overwrites it, so one such array is alive at a time
-        totals[k] = np.power(powered, neg_half_alpha[:, None], out=powered).sum(axis=1)
-        for j, x_sq, k, neg_half_alpha in near:
-            beyond = d2[j][d2[j] > x_sq]
-            totals[k] = (beyond ** neg_half_alpha[:, None]).sum(axis=1)
-        counts[ks] = np.count_nonzero(keep)
-    return totals, counts
+        pair_edges = None if plane_edges is None else np.searchsorted(flat, plane_edges).tolist()
+        if len(x_idx):
+            powered = d2[x_idx]  # (rows, pairs); the power overwrites it, so one such array is alive at a time
+            np.power(powered, neg_half_alpha[:, None], out=powered)
+            _sum_each(powered, pair_edges, sums[:, slots.start:slots.start + len(x_idx)])
+        for slot, j, x_sq, neg_half_alpha in near:
+            beyond = d2[j] > x_sq
+            edges = None if pair_edges is None else np.searchsorted(beyond.nonzero()[0], pair_edges).tolist()
+            _sum_each(d2[j][beyond] ** neg_half_alpha[:, None], edges, sums[:, slot:slot + len(neg_half_alpha)])
+        counts[:, slots] = n if delta == 0 else np.add.reduce(keep, axis=1)[:, None]
+    return sums, counts
 
 
-def _row_plan(rows) -> list[tuple]:
-    """How every realization serves ``rows``: one entry per spacing, in ascending spacing.
+def _row_plan(rows) -> tuple[list[tuple], list[int]]:
+    """How every realization serves ``rows``: one entry per spacing, in ascending spacing, and the row in each slot.
 
-    An entry is ``(delta, offsets, ks, plain, near)``: the distinct user
-    offsets of the spacing's rows; the indices ``k`` of all of them; its rows
-    without ``nearest`` as three arrays (``k``, offset index, ``-alpha/2``);
-    and, for each distinct offset of its ``nearest`` rows, the tuple (offset
-    index, ``x_off**2``, ``k`` array, ``-alpha/2`` array).
+    A realization writes each row's sum and station count into a slot of its
+    own.  The slots run spacing by spacing: first the rows without
+    ``nearest``, then those with it, by distinct offset.  An entry is
+    ``(delta, slots, offsets, plain, near)``: the spacing's slice of slots;
+    the distinct user offsets of its rows; its rows without ``nearest``, in
+    the first slots, as two arrays (offset index, ``-alpha/2``); and, for
+    each distinct offset of its ``nearest`` rows, the tuple (first slot,
+    offset index, ``x_off**2``, ``-alpha/2`` array).
     """
-    plan = []
+    plan, order = [], []
     for delta in sorted({s.hcpp.delta for s, _ in rows}):
         members = [(k, s.x_off, -s.channel.alpha / 2.0, nearest)
                    for k, (s, nearest) in enumerate(rows) if s.hcpp.delta == delta]
         offsets = list(dict.fromkeys(x for _, x, _, _ in members))
-        near: dict[float, list] = {}
+        first = len(order)
+        plain = [(k, offsets.index(x), p) for k, x, p, nearest in members if not nearest]
+        order += [k for k, _, _ in plain]
+        near_by_x: dict[float, list] = {}
         for k, x, p, nearest in members:
             if nearest:
-                near.setdefault(x, []).append((k, p))
-        plain = [(k, offsets.index(x), p) for k, x, p, nearest in members if not nearest]
-        k, x_idx, p = zip(*plain) if plain else ((), (), ())
-        plan.append((
-            delta,
-            np.array(offsets),
-            np.array([m[0] for m in members]),
-            (np.array(k, dtype=np.intp), np.array(x_idx, dtype=np.intp), np.array(p, dtype=float)),
-            [(offsets.index(x), x**2, np.array([k for k, _ in kp]), np.array([p for _, p in kp]))
-             for x, kp in near.items()],
-        ))
-    return plan
-
-
-def _child_streams(rng: np.random.Generator, n: int):
-    """Child streams ``0 .. n-1`` of ``rng``, as ``rng.spawn(n)`` gives them, spawned a chunk at a time.
-
-    Each child holds about 1 KB, so spawning them all up front costs memory in
-    proportion to ``n``; spawning them one by one slows the loop that uses them.
-    """
-    for start in range(0, n, _SPAWN_CHUNK):
-        yield from rng.spawn(min(_SPAWN_CHUNK, n - start))
+                near_by_x.setdefault(x, []).append((k, p))
+        near = []
+        for x, kp in near_by_x.items():
+            near.append((len(order), offsets.index(x), x**2, np.array([p for _, p in kp])))
+            order += [k for k, _ in kp]
+        plain_arrays = (np.array([i for _, i, _ in plain], dtype=np.intp), np.array([p for _, _, p in plain]))
+        plan.append((delta, slice(first, len(order)), np.array(offsets), plain_arrays, near))
+    return plan, order
 
 
 def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -355,24 +373,46 @@ def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tup
     every realization draws one parent pattern, at their common ``lambda_p``,
     on the torus of the largest truncation radius among them, and serves
     every row from it.  Realization ``i`` consumes child stream ``i`` of
-    ``rng``.  The rows are grouped once per call (:func:`_row_plan`): by
-    spacing, then by distinct user offset, so that a realization sums every
-    row of a spacing in a few array operations instead of one pass per row.
-    Each row's sum still runs over the same values in the same order as a
-    row summed on its own, so for a single row the draws and the arithmetic
-    are those of a run of that row alone.
+    ``rng``; the streams are spawned ``_SPAWN_CHUNK`` at a time, since each
+    holds about 1 KB.  The rows are grouped once per call (:func:`_row_plan`):
+    by spacing, then by distinct user offset, so that a realization sums
+    every row of a spacing in a few array operations instead of one pass per
+    row.  Within a chunk, every stream first draws its parents and marks;
+    then the realizations that drew the same parent count ``n`` run together
+    (:func:`_group_sums`), in groups of at most ``_GROUP_ENTRIES`` entries of
+    a ``(realizations, n, n)`` plane.  Each row's sum still runs over the
+    same values in the same order as a row summed on its own in a realization
+    run alone, so for a single row the draws and the arithmetic are those of
+    a run of that row alone, whatever the grouping.
     """
     check("realizations", realizations, (">=", 1))
     lambda_p = rows[0][0].hcpp.lambda_p
     if any(s.hcpp.lambda_p != lambda_p for s, _ in rows):
         raise ParameterError("the rows of one layout set must share lambda_p")
     r_trunc = _truncation_radius(rows)
-    plan = _row_plan(rows)
-    totals = np.empty((len(rows), realizations))
-    counts = np.empty((len(rows), realizations))
-    for i, stream in enumerate(_child_streams(rng, realizations)):
-        totals[:, i], counts[:, i] = _one_realization(lambda_p, plan, r_trunc, stream, len(rows))
-    return totals, counts
+    window = Window(0.0, 2.0 * r_trunc, 0.0, 2.0 * r_trunc)
+    plan, order = _row_plan(rows)
+    done, sums, counts = [], [], []  # the realizations in the order their groups ran, and their results
+    for start in range(0, realizations, _SPAWN_CHUNK):
+        by_count: dict[int, list] = {}
+        for i, stream in enumerate(rng.spawn(min(_SPAWN_CHUNK, realizations - start)), start):
+            points = sample_ppp(lambda_p, window, stream)
+            by_count.setdefault(len(points), []).append((i, stream, points, stream.random(len(points))))
+        for n, members in by_count.items():
+            size = max(1, _GROUP_ENTRIES // max(1, n * n))
+            for lo in range(0, len(members), size):
+                cols, streams, points, marks = zip(*members[lo:lo + size])
+                g = len(cols)
+                group_points, group_marks = np.concatenate(points).reshape(g, n, 2), np.concatenate(marks).reshape(g, n)
+                group_sums, group_counts = _group_sums(plan, r_trunc, group_points, group_marks, streams, len(rows))
+                done += cols
+                sums.append(group_sums)
+                counts.append(group_counts)
+    totals, station_counts = np.empty((2, len(rows), realizations))
+    where = np.ix_(order, done)
+    totals[where] = np.concatenate(sums).T
+    station_counts[where] = np.concatenate(counts).T
+    return totals, station_counts
 
 
 def _estimates(rows, totals: np.ndarray, counts: np.ndarray) -> list[Estimate]:

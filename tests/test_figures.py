@@ -9,6 +9,7 @@ differs between a source checkout and an installed copy.
 
 import hashlib
 import os
+from unittest import mock
 
 import pytest
 
@@ -156,6 +157,16 @@ def test_efficiency_figure_bytes_do_not_depend_on_workers(figure_id, tmp_path, c
 def test_interference_figure_rejects_nonpositive_reps(reps):
     with pytest.raises(ParameterError, match=f"got {reps}"):
         run_figure(3, SEED_7, reps=reps, workers=1)
+
+
+@pytest.mark.parametrize("figure_id", [2, 9])
+def test_library_reps_below_one_is_rejected_before_the_analytic_columns(figure_id, monkeypatch):
+    # the count is checked under its own name where _tasks resolves it, not by the estimator after the analytic work
+    analytic = mock.Mock(wraps=figures.model_interference)
+    monkeypatch.setattr(figures, "model_interference", analytic)
+    with pytest.raises(ParameterError, match="^reps must be >= 1, got 0$"):
+        run_figure(figure_id, SEED_7, reps=0, workers=1)
+    assert analytic.call_count == 0
 
 
 def test_zero_reps_is_not_the_default_effort():

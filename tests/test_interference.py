@@ -33,7 +33,6 @@ from hcppnet import interference
 from hcppnet.figures import _by_seed_key, _rng_for, _tasks
 from hcppnet.interference import (
     Estimate,
-    _child_streams,
     _mark_thinning,
     _mc_row,
     _min_image,
@@ -344,13 +343,42 @@ def test_a_row_sharing_its_spacing_and_radius_keeps_its_sums():
     assert not np.array_equal(shared[0][0], shared[0][1])
 
 
+def _group_sizes(rows, realizations, rng):
+    # the size of each group of realizations that _tagged_station_mc runs together
+    with mock.patch.object(interference, "_group_sums", wraps=interference._group_sums) as groups:
+        result = _tagged_station_mc(rows, realizations, rng)
+    return [len(call.args[3]) for call in groups.call_args_list], result
+
+
 def test_a_poisson_only_layout_set_ranks_no_marks():
-    # at spacing 0 no parent can die, so the marks are ranked only when some row has a positive spacing
+    # at spacing 0 no parent can die, so the marks are ranked, once per group of realizations that drew the
+    # same parent count, only when some row has a positive spacing
     poisson = [_mc_row("ppp", scenario(200.0)), _mc_row("ppp", scenario(300.0, alpha=4.2))]
-    for rows, ranked in ((poisson, 0), (poisson + [_mc_row("hcpp", scenario(300.0))], 5)):
+    hcpp = poisson + [_mc_row("hcpp", scenario(300.0))]
+    groups = len(_group_sizes(hcpp, 40, np.random.default_rng(3))[0])
+    assert groups < 40  # some realizations drew the same count, so a per-realization count would differ
+    for rows, ranked in ((poisson, 0), (hcpp, groups)):
         with mock.patch.object(interference.np, "argsort", wraps=np.argsort) as argsort:
-            _tagged_station_mc(rows, 5, np.random.default_rng(3))
+            _tagged_station_mc(rows, 40, np.random.default_rng(3))
         assert argsort.call_count == ranked
+
+
+@pytest.mark.parametrize("layout_set", ["default hcpp row", "figure 2"])
+def test_grouping_realizations_moves_no_bit(layout_set, monkeypatch):
+    # a cap of one plane entry runs every realization in a group of its own; the default cap groups them,
+    # and no total or count may move by a bit
+    if layout_set == "figure 2":
+        tasks = _tasks(2, config_from_dict({"seed": 7}), 64)
+        ((key, idx),) = _by_seed_key(tasks).items()
+        rows, realizations, seed = [_mc_row(tasks[i].model, tasks[i].scenario) for i in idx], 64, key
+    else:
+        rows = [_mc_row("hcpp", config_from_dict({"seed": 7}).scenario())]
+        realizations, seed = interference._SPAWN_CHUNK + 76, (7,)
+    sizes, grouped = _group_sizes(rows, realizations, _rng_for(*seed))
+    monkeypatch.setattr(interference, "_GROUP_ENTRIES", 1)
+    alone_sizes, alone = _group_sizes(rows, realizations, _rng_for(*seed))
+    assert max(sizes) > 1 and set(alone_sizes) == {1} and len(alone_sizes) == realizations
+    assert np.array_equal(grouped[0], alone[0]) and np.array_equal(grouped[1], alone[1])
 
 
 def test_layout_rows_must_share_the_parent_intensity():
@@ -406,7 +434,7 @@ def _row_loop_mc(rows, realizations, rng):
     r_trunc = _truncation_radius(rows)
     totals = np.empty((len(rows), realizations))
     counts = np.empty((len(rows), realizations))
-    for i, stream in enumerate(_child_streams(rng, realizations)):
+    for i, stream in enumerate(rng.spawn(realizations)):
         totals[:, i], counts[:, i] = _row_loop_realization(
             rows[0][0].hcpp.lambda_p, by_delta, r_trunc, stream, len(rows)
         )
@@ -495,16 +523,16 @@ def test_mc_thinning_matches_matern2_thin_where_no_pair_wraps(marked, delta):
     side = 26.0
     pts = np.array([(x, y) for x, y, _ in marked], dtype=float).reshape(-1, 2)
     marks = np.array([m for _, _, m in marked])
-    (kept,) = _mark_thinning(_min_image(pts, side)[2], marks, [float(delta)])
+    (kept,) = _mark_thinning(_min_image(pts[None], side)[2], marks[None], [float(delta)])
     expected = matern2_thin(pts, float(delta), marks, Window(0.0, side, 0.0, side))
-    assert np.array_equal(pts[kept], expected)
+    assert np.array_equal(pts[kept[0]], expected)
 
 
 def test_mc_thinning_competes_across_the_seam():
     # 2 m apart across the edge of a 20 m torus, 18 m apart in the plane
     pts = np.array([[19.0, 5.0], [1.0, 5.0]])
-    (kept,) = _mark_thinning(_min_image(pts, 20.0)[2], np.array([0.6, 0.2]), [3.0])
-    assert np.flatnonzero(kept).tolist() == [1]
+    (kept,) = _mark_thinning(_min_image(pts[None], 20.0)[2], np.array([[0.6, 0.2]]), [3.0])
+    assert np.flatnonzero(kept[0]).tolist() == [1]
     assert matern2_thin(pts, 3.0, marks=[0.6, 0.2], window=Window(0.0, 20.0, 0.0, 20.0)).tolist() == pts.tolist()
 
 
