@@ -159,12 +159,12 @@ def energy_efficiency_mc(
     the link bandwidth) divided by the per-link power budget: amplifier
     input for the mean served power, RF chain draw per antenna, and the
     per-link share of the static floor.  Outage draws are excluded from
-    both the traffic and the power average.  The standard error propagates
-    the sampling covariance of the two served-draw means through the ratio;
-    it is infinite, unknown, with fewer than two served draws, and with none
-    the mean is 0.  ``i_avg`` and ``station_intensity`` are the mean interference and the
-    station intensity of one station model, as
-    :func:`~hcppnet.interference.model_interference` returns them.
+    both the traffic and the power average.  The standard error is the delta method's, from the
+    served draws' terms (:func:`_ee_row`) by :meth:`~hcppnet.interference.Estimate.from_influence`
+    with its factor ``n/(n-1)``; it is infinite, unknown, with fewer than two served draws, and
+    with none the mean is 0.  ``i_avg`` and ``station_intensity`` are the mean interference and the
+    station intensity of one station model, as :func:`~hcppnet.interference.model_interference`
+    returns them.
     """
     check("draws", draws, (">=", 1))
     rho = traffic_sample(tm, rng, draws)
@@ -174,8 +174,8 @@ def energy_efficiency_mc(
     _check_link_draws(rho, w, g)
     link_gain = path_gain(scenario.channel, scenario.x_off) * w
     link_gain *= g
-    terms = _ee_row(rho, link_gain, cfg, tm, energy, i_avg, station_intensity, _row_buffers(draws))
-    return _ee_estimate(terms, draws)
+    ee, _, terms = _ee_row(rho, link_gain, cfg, tm, energy, i_avg, station_intensity, _row_buffers(draws))
+    return Estimate.from_influence(ee, terms, draws)
 
 
 def _row_buffers(draws: int) -> tuple[np.ndarray, ...]:
@@ -185,18 +185,18 @@ def _row_buffers(draws: int) -> tuple[np.ndarray, ...]:
 
 def _ee_row(rho: np.ndarray, link_gain: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, energy: EnergyModel,
             i_avg: float, station_intensity: float, buffers: tuple[np.ndarray, ...]):
-    """Energy efficiency of one row of checked draws: ``(ee, served, dev)``, evaluated in ``buffers``.
+    """Energy efficiency of one row of checked draws: ``(ee, served, terms)``, evaluated in ``buffers``.
 
     ``rho`` are the rate draws and ``link_gain`` the ``path_gain * w_ii * gain``
     draws paired with them; ``buffers`` are :func:`_row_buffers` of their
     length.  Beyond them a row allocates only the served draws' indices and
     the staging copies ``take`` makes of its bounds-checked gathers.
-    ``served`` marks the draws within the power cap.  ``dev`` holds, per
-    served draw, the gradient of ``ee`` in the two served-draw means dotted
-    with that draw's deviation from them; divided by the served count, it
-    is the draw's influence on ``ee``.  With no draw served, ``ee`` is 0 and
-    ``dev`` is empty.  ``served`` and ``dev`` are views of ``buffers``: use
-    them before the next row is evaluated in the same buffers.
+    ``served`` marks the draws within the power cap.  ``terms`` holds each
+    served draw's influence term: the gradient of ``ee`` in the two
+    served-draw means dotted with that draw's deviation from them, over the
+    served count.  With no draw served, ``ee`` is 0 and ``terms`` is empty.
+    ``served`` and ``terms`` are views of ``buffers``: use them before the
+    next row is evaluated in the same buffers.
     """
     power, served, p_ok = buffers
     _link_power(rho, cfg, tm, link_gain, i_avg, power)
@@ -211,24 +211,15 @@ def _ee_row(rho: np.ndarray, link_gain: np.ndarray, cfg: AntennaConfig, tm: Traf
     p_mean = float(p_ok.mean())
     watts = _per_link_watts(p_mean, cfg, energy, station_intensity)
     ee = (t_mean / tm.b_w) / watts
-    grad_t = 1.0 / (tm.b_w * watts)
-    grad_p = -ee / (watts * energy.eta)
-    # dev = grad_t * (rho - t_mean) + grad_p * (p - p_mean), in the served rates' buffer
-    dev = np.subtract(rho_ok, t_mean, out=rho_ok)
-    dev *= grad_t
+    grad_t = 1.0 / (tm.b_w * watts * n_ok)
+    grad_p = -ee / (watts * energy.eta * n_ok)
+    # terms = grad_t * (rho - t_mean) + grad_p * (p - p_mean), in the served rates' buffer
+    terms = np.subtract(rho_ok, t_mean, out=rho_ok)
+    terms *= grad_t
     p_ok -= p_mean
     p_ok *= grad_p
-    dev += p_ok
-    return ee, served, dev
-
-
-def _ee_estimate(terms: tuple[float, np.ndarray, np.ndarray], draws: int) -> Estimate:
-    """The estimate of :func:`_ee_row`'s result over ``draws`` draws; its standard error is unknown below two served."""
-    ee, _, dev = terms
-    n_ok = dev.size
-    # the gradient's quadratic form with the sample covariance, summed per draw
-    std_error = math.sqrt(float(dev @ dev) / ((n_ok - 1) * n_ok)) if n_ok >= 2 else math.inf
-    return Estimate(mean=ee, std_error=std_error, replications=draws)
+    terms += p_ok
+    return ee, served, terms
 
 
 def _summed_exponentials(rng: np.random.Generator, draws: int, shapes):
@@ -261,7 +252,7 @@ def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
     shape, and in the given order within one.  Rows that share draws are
     correlated.  Each array is checked once, not once per row.  Every row is
     evaluated in one set of :func:`_row_buffers`, and the link gain is formed
-    once per path gain and gain shape, so a row's ``served`` and ``dev`` are
+    once per path gain and gain shape, so a row's ``served`` and ``terms`` are
     valid only until the next step, as :func:`_summed_exponentials`' gains are.
     """
     check("draws", draws, (">=", 1))

@@ -23,13 +23,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .energy import EnergyModel, TrafficModel, _ee_estimate, _shared_draw_terms, energy_efficiency_quad
+from .energy import EnergyModel, TrafficModel, _shared_draw_terms, energy_efficiency_quad
 from .errors import ConfigurationError, ParameterError, check
 from .interference import (
     _SPAWN_CHUNK,
     MODELS,
+    Estimate,
     InterferenceScenario,
-    _estimates,
+    _influence,
     _mc_row,
     _tagged_station_mc,
     model_interference,
@@ -231,10 +232,10 @@ def _tasks(figure_id: int, cfg: ExperimentConfig, reps: int | None) -> list[Task
     depends on the grid.
     """
     spec = FIGURES[figure_id]
-    if reps is None:
-        reps = {"itf": cfg.realizations, "se": cfg.se_draws, "ee": cfg.ee_draws}[spec.kind]
-    else:  # rejected before any analytic column is built
-        check("reps", reps, (">=", 1))
+    name, reps = ("reps", reps) if reps is not None else {
+        "itf": ("realizations", cfg.realizations), "se": ("se_draws", cfg.se_draws), "ee": ("ee_draws", cfg.ee_draws)
+    }[spec.kind]
+    check(name, reps, (">=", 1))  # before any analytic column is built
     grid = _grid(cfg, spec.axis, spec.grid)
     base = cfg.ee_scenario() if spec.kind == "ee" else cfg.scenario()
     families = list(dict.fromkeys(series.lambda_scale for series in spec.series))
@@ -311,12 +312,13 @@ def _by_seed_key(tasks: list[Task]) -> dict[tuple[int, ...], list[int]]:
     return groups
 
 
-def _efficiency_rows(tasks: list[Task]) -> list[ResultRow]:
-    """Evaluate a spectral- or energy-efficiency figure in this process: one draw set per seed key.
+def _efficiency_columns(tasks: list[Task]) -> tuple[list[float], list[Estimate]]:
+    """The analytic column and the estimates of a spectral- or energy-efficiency figure, in this process.
 
-    A spectral-efficiency curve draws one gain matrix, and every ``xi`` of
-    the curve is evaluated on it; an energy-efficiency figure draws one set
-    for all its rows (:func:`~hcppnet.energy._shared_draw_terms`).
+    One draw set serves each seed key: a spectral-efficiency curve draws
+    one gain matrix, and every ``xi`` of the curve is evaluated on it; an
+    energy-efficiency figure draws one set for all its rows
+    (:func:`~hcppnet.energy._shared_draw_terms`).
     """
     kind = tasks[0].kind
     if kind == "se":
@@ -331,13 +333,9 @@ def _efficiency_rows(tasks: list[Task]) -> list[ResultRow]:
             gains = _gamma_gains(tasks[idx[0]].antennas, reps, rng)
             estimates.update((i, _se_estimate(tasks[i].antennas, tasks[i].sweep_value, gains)) for i in idx)
         else:
-            terms = _shared_draw_terms([tasks[i].ee_inputs() for i in idx], reps, rng)
-            estimates.update((idx[k], _ee_estimate(row_terms, reps)) for k, row_terms in terms)
-    return [
-        ResultRow(t.label, t.sweep_value, float(analytic[i]), estimates[i].mean, estimates[i].std_error,
-                  estimates[i].replications, _UNITS[kind])
-        for i, t in enumerate(tasks)
-    ]
+            rows = _shared_draw_terms([tasks[i].ee_inputs() for i in idx], reps, rng)
+            estimates.update((idx[k], Estimate.from_influence(ee, terms, reps)) for k, (ee, _, terms) in rows)
+    return analytic, [estimates[i] for i in range(len(tasks))]
 
 
 def _layout_chunk(unit) -> tuple[np.ndarray, np.ndarray]:
@@ -346,8 +344,8 @@ def _layout_chunk(unit) -> tuple[np.ndarray, np.ndarray]:
     return _tagged_station_mc(rows, count, _rng_for(*seed_key, spawned=start))
 
 
-def _interference_rows(tasks: list[Task], workers: int | None) -> list[ResultRow]:
-    """Evaluate an interference figure: one layout set per seed key serves all of that key's rows.
+def _interference_columns(tasks: list[Task], workers: int | None) -> tuple[list[float], list[Estimate]]:
+    """The analytic column and the estimates of an interference figure: one layout set serves each seed key's rows.
 
     The unit of work is a chunk of ``_SPAWN_CHUNK`` realizations at fixed
     boundaries; chunks are joined in order, so the output does not depend on
@@ -356,20 +354,16 @@ def _interference_rows(tasks: list[Task], workers: int | None) -> list[ResultRow
     analytic = [model_interference(t.model, t.scenario)[0] for t in tasks]
     families = _by_seed_key(tasks)
     reps = tasks[0].reps
-    # a non-positive count goes to the estimator as one chunk, which rejects it
-    chunks = [(start, min(_SPAWN_CHUNK, reps - start)) for start in range(0, reps, _SPAWN_CHUNK)] or [(0, reps)]
+    chunks = [(start, min(_SPAWN_CHUNK, reps - start)) for start in range(0, reps, _SPAWN_CHUNK)]
     rows = {key: tuple(_mc_row(tasks[i].model, tasks[i].scenario) for i in idx) for key, idx in families.items()}
     units = [(key, rows[key], start, count) for key in families for start, count in chunks]
     parts = iter(_map(_layout_chunk, units, _resolve_workers(workers, len(units))))
     estimates = {}
     for key, idx in families.items():
         totals, counts = zip(*(next(parts) for _ in chunks))
-        estimates.update(zip(idx, _estimates(rows[key], np.hstack(totals), np.hstack(counts))))
-    return [
-        ResultRow(t.label, t.sweep_value, float(analytic[i]), estimates[i].mean, estimates[i].std_error,
-                  estimates[i].replications, _UNITS["itf"])
-        for i, t in enumerate(tasks)
-    ]
+        means, terms = _influence(rows[key], np.hstack(totals), np.hstack(counts))
+        estimates.update((i, Estimate.from_influence(m, t, reps)) for i, m, t in zip(idx, means, terms))
+    return analytic, [estimates[i] for i in range(len(tasks))]
 
 
 def run_figure(
@@ -388,13 +382,17 @@ def run_figure(
         raise ParameterError(f"unknown figure id {figure_id}; supported: {FIGURE_IDS}")
     if cfg is None:
         cfg = load_config(None)
-    axis = FIGURES[figure_id].axis
+    axis, kind = FIGURES[figure_id].axis, FIGURES[figure_id].kind
     tasks = _tasks(figure_id, cfg, reps)
-    if FIGURES[figure_id].kind == "itf":
-        rows = _interference_rows(tasks, workers)
+    if kind == "itf":
+        analytic, estimates = _interference_columns(tasks, workers)
     else:
         _resolve_workers(workers, len(tasks))  # rejects a count below one, as for every figure
-        rows = _efficiency_rows(tasks)
+        analytic, estimates = _efficiency_columns(tasks)
+    rows = [
+        ResultRow(t.label, t.sweep_value, float(a), e.mean, e.std_error, e.replications, _UNITS[kind])
+        for t, a, e in zip(tasks, analytic, estimates)
+    ]
 
     metadata = {
         "figure": figure_id,

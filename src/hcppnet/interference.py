@@ -72,21 +72,25 @@ class Estimate:
             raise ParameterError(f"std_error must be nonnegative, got {self.std_error}")
 
     @classmethod
-    def from_samples(cls, values: np.ndarray) -> "Estimate":
-        """Sample mean of i.i.d. draws with its standard error (``inf`` for one draw).
+    def from_influence(cls, mean: float, terms: np.ndarray, replications: int) -> "Estimate":
+        """``mean`` with the standard error ``sqrt(n/(n-1) sum(terms**2))`` of its ``n`` per-unit influence terms.
 
-        The deviations are squared after scaling the draws by a power of two
-        that brings the largest into [1/2, 1), so tiny draws, subnormal ones
-        included, keep a positive standard error; the scaling is exact, so
-        draws of normal size give the bits of the unscaled formula.
+        A unit's term is its first-order share of the error: ``(v - mean) / n`` for a sample mean, the linearized
+        residual for a ratio.  ``n/(n-1)`` is the finite-sample factor (Cochran, *Sampling Techniques*, 6.4); below
+        two units the error is ``inf``, unknown.  Out of range, the sum of squares is taken again on the terms scaled
+        exactly by the power of two that brings the largest into [1/2, 1), so tiny and huge terms keep their digits.
         """
-        n = values.shape[0]
-        std_error = float("inf")
-        if n >= 2:
-            e = int(np.frexp(np.max(np.abs(values)))[1])
-            scaled = np.ldexp(values, -e)  # not values * ldexp(1, -e): that factor overflows for subnormal draws
-            std_error = math.ldexp(float(scaled.std(ddof=1) / math.sqrt(n)), e)
-        return cls(mean=float(values.mean()), std_error=std_error, replications=n)
+        n = len(terms)
+        if n < 2:
+            return cls(float(mean), math.inf, replications)
+        with np.errstate(over="ignore"):  # an overflow to inf is taken again below
+            sum_sq = float(terms @ terms)
+        # in range, a square that underflows loses under 2**-174 of the sum, and n/(n-1) times the sum is finite
+        if 2.0**-900 <= sum_sq <= 2.0**900:
+            return cls(float(mean), math.sqrt(n / (n - 1) * sum_sq), replications)
+        e = int(np.frexp(np.max(np.abs(terms)))[1])
+        scaled = np.ldexp(terms, -e)  # not terms * ldexp(1, -e): that factor overflows for subnormal terms
+        return cls(float(mean), math.ldexp(math.sqrt(n / (n - 1) * float(scaled @ scaled)), e), replications)
 
 
 def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
@@ -415,24 +419,25 @@ def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tup
     return totals, station_counts
 
 
-def _estimates(rows, totals: np.ndarray, counts: np.ndarray) -> list[Estimate]:
-    """Each row's mean interference from its per-realization totals and counts (see :func:`_tagged_station_mc`)."""
+def _influence(rows, totals: np.ndarray, counts: np.ndarray) -> tuple[list[float], np.ndarray]:
+    """Each row's mean interference and per-realization influence terms, from :func:`_tagged_station_mc`'s arrays.
+
+    The mean is the ratio of summed totals to summed station counts, in watts, plus the closed-form far field; a
+    realization's term is its linearized residual ``(total - ratio * count) * scale / sum(counts)``.
+    """
     r_trunc = _truncation_radius(rows)
-    out = []
-    for (scenario, _), row_totals, row_counts in zip(rows, totals, counts):
+    means, terms = [], np.empty_like(totals)
+    for (scenario, _), row_totals, row_counts, row_terms in zip(rows, totals, counts, terms):
         ch = scenario.channel
         # shadowing and fading are independent of the layout: each w * g enters by its mean
         scale = ch.beta * mean_shadowing(ch.sigma_s_db) * scenario.mean_tx_power
         plateau = first_moment(scenario.hcpp)  # pair density / intensity beyond the truncation radius
         tail = 2.0 * math.pi * plateau * _tail_radial_integral(r_trunc, scenario.x_off, ch.alpha)
-        mean = float(row_totals.sum() / row_counts.sum())
-        if len(row_totals) >= 2:
-            resid = row_totals - mean * row_counts
-            std_error = float(np.sqrt(np.sum(resid**2)) / row_counts.sum())
-        else:
-            std_error = float("inf")
-        out.append(Estimate(mean=scale * (mean + tail), std_error=scale * std_error, replications=len(row_totals)))
-    return out
+        stations = row_counts.sum()
+        ratio = float(row_totals.sum() / stations)
+        means.append(scale * (ratio + tail))
+        row_terms[:] = (row_totals - ratio * row_counts) * scale / stations
+    return means, terms
 
 
 def _mc_row(model: str, scenario: InterferenceScenario) -> tuple[InterferenceScenario, bool]:
@@ -473,13 +478,14 @@ def mc_interference(
     stations with emptier surroundings and underestimates badly.  The
     expected far field beyond the truncation radius, where the pair density
     has exactly its plateau value, is added in closed form.  The standard
-    error comes from the usual ratio-estimator linearization over
-    realizations.  Replication ``i`` always consumes stream ``i`` spawned
-    from ``rng``, so enlarging ``realizations`` extends a run without
-    perturbing earlier draws.
+    error linearizes that ratio: each realization's residual is its term for
+    :meth:`Estimate.from_influence`, with its factor ``n/(n-1)``.
+    Replication ``i`` always consumes stream ``i`` spawned from ``rng``, so
+    enlarging ``realizations`` extends a run without perturbing earlier draws.
     """
     rows = [_mc_row("hcpp", scenario)]
-    return _estimates(rows, *_tagged_station_mc(rows, realizations, rng))[0]
+    means, terms = _influence(rows, *_tagged_station_mc(rows, realizations, rng))
+    return Estimate.from_influence(means[0], terms[0], realizations)
 
 
 def mc_interference_ppp(
@@ -497,7 +503,8 @@ def mc_interference_ppp(
     Independent check of the :func:`avg_interference_ppp` closed form.
     """
     rows = [_mc_row("ppp", scenario)]
-    return _estimates(rows, *_tagged_station_mc(rows, realizations, rng))[0]
+    means, terms = _influence(rows, *_tagged_station_mc(rows, realizations, rng))
+    return Estimate.from_influence(means[0], terms[0], realizations)
 
 
 def model_interference(

@@ -131,8 +131,10 @@ def _gamma_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) -> np
 
 
 def _se_estimate(cfg: AntennaConfig, xi: float, gains: np.ndarray) -> Estimate:
-    """Spectral efficiency at ``xi`` on the gain draws of :func:`_gamma_gains`."""
-    return Estimate.from_samples(np.log1p((xi / cfg.s) * gains).sum(axis=1) / math.log(2.0))
+    """Spectral efficiency at ``xi`` on the gain draws of :func:`_gamma_gains`: their sample mean."""
+    values = np.log1p((xi / cfg.s) * gains).sum(axis=1) / math.log(2.0)
+    mean = float(values.mean())
+    return Estimate.from_influence(mean, (values - mean) / len(values), len(values))
 
 
 def _jacobi_rule(n: int, mu0: float, diag, off, poly, dpoly, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:

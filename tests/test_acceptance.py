@@ -17,6 +17,7 @@ from hcppnet import (
     ChannelParams,
     DivergenceError,
     EnergyModel,
+    Estimate,
     HcppParams,
     InterferenceScenario,
     TrafficModel,
@@ -29,7 +30,6 @@ from hcppnet import (
     first_moment,
     matern2_thin,
     mc_interference,
-    mean_shadowing,
     required_link_power,
     sample_hcpp,
     sample_ppp,
@@ -45,7 +45,7 @@ from hcppnet.cli import main as cli_main
 from hcppnet.config import DEFAULTS
 from hcppnet.energy import _shared_draw_terms
 from hcppnet.figures import _rng_for, _tasks
-from hcppnet.interference import _estimates, _mc_row, _tagged_station_mc, model_interference
+from hcppnet.interference import _influence, _mc_row, _tagged_station_mc, model_interference
 
 LAMBDA_P = 1.0 / (math.pi * 800.0**2)
 BETA = db_to_linear(-31.54)
@@ -186,7 +186,7 @@ def test_c04_interference_monotone_orderings():
 
 
 def paired_figure(figure_id, seed, reps):
-    """A figure's layout set, run as ``hcppnet figure`` runs it: tasks, estimates, per-realization influences, scale.
+    """A figure's layout set, run as ``hcppnet figure`` runs it: tasks, means, per-realization influence terms.
 
     Every row of the figure's lambda family sees the same layouts, so rows
     are correlated and a difference of two rows gets its standard error
@@ -196,18 +196,13 @@ def paired_figure(figure_id, seed, reps):
     tasks = _tasks(figure_id, config_from_dict({"seed": seed}), reps)
     assert len({t.seed_key for t in tasks}) == 1
     rows = [_mc_row(t.model, t.scenario) for t in tasks]
-    totals, counts = _tagged_station_mc(rows, reps, _rng_for(*tasks[0].seed_key))
-    ratio = totals.sum(axis=1) / counts.sum(axis=1)
-    influence = (totals - ratio[:, None] * counts) / counts.sum(axis=1)[:, None]
-    ch, power = tasks[0].scenario.channel, tasks[0].scenario.mean_tx_power
-    scale = ch.beta * mean_shadowing(ch.sigma_s_db) * power
-    return tasks, _estimates(rows, totals, counts), influence, scale
+    return (tasks, *_influence(rows, *_tagged_station_mc(rows, reps, _rng_for(*tasks[0].seed_key))))
 
 
-def paired_difference(fig, j, k):
-    """Row j minus row k of one layout set, and its paired standard error."""
-    _, est, influence, scale = fig
-    return est[j].mean - est[k].mean, scale * math.sqrt(np.sum((influence[j] - influence[k]) ** 2))
+def paired_difference(means, terms, j, k):
+    """Row j minus row k of one set of shared units, with the standard error of the paired terms."""
+    est = Estimate.from_influence(means[j] - means[k], terms[j] - terms[k], terms.shape[1])
+    return est.mean, est.std_error
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -215,8 +210,7 @@ def test_mc_paired_poisson_minus_hard_core_follows_analytic(seed):
     # the analytic Poisson minus hard-core gap changes sign along x_off (hard-core
     # exceeds Poisson from x_off = 350 at delta = 500); on shared parents the MC gap
     # must have the analytic sign at z >= 3 and agree with the analytic gap
-    fig = paired_figure(2, seed, 500)
-    tasks = fig[0]
+    tasks, means, terms = paired_figure(2, seed, 500)
     at = {(t.model, t.scenario.channel.alpha, t.sweep_value): i for i, t in enumerate(tasks)}
     worst_sign, worst_gap = math.inf, 0.0
     for (model, alpha, x_off), h in at.items():
@@ -224,7 +218,7 @@ def test_mc_paired_poisson_minus_hard_core_follows_analytic(seed):
             continue
         p = at[("ppp", alpha, x_off)]
         analytic = model_interference("ppp", tasks[p].scenario)[0] - model_interference("hcpp", tasks[h].scenario)[0]
-        diff, se = paired_difference(fig, p, h)
+        diff, se = paired_difference(means, terms, p, h)
         worst_sign = min(worst_sign, math.copysign(1.0, analytic) * diff / se)
         worst_gap = max(worst_gap, abs(diff - analytic) / se)
     assert worst_sign >= 3.0
@@ -234,15 +228,17 @@ def test_mc_paired_poisson_minus_hard_core_follows_analytic(seed):
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_mc_paired_interference_falls_in_delta_and_rises_in_x_off(seed):
-    fig = paired_figure(3, seed, 1000)
-    at = {(t.scenario.hcpp.delta, t.sweep_value): i for i, t in enumerate(fig[0])}
+    tasks, means, terms = paired_figure(3, seed, 1000)
+    at = {(t.scenario.hcpp.delta, t.sweep_value): i for i, t in enumerate(tasks)}
     deltas = sorted({d for d, _ in at})
     offsets = sorted({x for _, x in at})
     along_delta = [
-        paired_difference(fig, at[(d1, x)], at[(d2, x)]) for x in offsets for d1, d2 in zip(deltas, deltas[1:])
+        paired_difference(means, terms, at[(d1, x)], at[(d2, x)])
+        for x in offsets for d1, d2 in zip(deltas, deltas[1:])
     ]
     along_x_off = [
-        paired_difference(fig, at[(d, x2)], at[(d, x1)]) for d in deltas for x1, x2 in zip(offsets, offsets[1:])
+        paired_difference(means, terms, at[(d, x2)], at[(d, x1)])
+        for d in deltas for x1, x2 in zip(offsets, offsets[1:])
     ]
     worst_delta = min(diff / se for diff, se in along_delta)
     worst_x_off = min(diff / se for diff, se in along_x_off)
@@ -437,7 +433,7 @@ def test_c09_hard_core_never_less_efficient_than_poisson(ee_data):
 
 
 def paired_ee_figure(figure_id, seed):
-    """An efficiency figure's draw set, run as ``hcppnet figure`` runs it: tasks, quadrature, MC, per-draw influences.
+    """An efficiency figure's draw set, run as ``hcppnet figure`` runs it: tasks, quadrature, MC, per-draw terms.
 
     Every row of the figure sees the same draws, so rows are correlated and
     a difference of two rows gets its standard error from the paired
@@ -449,17 +445,12 @@ def paired_ee_figure(figure_id, seed):
     draws = tasks[0].reps
     quad = np.array([energy_efficiency_quad(*t.ee_inputs()) for t in tasks])
     mc = np.empty(len(tasks))
-    influence = np.zeros((len(tasks), draws))
+    terms = np.zeros((len(tasks), draws))  # a draw in outage has no influence on a row
     rows = [t.ee_inputs() for t in tasks]
-    for k, (ee, served, dev) in _shared_draw_terms(rows, draws, _rng_for(*tasks[0].seed_key)):
+    for k, (ee, served, row_terms) in _shared_draw_terms(rows, draws, _rng_for(*tasks[0].seed_key)):
         mc[k] = ee
-        influence[k, served] = dev / dev.size
-    return tasks, quad, mc, influence
-
-
-def paired_ee_se(influence, j, k):
-    """Standard error of row j minus row k of one draw set."""
-    return math.sqrt(np.sum((influence[j] - influence[k]) ** 2))
+        terms[k, served] = row_terms
+    return tasks, quad, mc, terms
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -468,14 +459,14 @@ def test_mc_paired_hard_core_more_efficient_than_poisson(seed):
     # its Poisson twin at z >= 3, by a gap that agrees with the quadrature's
     worst_sign, worst_gap = math.inf, 0.0
     for figure_id in (9, 10, 11):
-        tasks, quad, mc, influence = paired_ee_figure(figure_id, seed)
+        tasks, quad, mc, terms = paired_ee_figure(figure_id, seed)
         # station spacing does not enter the Poisson baseline: figure 9's one curve twins every spacing
         twin = {(t.traffic.theta, t.scenario.channel.alpha, t.sweep_value): i for i, t in enumerate(tasks)
                 if t.model == "ppp"}
         for h, t in enumerate(tasks):
             if t.model == "hcpp":
                 p = twin[(t.traffic.theta, t.scenario.channel.alpha, t.sweep_value)]
-                se = paired_ee_se(influence, h, p)
+                _, se = paired_difference(mc, terms, h, p)
                 worst_sign = min(worst_sign, (mc[h] - mc[p]) / se)
                 worst_gap = max(worst_gap, abs(mc[h] - mc[p] - (quad[h] - quad[p])) / se)
     assert worst_sign >= 3.0
@@ -490,13 +481,14 @@ def test_mc_paired_efficiency_maximum_agrees_with_quadrature(seed):
     # argmax over n is the quadrature's, or beats the quadrature's argmax row by at most 2 SE
     worst, moved, curves = 0.0, 0, 0
     for figure_id in (9, 10, 11):
-        tasks, quad, mc, influence = paired_ee_figure(figure_id, seed)
+        tasks, quad, mc, terms = paired_ee_figure(figure_id, seed)
         for label in dict.fromkeys(t.label for t in tasks if t.model == "hcpp"):
             curves += 1
             curve = [i for i, t in enumerate(tasks) if t.label == label]
             a, b = curve[int(np.argmax(mc[curve]))], curve[int(np.argmax(quad[curve]))]
             if a != b:
-                worst = max(worst, (mc[a] - mc[b]) / paired_ee_se(influence, a, b))
+                diff, se = paired_difference(mc, terms, a, b)
+                worst = max(worst, diff / se)
                 moved += 1
     assert worst <= 2.0
     print(f"[paired ee seed={seed}] MC argmax off the quadrature's on {moved} of {curves} curves, "

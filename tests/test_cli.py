@@ -162,6 +162,7 @@ def _refuse_constant(name):
     [
         (["interference", "--mc", "--reps", "1"], "mc_std_error_w"),
         (["se", "--draws", "1"], "mc_std_error"),
+        (["ee", "--draws", "1"], "mc_std_error"),
         # 3.9e-8 of draws are served here, so the Monte Carlo serves none
         (["ee", "--x-off", "499"], "mc_std_error"),
     ],

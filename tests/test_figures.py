@@ -9,6 +9,7 @@ differs between a source checkout and an installed copy.
 
 import hashlib
 import os
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -17,59 +18,59 @@ from hcppnet import ConfigurationError, ParameterError, config_from_dict, energy
 from hcppnet.cli import main
 from hcppnet import figures
 from hcppnet.figures import FIGURE_IDS, _resolve_workers, _rng_for, _tasks, run_figure
-from hcppnet.interference import _estimates, _mc_row, _tagged_station_mc
+from hcppnet.interference import Estimate, _influence, _mc_row, _tagged_station_mc
 
 GOLDEN = {
     2: (
-        "16bdc4b9acb2c8bef6cd712cd82717329fb9a3cb1a42439e0cea8528f3570779",
+        "fc4d19fb4461e916ca84a636c23698d81dbd50e923a4ae76a96e26a6f9f0ba07",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
     ),
     3: (
-        "de833f01b9a148bc011fa813bf360c8e81340b907c1641bceda62922c7f8f4fa",
+        "3c0b16ea92714d2e6ce8728d54398f2a272295a4914e33c251f6bf20b728537f",
         24,
         "x_off",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500"],
     ),
     4: (
-        "a5b32076bf56cb415286cf3b1845bd773d6436516de1d890118d71261497f33a",
+        "a14cba3911cb7cb9cec293fb9be8d08a48a4bd7248ca594739586c38c4f4597e",
         27,
         "x_off",
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
     ),
     6: (
-        "b7dcfe38c4d1a939a1aa8620340f5784eabfe642beff8ce344d0046a6958857f",
+        "6b9da729f78ab28730621a45f4be22a9bc8e4b4cf91ad93deb062d09e161db3b",
         39,
         "xi",
         ["n_t=2", "n_t=4", "n_t=8"],
     ),
     7: (
-        "be48aafe9abb947aab4cfc4499306c890799f72e2bc35a1ffca8b2655d8b8068",
+        "2daab07967d2ae6cac38c5778da644ee1c254068aa03ec1be0c6f92d447b28ad",
         52,
         "xi",
         ["s=1", "s=2", "s=4", "s=8"],
     ),
     8: (
-        "47dbe7ff8ad8f412a76bdde0f17ebc199075db64bc31dcf85d2dbed3d889d9d5",
+        "9ed7d139b74e61fee076e1aadabd68565f425a3f7d692f5feb8cac2a87fe68d1",
         72,
         "s",
         ["hcpp n_t=8", "ppp n_t=8", "hcpp n_t=12", "ppp n_t=12", "hcpp n_t=16", "ppp n_t=16"],
     ),
     9: (
-        "2923d1e32b1eb6b4e878f5bffdf407de40d5a3afaf879402514ab9b1a223b6f9",
+        "1ed27eaab83747f343617a498385036755e51b876b045fcc9c93cc84ef97d9cc",
         64,
         "n",
         ["hcpp delta=300", "hcpp delta=400", "hcpp delta=500", "ppp"],
     ),
     10: (
-        "d9d2f77f9072b9263e75ce8d411a9f24e228927bec2f4dbb6f31a318cb77e047",
+        "fae0a8a912821ca978cf2e52b1e3204394d27b6ee06aaea54435d7e90173b8da",
         96,
         "n",
         ["hcpp theta=1.2", "ppp theta=1.2", "hcpp theta=1.5", "ppp theta=1.5", "hcpp theta=1.8", "ppp theta=1.8"],
     ),
     11: (
-        "45ecf5bbd06fc6ddc76dc5384cd9f9dec0e3f4c91857a2b7115a5724d7ec37ba",
+        "a0bdc4dc0bf2e3b9bfd7c6acd67394fd6eb487e95b0fdbb3e77d87c9e5da3ce1",
         96,
         "n",
         ["hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4", "ppp alpha=4", "hcpp alpha=4.2", "ppp alpha=4.2"],
@@ -103,11 +104,11 @@ def test_interference_figure_chunks_join_into_one_layout_set(monkeypatch):
     reps = 15
     tasks = _tasks(3, SEED_7, reps)
     rows = [_mc_row(t.model, t.scenario) for t in tasks]
-    whole = _estimates(rows, *_tagged_station_mc(rows, reps, _rng_for(*tasks[0].seed_key)))
+    means, terms = _influence(rows, *_tagged_station_mc(rows, reps, _rng_for(*tasks[0].seed_key)))
     monkeypatch.setattr(figures, "_SPAWN_CHUNK", 7)
     table = run_figure(3, SEED_7, reps=reps, workers=1)
-    assert [(r.mc_mean, r.mc_std_error, r.replications) for r in table.rows] == [
-        (e.mean, e.std_error, e.replications) for e in whole
+    assert [Estimate(r.mc_mean, r.mc_std_error, r.replications) for r in table.rows] == [
+        Estimate.from_influence(mean, row_terms, reps) for mean, row_terms in zip(means, terms)
     ]
 
 
@@ -159,13 +160,23 @@ def test_interference_figure_rejects_nonpositive_reps(reps):
         run_figure(3, SEED_7, reps=reps, workers=1)
 
 
-@pytest.mark.parametrize("figure_id", [2, 9])
-def test_library_reps_below_one_is_rejected_before_the_analytic_columns(figure_id, monkeypatch):
+@pytest.mark.parametrize(
+    ("figure_id", "cfg", "reps", "name"),
+    [
+        (2, SEED_7, 0, "reps"),
+        (9, SEED_7, 0, "reps"),
+        # a config built in code skips the config file's bounds: the count it resolves is checked too
+        (2, replace(SEED_7, realizations=0), None, "realizations"),
+        (9, replace(SEED_7, ee_draws=0), None, "ee_draws"),
+    ],
+    ids=["2", "9", "2-realizations", "9-ee_draws"],
+)
+def test_library_reps_below_one_is_rejected_before_the_analytic_columns(figure_id, cfg, reps, name, monkeypatch):
     # the count is checked under its own name where _tasks resolves it, not by the estimator after the analytic work
     analytic = mock.Mock(wraps=figures.model_interference)
     monkeypatch.setattr(figures, "model_interference", analytic)
-    with pytest.raises(ParameterError, match="^reps must be >= 1, got 0$"):
-        run_figure(figure_id, SEED_7, reps=0, workers=1)
+    with pytest.raises(ParameterError, match=f"^{name} must be >= 1, got 0$"):
+        run_figure(figure_id, cfg, reps=reps, workers=1)
     assert analytic.call_count == 0
 
 

@@ -321,8 +321,8 @@ def test_mc_spawns_exactly_one_child_stream_per_realization(estimator, chunk, mo
 @pytest.mark.parametrize(
     "estimator, mean, std_error",
     [
-        (mc_interference, 1.6028222173409745e-13, 5.975560749306196e-15),
-        (mc_interference_ppp, 2.1926476955963732e-13, 6.3663757404844575e-15),
+        (mc_interference, 1.6028222173409745e-13, 5.990555906507658e-15),
+        (mc_interference_ppp, 2.1926476955963732e-13, 6.38235161438771e-15),
     ],
 )
 def test_single_row_estimate_is_pinned(estimator, mean, std_error):
@@ -608,13 +608,29 @@ def test_estimate_single_replication_flags_unknown_error():
     assert math.isinf(est.std_error)
 
 
+def test_standard_error_is_the_linearized_ratio_variance():
+    # Cochran, Sampling Techniques, 6.4: the ratio r = sum(y) / sum(x) of n realizations has the
+    # linearized variance sum((y - r x)**2) / ((n - 1) n xbar**2), here in watts
+    s, n = scenario(200.0), 50
+    est = mc_interference(s, n, np.random.default_rng(8))
+    (y,), (x,) = _tagged_station_mc([_mc_row("hcpp", s)], n, np.random.default_rng(8))
+    r = y.sum() / x.sum()
+    variance = np.sum((y - r * x) ** 2) / ((n - 1) * n * x.mean() ** 2)
+    watts = BETA * mean_shadowing(6.0) * 2.0
+    assert est.std_error == pytest.approx(watts * math.sqrt(variance), rel=1e-14, abs=0.0)
+
+
 _SAMPLE = st.one_of(st.just(0.0), st.floats(1e-6, 1e6), st.floats(-1e6, -1e-6))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(_SAMPLE, min_size=1, max_size=40), st.integers(-900, 900))
+@example([0.0, 1.0], 512)  # the squares overflow
+@example([1e-6, -3e-6, 2e-6], -500)  # the squares are subnormal
+@example([1e-6, -3e-6, 2e-6], -900)  # the squares underflow to 0
 def test_estimate_scales_exactly_by_powers_of_two(values, k):
-    # a power-of-two scale is exact, so scaling the draws scales the mean and the standard error bit for bit
-    est = Estimate.from_samples(np.array(values))
-    scaled = Estimate.from_samples(np.ldexp(np.array(values), k))
+    # a power-of-two scale is exact, so scaling the influence terms scales the standard error bit for bit
+    terms = np.array(values)
+    est = Estimate.from_influence(terms.sum(), terms, len(values))
+    scaled = Estimate.from_influence(math.ldexp(est.mean, k), np.ldexp(terms, k), len(values))
     assert scaled == Estimate(math.ldexp(est.mean, k), math.ldexp(est.std_error, k), len(values))

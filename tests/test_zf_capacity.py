@@ -10,6 +10,7 @@ from scipy import special, stats
 from hcppnet import (
     AntennaConfig,
     ChannelParams,
+    Estimate,
     ParameterError,
     db_to_linear,
     path_gain,
@@ -123,9 +124,10 @@ def test_spectral_efficiency_mc_matrix_route_agrees():
     gamma_route = spectral_efficiency_mc(cfg, xi, 40000, np.random.default_rng(26))
     gains = sample_zf_gains(cfg, 8000, np.random.default_rng(27))
     per_draw = np.log2(1.0 + (xi / cfg.s) * gains).sum(axis=1)
-    matrix_se = per_draw.std(ddof=1) / math.sqrt(per_draw.size)
-    diff = abs(gamma_route.mean - per_draw.mean())
-    assert diff <= 3.0 * math.hypot(gamma_route.std_error, matrix_se)
+    mean = per_draw.mean()
+    matrix_route = Estimate.from_influence(mean, (per_draw - mean) / per_draw.size, per_draw.size)
+    diff = abs(gamma_route.mean - matrix_route.mean)
+    assert diff <= 3.0 * math.hypot(gamma_route.std_error, matrix_route.std_error)
 
 
 def test_bound_dominates_and_is_tight_at_low_xi():
