@@ -17,13 +17,7 @@ import numpy as np
 from ._special import hyp2f1_far, hyp2f1_near
 from .channel import ChannelParams, mean_shadowing
 from .errors import DivergenceError, ParameterError, bounded, check, check_fields
-from .point_process import (
-    HcppParams,
-    Window,
-    first_moment,
-    sample_ppp,
-    second_moment,
-)
+from .point_process import HcppParams, first_moment, second_moment
 
 __all__ = [
     "InterferenceScenario",
@@ -102,7 +96,10 @@ def _tail_radial_integral(r_start: float, d: float, alpha: float) -> float:
 
 _PANEL_RATIO = 4.0  # largest ratio of outer to inner r - x_off on one near-field panel
 _SPAWN_CHUNK = 1024  # Monte Carlo child streams spawned at a time; realizations per unit of a figure's pool work
-_GROUP_ENTRIES = 8192  # most entries of one (realizations, n, n) plane of a group of realizations with n parents
+_PLANE_ENTRIES = 16384  # most entries of one (realizations, n, n) plane of a group of realizations with n parents
+# most entries of one (rows, pairs) table of a group, bounded as rows * realizations * n * n: a spacing of 24 rows,
+# as in figure 2, keeps its groups' planes at 8192 entries
+_TABLE_ENTRIES = 24 * 8192
 # Gauss-Legendre nodes and weights of one panel, on [0, 1]: the values of scipy.special.roots_sh_legendre(16),
 # written out so that no run needs scipy
 _GL_U = np.array([
@@ -217,22 +214,47 @@ def _truncation_radius(rows) -> float:
     return max(2.0 * (s.hcpp.delta + s.x_off) + 2.0 / math.sqrt(s.hcpp.lambda_p) for s, _ in rows)
 
 
-def _min_image(points: np.ndarray, side: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class _Work:
+    """Work buffers that one Monte Carlo call reuses from group to group, each grown to the largest view asked of it.
+
+    A group's planes and pair tables are views of these, written with
+    ``out=``, so a call faults in the pages of its largest group once rather
+    than fresh pages for every group; the buffers go when the call returns.
+    """
+
+    def __init__(self):
+        self.buffers: dict[str, np.ndarray] = {}
+
+    def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self.buffers[name] = np.empty(size, dtype)
+        return buf[:size].reshape(shape)
+
+
+def _min_image(points: np.ndarray, side: float, work: _Work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Differences ``points[g, j] - points[g, i]`` at ``[g, i, j]`` on the torus of edge ``side``, and squared norms.
 
     ``points`` is a ``(realizations, n, 2)`` array; the differences come as an
     x and a y plane of shape ``(realizations, n, n)``, each minimum-imaged on
-    its own.
+    its own.  The planes are views of ``work``'s buffers.
     """
-    x, y = points[..., 0], points[..., 1]
-    dx = x[:, None, :] - x[:, :, None]
-    dy = y[:, None, :] - y[:, :, None]
-    dx -= side * np.rint(dx / side)
-    dy -= side * np.rint(dy / side)
-    return dx, dy, dx * dx + dy * dy
+    g, n, _ = points.shape
+    dx, dy, dist2, tmp = (work(name, (g, n, n)) for name in ("dx", "dy", "dist2", "tmp"))
+    for d, c in ((dx, points[..., 0]), (dy, points[..., 1])):
+        np.subtract(c[:, None, :], c[:, :, None], out=d)
+        np.divide(d, side, out=tmp)
+        np.rint(tmp, out=tmp)
+        tmp *= side
+        d -= tmp
+    np.multiply(dx, dx, out=dist2)
+    np.multiply(dy, dy, out=tmp)
+    dist2 += tmp
+    return dx, dy, dist2
 
 
-def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, deltas) -> list[np.ndarray]:
+def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, deltas, work: _Work) -> list[np.ndarray]:
     """Matern type-II survivor masks at each spacing of ``deltas``, given the squared pair distances ``dist2``.
 
     ``dist2`` is ``(realizations, n, n)`` and ``marks`` ``(realizations, n)``;
@@ -241,35 +263,48 @@ def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, deltas) -> list[np.ndar
     mark and an earlier index, as in
     :func:`~hcppnet.point_process.matern2_thin`; ``delta == 0`` keeps every
     parent.  The marks are ranked once for all the spacings, and not at all
-    when every spacing is 0.
+    when every spacing is 0.  The boolean planes are views of ``work``'s
+    buffers.
     """
     if not any(deltas):
         return [np.ones(marks.shape, dtype=bool)] * len(deltas)
     g, n = marks.shape
     rank = np.empty((g, n), dtype=np.intp)
     rank[np.arange(g)[:, None], np.argsort(marks, axis=1, kind="stable")] = np.arange(n)
-    outranks = rank[:, :, None] < rank[:, None, :]
-    return [
-        np.ones((g, n), dtype=bool) if delta == 0 else ~((dist2 <= delta**2) & outranks).any(axis=1)
-        for delta in deltas
-    ]
+    outranks = np.less(rank[:, :, None], rank[:, None, :], out=work("outranks", (g, n, n), bool))
+    close = work("close", (g, n, n), bool)
+    kept = []
+    for delta in deltas:
+        if delta == 0:
+            kept.append(np.ones((g, n), dtype=bool))
+            continue
+        np.less_equal(dist2, delta**2, out=close)
+        close &= outranks
+        kept.append(~close.any(axis=1))
+    return kept
 
 
-def _user_distances2(offsets: np.ndarray, px: np.ndarray, py: np.ndarray, ux: np.ndarray, uy: np.ndarray):
+def _user_distances2(offsets: np.ndarray, dx: np.ndarray, dy: np.ndarray, ux: np.ndarray, uy: np.ndarray,
+                     flat: np.ndarray, users: np.ndarray, work: _Work) -> np.ndarray:
     """Squared distances ``|p - x u|**2`` from each pair's user at each offset ``x``, as an ``(offsets, pairs)`` array.
 
-    ``p`` is the pair's station-to-interferer vector and ``u`` its user's
-    unit direction.  Computed in place, so that at most two such arrays are
-    alive at once.
+    ``p`` is the pair's station-to-interferer vector, at ``flat`` in the
+    difference planes ``dx`` and ``dy``, and ``u`` the unit direction, at
+    ``users`` in ``ux`` and ``uy``, of its user.  Computed in place in two of
+    ``work``'s tables, one coordinate at a time, so that one pair vector is
+    gathered at a time, into the buffers of the spent ``dist2`` and scratch
+    planes of :func:`_min_image`; the result is a view of the first table.
     """
-    dx = np.multiply.outer(offsets, ux)
-    dy = np.multiply.outer(offsets, uy)
-    np.subtract(px, dx, out=dx)
-    np.subtract(py, dy, out=dy)
-    dx *= dx
-    dy *= dy
-    dx += dy
-    return dx
+    shape = (len(offsets), len(flat))
+    pair = work("dist2", shape[1:])
+    d2, other = work("d2", shape), work("tmp", shape)
+    for out, p, u in ((d2, dx, ux), (other, dy, uy)):
+        # mode="wrap" takes straight into out; the indices are in range, so the mode changes no value
+        np.multiply.outer(offsets, u.take(users, out=pair, mode="wrap"), out=out)
+        np.subtract(p.take(flat, out=pair, mode="wrap"), out, out=out)
+        out *= out
+    d2 += other
+    return d2
 
 
 def _sum_each(powered: np.ndarray, edges: list[int] | None, out: np.ndarray) -> None:
@@ -284,55 +319,67 @@ def _sum_each(powered: np.ndarray, edges: list[int] | None, out: np.ndarray) -> 
         np.add.reduce(powered[:, edges[i]:edges[i + 1]], axis=1, out=row)
 
 
-def _group_sums(plan, r_trunc: float, points: np.ndarray, marks: np.ndarray, streams, n_rows: int):
+def _group_sums(plan, r_trunc: float, block: np.ndarray, work: _Work, n_rows: int):
     """Serve every row from a group of realizations that drew the same parent count.
 
-    ``points`` and ``marks`` are the group's parents, ``(realizations, n, 2)``
-    and ``(realizations, n)``, on the torus of side ``2 * r_trunc``, and
-    ``streams`` their generators.  The minimum-image planes, the survivor
-    masks of each spacing of ``plan`` (see :func:`_row_plan`) and the in-play
-    mask (pairs within ``r_trunc``) are built once for the group; then each
-    stream draws its survivors' user angles.  Each spacing takes its pairs
-    with one flat-index search over the in-play mask of its survivors,
-    row-major within each realization, and each survivor is tagged in turn,
-    as :func:`mc_interference` describes.  The user-to-station distances are
-    computed once per distinct offset, and the rows' powers are whole-array
-    operations over that offset table.  ``nearest`` rows also drop
-    interferers within ``x_off`` of the user (nearest-station association,
-    for the Poisson baseline), filtered per offset.  Each realization sums
-    each row's pairs on their own, so every sum is that of the realization
-    run alone.  Returns the row sums and station counts, two
-    ``(realizations, n_rows)`` arrays in the slots of ``plan``.
+    ``block`` is the group's ``(realizations, 4 n)`` array of uniform draws,
+    one row per realization with ``n`` parents: its parents' coordinates
+    (first ``2 n``, scaled here onto the torus of side ``2 * r_trunc``), their
+    marks (next ``n``) and its survivors' user angles (next ``k <= n``, one per
+    survivor of the smallest spacing, in index order).  The minimum-image
+    planes, the survivor masks of each spacing of ``plan`` (see
+    :func:`_row_plan`) and the in-play mask (pairs within ``r_trunc``) are
+    built once for the group, as views of ``work``'s buffers.  Each spacing
+    takes its pairs with one flat-index search over the in-play mask of its
+    survivors, row-major within each realization, and each survivor is
+    tagged in turn, as :func:`mc_interference` describes.  The
+    user-to-station distances are computed once per distinct offset, and the
+    rows' powers are whole-array operations over that offset table.
+    ``nearest`` rows also drop interferers within ``x_off`` of the user
+    (nearest-station association, for the Poisson baseline), filtered per
+    offset.  Each realization sums each row's pairs on their own, so every
+    sum is that of the realization run alone.  Returns the row sums and
+    station counts, two ``(realizations, n_rows)`` arrays in the slots of
+    ``plan``.
     """
-    g, n = marks.shape
-    dx, dy, dist2 = _min_image(points, 2.0 * r_trunc)
-    kept = _mark_thinning(dist2, marks, [entry[0] for entry in plan])
-    # the survivors of the smallest spacing include those of every larger one
-    angles = np.add.reduce(kept[0], axis=1).tolist()
-    # 2 pi times rng.random(k) is the arithmetic of rng.uniform(0, 2 pi, k) on the same draws
-    theta = np.concatenate([stream.random(k) for stream, k in zip(streams, angles)])
+    g, n = block.shape[0], block.shape[1] // 4
+    side = 2.0 * r_trunc
+    points = block[:, :2 * n]
+    points *= side  # sample_ppp's arithmetic: x * side + 0.0 is x * side
+    dx, dy, dist2 = _min_image(points.reshape(g, n, 2), side, work)
+    kept = _mark_thinning(dist2, block[:, 2 * n:3 * n], [entry[0] for entry in plan], work)
+    # the survivors of the smallest spacing include those of every larger one; realization i's k survivors take its
+    # draws 3 n to 3 n + k - 1 in turn, and 2 pi times them is the arithmetic of rng.uniform(0, 2 pi, k) on those draws
+    theta = block[:, 3 * n:][np.arange(n) < np.add.reduce(kept[0], axis=1)[:, None]]
     theta *= 2.0 * np.pi
-    ux, uy = np.empty((g, n)), np.empty((g, n))
+    ux, uy = np.empty((2, g, n))
     ux[kept[0]], uy[kept[0]] = np.cos(theta), np.sin(theta)
-    inplay = dist2 <= r_trunc**2
+    inplay = np.less_equal(dist2, r_trunc**2, out=work("inplay", (g, n, n), bool))
     inplay.reshape(g, n * n)[:, :: n + 1] = False
     # where each realization's entries start in the flattened planes; a group of one needs no edges
     plane_edges = None if g == 1 else [i * n * n for i in range(g + 1)]
     sums, counts = np.empty((2, g, n_rows))
     for keep, (delta, slots, offsets, (x_idx, neg_half_alpha), near) in zip(kept, plan):
         # at spacing 0 every parent survives, so its pairs are the in-play ones
-        flat = (inplay if delta == 0 else inplay & keep[:, :, None] & keep[:, None, :]).ravel().nonzero()[0]
-        users = flat // n
-        d2 = _user_distances2(offsets, dx.take(flat), dy.take(flat), ux.take(users), uy.take(users))
+        if delta == 0:
+            flat = inplay.ravel().nonzero()[0]
+        else:
+            pairs = np.logical_and(inplay, keep[:, :, None], out=work("close", (g, n, n), bool))
+            pairs &= keep[:, None, :]
+            flat = pairs.ravel().nonzero()[0]
+        d2 = _user_distances2(offsets, dx, dy, ux, uy, flat, flat // n, work)
         pair_edges = None if plane_edges is None else np.searchsorted(flat, plane_edges).tolist()
-        if len(x_idx):
-            powered = d2[x_idx]  # (rows, pairs); the power overwrites it, so one such array is alive at a time
-            np.power(powered, neg_half_alpha[:, None], out=powered)
-            _sum_each(powered, pair_edges, sums[:, slots.start:slots.start + len(x_idx)])
-        for slot, j, x_sq, neg_half_alpha in near:
+        for slot, j, x_sq, nha in near:
             beyond = d2[j] > x_sq
             edges = None if pair_edges is None else np.searchsorted(beyond.nonzero()[0], pair_edges).tolist()
-            _sum_each(d2[j][beyond] ** neg_half_alpha[:, None], edges, sums[:, slot:slot + len(neg_half_alpha)])
+            kept_d2 = d2[j][beyond]
+            powered = np.power(kept_d2, nha[:, None], out=work("table", (len(nha), len(kept_d2))))
+            _sum_each(powered, edges, sums[:, slot:slot + len(nha)])
+        if len(neg_half_alpha):
+            # after the nearest rows, which read d2: a plain row per distinct offset, in order, powers d2 in place
+            powered = d2 if x_idx is None else d2.take(x_idx, axis=0, out=work("table", (len(x_idx), len(flat))), mode="wrap")
+            np.power(powered, neg_half_alpha[:, None], out=powered)
+            _sum_each(powered, pair_edges, sums[:, slots.start:slots.start + len(neg_half_alpha)])
         counts[:, slots] = n if delta == 0 else np.add.reduce(keep, axis=1)[:, None]
     return sums, counts
 
@@ -345,9 +392,10 @@ def _row_plan(rows) -> tuple[list[tuple], list[int]]:
     ``nearest``, then those with it, by distinct offset.  An entry is
     ``(delta, slots, offsets, plain, near)``: the spacing's slice of slots;
     the distinct user offsets of its rows; its rows without ``nearest``, in
-    the first slots, as two arrays (offset index, ``-alpha/2``); and, for
-    each distinct offset of its ``nearest`` rows, the tuple (first slot,
-    offset index, ``x_off**2``, ``-alpha/2`` array).
+    the first slots, as two arrays (offset index, or ``None`` when they are
+    the offsets in order, and ``-alpha/2``); and, for each distinct offset of
+    its ``nearest`` rows, the tuple (first slot, offset index, ``x_off**2``,
+    ``-alpha/2`` array).
     """
     plan, order = [], []
     for delta in sorted({s.hcpp.delta for s, _ in rows}):
@@ -365,9 +413,52 @@ def _row_plan(rows) -> tuple[list[tuple], list[int]]:
         for x, kp in near_by_x.items():
             near.append((len(order), offsets.index(x), x**2, np.array([p for _, p in kp])))
             order += [k for k, _ in kp]
-        plain_arrays = (np.array([i for _, i, _ in plain], dtype=np.intp), np.array([p for _, _, p in plain]))
+        x_idx = [i for _, i, _ in plain]
+        plain_arrays = (None if x_idx == list(range(len(offsets))) else np.array(x_idx, dtype=np.intp),
+                        np.array([p for _, _, p in plain]))
         plan.append((delta, slice(first, len(order)), np.array(offsets), plain_arrays, near))
     return plan, order
+
+
+class _StateWords:
+    """A seed sequence that hands a bit generator state words computed beforehand.
+
+    :func:`_child_streams` registers it as numpy's ``ISeedSequence``.
+    """
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+# SeedSequence.generate_state's hash: state word i is pool word i % pool_size, xor-ed with _HASH_IN[i], times
+# _HASH_OUT[i] (mod 2**32), xor-ed with itself shifted right by 16; PCG64 seeds from the first eight words as four uint64
+_HASH_IN = np.array([0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(8)], dtype=np.uint32)
+_HASH_OUT = np.array([0x8B51F9DD * 0x58F38DED ** (i + 1) % 2**32 for i in range(8)], dtype=np.uint32)
+
+
+def _child_streams(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
+    """``rng.spawn(count)``: the same children, of ``rng``'s type, and ``rng``'s next spawn starts after them.
+
+    A PCG64 ``rng`` still spawns the children's seed sequences, but seeds
+    their generators from one vectorised hash of their entropy pools instead
+    of one ``generate_state`` call each; any other bit generator spawns.
+    """
+    seq = rng.bit_generator.seed_seq
+    if type(rng.bit_generator) is not np.random.PCG64 or type(seq) is not np.random.SeedSequence:
+        return rng.spawn(count)
+    # registered here, not at import: naming ISeedSequence there would load numpy.random into every import of hcppnet
+    np.random.bit_generator.ISeedSequence.register(_StateWords)
+    pools = np.array([child.pool for child in seq.spawn(count)])
+    words = np.ascontiguousarray(pools[:, np.arange(8) % pools.shape[1]])
+    words ^= _HASH_IN
+    words *= _HASH_OUT
+    words ^= words >> 16
+    # generate_state pairs the words as little-endian uint64 on any host
+    state = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return [type(rng)(np.random.PCG64(_StateWords(words))) for words in state]
 
 
 def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -378,38 +469,48 @@ def _tagged_station_mc(rows, realizations: int, rng: np.random.Generator) -> tup
     on the torus of the largest truncation radius among them, and serves
     every row from it.  Realization ``i`` consumes child stream ``i`` of
     ``rng``; the streams are spawned ``_SPAWN_CHUNK`` at a time, since each
-    holds about 1 KB.  The rows are grouped once per call (:func:`_row_plan`):
-    by spacing, then by distinct user offset, so that a realization sums
-    every row of a spacing in a few array operations instead of one pass per
-    row.  Within a chunk, every stream first draws its parents and marks;
-    then the realizations that drew the same parent count ``n`` run together
-    (:func:`_group_sums`), in groups of at most ``_GROUP_ENTRIES`` entries of
-    a ``(realizations, n, n)`` plane.  Each row's sum still runs over the
-    same values in the same order as a row summed on its own in a realization
-    run alone, so for a single row the draws and the arithmetic are those of
-    a run of that row alone, whatever the grouping.
+    holds about 1 KB.  A stream draws its parent count ``n``, then one block
+    of ``4 n`` uniforms (:func:`_group_sums`), which are the draws of
+    :func:`~hcppnet.point_process.sample_ppp`, of ``n`` marks and of up to
+    ``n`` user angles in a row.  The rows are grouped once per call
+    (:func:`_row_plan`): by spacing, then by distinct user offset, so that a
+    realization sums every row of a spacing in a few array operations
+    instead of one pass per row.  Within a chunk, every stream first draws
+    its count; then the realizations that drew the same ``n`` draw their
+    blocks and run together, in groups whose ``(realizations, n, n)`` planes
+    hold at most ``_PLANE_ENTRIES`` entries and whose ``(rows, pairs)``
+    tables, with ``rows`` the most rows of one spacing, at most
+    ``_TABLE_ENTRIES``.  Each row's sum still runs over the same values in
+    the same order as a row summed on its own in a realization run alone, so
+    for a single row the draws and the arithmetic are those of a run of that
+    row alone, whatever the grouping.
     """
     check("realizations", realizations, (">=", 1))
     lambda_p = rows[0][0].hcpp.lambda_p
     if any(s.hcpp.lambda_p != lambda_p for s, _ in rows):
         raise ParameterError("the rows of one layout set must share lambda_p")
     r_trunc = _truncation_radius(rows)
-    window = Window(0.0, 2.0 * r_trunc, 0.0, 2.0 * r_trunc)
+    side = 2.0 * r_trunc
+    mean_count = lambda_p * (side * side)  # sample_ppp's intensity * window.area on the torus [0, side)^2
     plan, order = _row_plan(rows)
+    table_rows = max(entry[1].stop - entry[1].start for entry in plan)
+    work = _Work()
     done, sums, counts = [], [], []  # the realizations in the order their groups ran, and their results
     for start in range(0, realizations, _SPAWN_CHUNK):
-        by_count: dict[int, list] = {}
-        for i, stream in enumerate(rng.spawn(min(_SPAWN_CHUNK, realizations - start)), start):
-            points = sample_ppp(lambda_p, window, stream)
-            by_count.setdefault(len(points), []).append((i, stream, points, stream.random(len(points))))
+        streams = _child_streams(rng, min(_SPAWN_CHUNK, realizations - start))
+        by_count: dict[int, list[int]] = {}
+        for j, stream in enumerate(streams):
+            by_count.setdefault(stream.poisson(mean_count), []).append(j)
         for n, members in by_count.items():
-            size = max(1, _GROUP_ENTRIES // max(1, n * n))
+            plane = max(1, n * n)
+            size = max(1, min(_PLANE_ENTRIES // plane, _TABLE_ENTRIES // (table_rows * plane)))
             for lo in range(0, len(members), size):
-                cols, streams, points, marks = zip(*members[lo:lo + size])
-                g = len(cols)
-                group_points, group_marks = np.concatenate(points).reshape(g, n, 2), np.concatenate(marks).reshape(g, n)
-                group_sums, group_counts = _group_sums(plan, r_trunc, group_points, group_marks, streams, len(rows))
-                done += cols
+                group = members[lo:lo + size]
+                block = work("block", (len(group), 4 * n))
+                for j, draws in zip(group, block):
+                    streams[j].random(out=draws)
+                group_sums, group_counts = _group_sums(plan, r_trunc, block, work, len(rows))
+                done += [start + j for j in group]
                 sums.append(group_sums)
                 counts.append(group_counts)
     totals, station_counts = np.empty((2, len(rows), realizations))

@@ -546,6 +546,15 @@ def test_no_library_module_imports_scipy():
             assert not [n for n in names if n.split(".")[0] == "scipy"], f"{path.name} line {node.lineno}"
 
 
+def test_importing_the_package_loads_no_numpy_random():
+    # the Monte Carlo routes reach numpy.random through the generators they are handed, so the import and the
+    # defaults, which a run's setup time counts, do not load it
+    code = "import sys, hcppnet; hcppnet.load_config(None); print('numpy.random' in sys.modules)"
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env())
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "False"
+
+
 def test_loading_the_defaults_needs_no_schema_or_spatial_module():
     # nor the YAML parser, which only a config file needs, nor the process pool, which a serial run skips,
     # nor the package metadata reader, which only a figure's .meta.json needs

@@ -27,6 +27,7 @@ from hcppnet import (
     mc_interference_ppp,
     mean_shadowing,
     model_interference,
+    sample_ppp,
     second_moment,
 )
 from hcppnet import interference
@@ -343,11 +344,19 @@ def test_a_row_sharing_its_spacing_and_radius_keeps_its_sums():
     assert not np.array_equal(shared[0][0], shared[0][1])
 
 
-def _group_sizes(rows, realizations, rng):
-    # the size of each group of realizations that _tagged_station_mc runs together
+def _groups(rows, realizations, rng):
+    # (realizations, parents) of each group that _tagged_station_mc runs together, the call's work buffers, and
+    # its result; a group's block of draws holds 4 per parent
     with mock.patch.object(interference, "_group_sums", wraps=interference._group_sums) as groups:
         result = _tagged_station_mc(rows, realizations, rng)
-    return [len(call.args[3]) for call in groups.call_args_list], result
+    calls = groups.call_args_list
+    return [(len(call.args[2]), call.args[2].shape[1] // 4) for call in calls], calls[0].args[3], result
+
+
+def _group_sizes(rows, realizations, rng):
+    # the size of each group of realizations that _tagged_station_mc runs together
+    shapes, _, result = _groups(rows, realizations, rng)
+    return [g for g, _ in shapes], result
 
 
 def test_a_poisson_only_layout_set_ranks_no_marks():
@@ -363,22 +372,62 @@ def test_a_poisson_only_layout_set_ranks_no_marks():
         assert argsort.call_count == ranked
 
 
-@pytest.mark.parametrize("layout_set", ["default hcpp row", "figure 2"])
+@pytest.mark.parametrize("layout_set", ["default hcpp row", "figure 2", "figure 3"])
 def test_grouping_realizations_moves_no_bit(layout_set, monkeypatch):
-    # a cap of one plane entry runs every realization in a group of its own; the default cap groups them,
+    # a cap of one plane entry runs every realization in a group of its own; the default caps group them,
     # and no total or count may move by a bit
-    if layout_set == "figure 2":
-        tasks = _tasks(2, config_from_dict({"seed": 7}), 64)
-        ((key, idx),) = _by_seed_key(tasks).items()
-        rows, realizations, seed = [_mc_row(tasks[i].model, tasks[i].scenario) for i in idx], 64, key
-    else:
+    if layout_set == "default hcpp row":
         rows = [_mc_row("hcpp", config_from_dict({"seed": 7}).scenario())]
         realizations, seed = interference._SPAWN_CHUNK + 76, (7,)
-    sizes, grouped = _group_sizes(rows, realizations, _rng_for(*seed))
-    monkeypatch.setattr(interference, "_GROUP_ENTRIES", 1)
+    else:
+        tasks = _tasks(int(layout_set[-1]), config_from_dict({"seed": 7}), 64)
+        ((key, idx),) = _by_seed_key(tasks).items()
+        rows, realizations, seed = [_mc_row(tasks[i].model, tasks[i].scenario) for i in idx], 64, key
+    shapes, work, grouped = _groups(rows, realizations, _rng_for(*seed))
+    # every plane and every (rows, pairs) table a group built fits its cap: the buffers grow to the largest
+    assert max(g * n * n for g, n in shapes) <= interference._PLANE_ENTRIES
+    for name in ("dx", "dy", "dist2", "outranks", "close", "inplay"):
+        assert work.buffers[name].size <= interference._PLANE_ENTRIES, name
+    assert max(buf.size for buf in work.buffers.values()) <= interference._TABLE_ENTRIES
+    # the default point's 39 parents fit 5 realizations in the 8192-entry planes of before; its groups are larger now
+    assert max(g for g, _ in shapes) > (5 if layout_set == "default hcpp row" else 1)
+    monkeypatch.setattr(interference, "_PLANE_ENTRIES", 1)
     alone_sizes, alone = _group_sizes(rows, realizations, _rng_for(*seed))
-    assert max(sizes) > 1 and set(alone_sizes) == {1} and len(alone_sizes) == realizations
+    assert set(alone_sizes) == {1} and len(alone_sizes) == realizations
     assert np.array_equal(grouped[0], alone[0]) and np.array_equal(grouped[1], alone[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**128),
+    st.lists(st.integers(0, 2**32 - 1), max_size=3),
+    st.integers(0, 5000),
+    st.sampled_from([1, 7, 1024]),
+)
+@example(7, [2, 0], 0, 1024)  # a figure family's key and first chunk
+@example(20260818, [13], 0, 7)  # a c03 grid point's key
+def test_chunk_seeded_children_are_the_spawned_ones(entropy, spawn_key, spawned, count):
+    # for PCG64, children seeded from one vectorised hash of their pools carry the states of rng.spawn's children,
+    # and the next spawn of either generator starts at the same child
+    ours, theirs = (_rng_for(entropy, *spawn_key, spawned=spawned) for _ in range(2))
+    children = interference._child_streams(ours, count)
+    assert [c.bit_generator.state for c in children] == [c.bit_generator.state for c in theirs.spawn(count)]
+    assert ours.bit_generator.seed_seq.n_children_spawned == spawned + count
+    assert ours.spawn(1)[0].bit_generator.state == theirs.spawn(1)[0].bit_generator.state
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.SFC64])
+def test_other_bit_generators_run_on_rng_spawn(bit_generator):
+    # any bit generator but PCG64 takes rng.spawn's children, so the estimator still matches the row loop's streams
+    def rng():
+        return np.random.Generator(bit_generator(np.random.SeedSequence(11, spawn_key=(3,))))
+
+    children, expected = interference._child_streams(rng(), 7), rng().spawn(7)
+    assert [type(c.bit_generator) for c in children] == [bit_generator] * 7
+    assert all(np.array_equal(a.random(8), b.random(8)) for a, b in zip(children, expected))
+    rows = [_mc_row("hcpp", scenario(300.0)), _mc_row("ppp", scenario(200.0))]
+    grouped, looped = _tagged_station_mc(rows, 5, rng()), _row_loop_mc(rows, 5, rng())
+    assert np.array_equal(grouped[0], looped[0]) and np.array_equal(grouped[1], looped[1])
 
 
 def test_layout_rows_must_share_the_parent_intensity():
@@ -391,7 +440,7 @@ def _row_loop_realization(lambda_p, by_delta, r_trunc, rng, n_rows):
     # the reference: one realization summed row by row, each row on its own gathered pairs, with the minimum
     # image, Matern-II thinning and pair gathers written out on the (n, n, 2) difference tensor
     side = 2.0 * r_trunc
-    parents = interference.sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
+    parents = sample_ppp(lambda_p, Window(0.0, side, 0.0, side), rng)
     n = len(parents)
     marks = rng.random(n)
     diff = parents[None, :, :] - parents[:, None, :]
@@ -459,20 +508,31 @@ _ROW = st.tuples(
 @example([(0.0, 200.0, 3.8, True), (0.0, 200.0, 4.2, True), (500.0, 200.0, 3.8, False)], 1.0, None, 5)
 @example([(300.0, 40.0, 3.4, False), (0.0, 40.0, 3.4, True)], 1.0, 1, 7)
 def test_grouped_rows_sum_exactly_as_the_row_loop(specs, lambda_scale, parents_kept, seed):
-    # every row of a realization sums the same values in the same order as the row-by-row loop,
-    # with 0, 1 or 2 parents left (a window holds 16 in the mean, so truncating its draw is what reaches these)
+    # every row of a realization sums the same values in the same order as the row-by-row loop, also with 0, 1
+    # or 2 parents: a window holds at least 16 in the mean at any lambda_p, so capping the parent count of both
+    # routes' child streams is what reaches these
     rows = [
         (scenario(x_off, delta, alpha, lambda_p=LAMBDA_P * lambda_scale), nearest)
         for delta, x_off, alpha, nearest in specs
     ]
-    draw = interference.sample_ppp
-    truncated = draw if parents_kept is None else (lambda *args: draw(*args)[:parents_kept])
-    with mock.patch.object(interference, "sample_ppp", wraps=truncated) as draws:
-        grouped = _tagged_station_mc(rows, 3, np.random.default_rng(seed))
-        # every realization draws its parents through the patched name, so the truncated cases test something
-        assert draws.call_count == 3
-        looped = _row_loop_mc(rows, 3, np.random.default_rng(seed))
+    capped = _capped_count_generator(parents_kept)
+    shapes, _, grouped = _groups(rows, 3, capped(np.random.PCG64(seed)))
+    if parents_kept is not None:
+        assert {n for _, n in shapes} == {parents_kept}
+    looped = _row_loop_mc(rows, 3, capped(np.random.PCG64(seed)))
     assert np.array_equal(grouped[0], looped[0]) and np.array_equal(grouped[1], looped[1])
+
+
+def _capped_count_generator(cap):
+    # a Generator type whose Poisson draws, and those of the children it spawns, return at most cap
+    if cap is None:
+        return np.random.Generator
+
+    class Capped(np.random.Generator):
+        def poisson(self, lam=1.0, size=None):
+            return min(super().poisson(lam, size), cap)
+
+    return Capped
 
 
 @pytest.mark.parametrize(
@@ -523,7 +583,8 @@ def test_mc_thinning_matches_matern2_thin_where_no_pair_wraps(marked, delta):
     side = 26.0
     pts = np.array([(x, y) for x, y, _ in marked], dtype=float).reshape(-1, 2)
     marks = np.array([m for _, _, m in marked])
-    (kept,) = _mark_thinning(_min_image(pts[None], side)[2], marks[None], [float(delta)])
+    work = interference._Work()
+    (kept,) = _mark_thinning(_min_image(pts[None], side, work)[2], marks[None], [float(delta)], work)
     expected = matern2_thin(pts, float(delta), marks, Window(0.0, side, 0.0, side))
     assert np.array_equal(pts[kept[0]], expected)
 
@@ -531,7 +592,8 @@ def test_mc_thinning_matches_matern2_thin_where_no_pair_wraps(marked, delta):
 def test_mc_thinning_competes_across_the_seam():
     # 2 m apart across the edge of a 20 m torus, 18 m apart in the plane
     pts = np.array([[19.0, 5.0], [1.0, 5.0]])
-    (kept,) = _mark_thinning(_min_image(pts[None], 20.0)[2], np.array([[0.6, 0.2]]), [3.0])
+    work = interference._Work()
+    (kept,) = _mark_thinning(_min_image(pts[None], 20.0, work)[2], np.array([[0.6, 0.2]]), [3.0], work)
     assert np.flatnonzero(kept[0]).tolist() == [1]
     assert matern2_thin(pts, 3.0, marks=[0.6, 0.2], window=Window(0.0, 20.0, 0.0, 20.0)).tolist() == pts.tolist()
 
