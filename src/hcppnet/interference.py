@@ -17,7 +17,7 @@ import numpy as np
 from ._special import hyp2f1_far, hyp2f1_near
 from .channel import ChannelParams, mean_shadowing
 from .errors import DivergenceError, ParameterError, bounded, check, check_fields
-from .point_process import HcppParams, first_moment, second_moment
+from .point_process import HcppParams, _matern2_losers, first_moment, second_moment
 
 __all__ = [
     "InterferenceScenario",
@@ -219,11 +219,13 @@ class _Work:
 
     A group's planes and pair tables are views of these, written with
     ``out=``, so a call faults in the pages of its largest group once rather
-    than fresh pages for every group; the buffers go when the call returns.
+    than fresh pages for every group; the buffers, and the masks of
+    :meth:`upper`, go when the call returns.
     """
 
     def __init__(self):
         self.buffers: dict[str, np.ndarray] = {}
+        self.uppers: dict[int, np.ndarray] = {}
 
     def __call__(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         size = math.prod(shape)
@@ -231,6 +233,12 @@ class _Work:
         if buf is None or buf.size < size:
             buf = self.buffers[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
+
+    def upper(self, n: int) -> np.ndarray:
+        """The ``(n, n)`` mask of the index pairs ``i < j``, built once per call for each ``n``."""
+        if n not in self.uppers:
+            self.uppers[n] = np.less.outer(np.arange(n), np.arange(n))
+        return self.uppers[n]
 
 
 def _min_image(points: np.ndarray, side: float, work: _Work) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -258,29 +266,30 @@ def _mark_thinning(dist2: np.ndarray, marks: np.ndarray, deltas, work: _Work) ->
     """Matern type-II survivor masks at each spacing of ``deltas``, given the squared pair distances ``dist2``.
 
     ``dist2`` is ``(realizations, n, n)`` and ``marks`` ``(realizations, n)``;
-    each mask is ``(realizations, n)``.  Within a realization a parent dies
-    when another within ``delta`` (inclusive) has a smaller mark, or an equal
-    mark and an earlier index, as in
-    :func:`~hcppnet.point_process.matern2_thin`; ``delta == 0`` keeps every
-    parent.  The marks are ranked once for all the spacings, and not at all
-    when every spacing is 0.  The boolean planes are views of ``work``'s
-    buffers.
+    each mask is ``(realizations, n)``.  Each realization's pairs ``i < j``
+    within the largest spacing (inclusive) are read once from ``dist2``; at
+    each spacing, every pair within it drops its loser, as in
+    :func:`~hcppnet.point_process.matern2_thin`: the larger mark, or on a tie
+    the later index.  ``delta == 0`` keeps every parent, and when every
+    spacing is 0 no pair is read.  The close-pair plane is a view of
+    ``work``'s buffers.
     """
-    if not any(deltas):
-        return [np.ones(marks.shape, dtype=bool)] * len(deltas)
     g, n = marks.shape
-    rank = np.empty((g, n), dtype=np.intp)
-    rank[np.arange(g)[:, None], np.argsort(marks, axis=1, kind="stable")] = np.arange(n)
-    outranks = np.less(rank[:, :, None], rank[:, None, :], out=work("outranks", (g, n, n), bool))
-    close = work("close", (g, n, n), bool)
+    if not any(deltas):
+        return [np.ones((g, n), dtype=bool)] * len(deltas)
+    close = np.less_equal(dist2, max(deltas) ** 2, out=work("close", (g, n, n), bool))
+    close &= work.upper(n)
+    flat = close.ravel().nonzero()[0]
+    # flat is (realization * n + i) * n + j; i and j become indices into the group's parents laid end to end
+    i, j = np.divmod(flat, n)
+    j += i - i % n
+    loser, pair_d2 = _matern2_losers(i, j, marks.ravel()), dist2.ravel()[flat]
     kept = []
     for delta in deltas:
-        if delta == 0:
-            kept.append(np.ones((g, n), dtype=bool))
-            continue
-        np.less_equal(dist2, delta**2, out=close)
-        close &= outranks
-        kept.append(~close.any(axis=1))
+        keep = np.ones(g * n, dtype=bool)
+        if delta:
+            keep[loser[pair_d2 <= delta**2]] = False
+        kept.append(keep.reshape(g, n))
     return kept
 
 
@@ -333,14 +342,14 @@ def _group_sums(plan, r_trunc: float, block: np.ndarray, work: _Work, n_rows: in
     takes its pairs with one flat-index search over the in-play mask of its
     survivors, row-major within each realization, and each survivor is
     tagged in turn, as :func:`mc_interference` describes.  The
-    user-to-station distances are computed once per distinct offset, and the
-    rows' powers are whole-array operations over that offset table.
-    ``nearest`` rows also drop interferers within ``x_off`` of the user
-    (nearest-station association, for the Poisson baseline), filtered per
-    offset.  Each realization sums each row's pairs on their own, so every
-    sum is that of the realization run alone.  Returns the row sums and
-    station counts, two ``(realizations, n_rows)`` arrays in the slots of
-    ``plan``.
+    user-to-station distances are computed once per distinct offset, and a
+    spacing's rows are one ``(rows, pairs)`` table of them.  A ``nearest``
+    row (the Poisson baseline's nearest-station association) sets its
+    distances within ``x_off`` of the user to ``inf`` before the power, so
+    they add 0.  Each realization sums each row's pairs on their own, so
+    every sum is that of the realization run alone.  Returns the row sums
+    and station counts, two ``(realizations, n_rows)`` arrays in the slots
+    of ``plan``.
     """
     g, n = block.shape[0], block.shape[1] // 4
     side = 2.0 * r_trunc
@@ -359,7 +368,7 @@ def _group_sums(plan, r_trunc: float, block: np.ndarray, work: _Work, n_rows: in
     # where each realization's entries start in the flattened planes; a group of one needs no edges
     plane_edges = None if g == 1 else [i * n * n for i in range(g + 1)]
     sums, counts = np.empty((2, g, n_rows))
-    for keep, (delta, slots, offsets, (x_idx, neg_half_alpha), near) in zip(kept, plan):
+    for keep, (delta, slots, offsets, x_idx, neg_half_alpha, cut) in zip(kept, plan):
         # at spacing 0 every parent survives, so its pairs are the in-play ones
         if delta == 0:
             flat = inplay.ravel().nonzero()[0]
@@ -369,17 +378,12 @@ def _group_sums(plan, r_trunc: float, block: np.ndarray, work: _Work, n_rows: in
             flat = pairs.ravel().nonzero()[0]
         d2 = _user_distances2(offsets, dx, dy, ux, uy, flat, flat // n, work)
         pair_edges = None if plane_edges is None else np.searchsorted(flat, plane_edges).tolist()
-        for slot, j, x_sq, nha in near:
-            beyond = d2[j] > x_sq
-            edges = None if pair_edges is None else np.searchsorted(beyond.nonzero()[0], pair_edges).tolist()
-            kept_d2 = d2[j][beyond]
-            powered = np.power(kept_d2, nha[:, None], out=work("table", (len(nha), len(kept_d2))))
-            _sum_each(powered, edges, sums[:, slot:slot + len(nha)])
-        if len(neg_half_alpha):
-            # after the nearest rows, which read d2: a plain row per distinct offset, in order, powers d2 in place
-            powered = d2 if x_idx is None else d2.take(x_idx, axis=0, out=work("table", (len(x_idx), len(flat))), mode="wrap")
-            np.power(powered, neg_half_alpha[:, None], out=powered)
-            _sum_each(powered, pair_edges, sums[:, slots.start:slots.start + len(neg_half_alpha)])
+        # rows that are the distinct offsets in order power d2 in place
+        table = d2 if x_idx is None else d2.take(x_idx, axis=0, out=work("table", (len(x_idx), len(flat))), mode="wrap")
+        if cut is not None:
+            np.copyto(table, np.inf, where=np.less_equal(table, cut[:, None], out=work("drop", table.shape, bool)))
+        np.power(table, neg_half_alpha[:, None], out=table)
+        _sum_each(table, pair_edges, sums[:, slots])
         counts[:, slots] = n if delta == 0 else np.add.reduce(keep, axis=1)[:, None]
     return sums, counts
 
@@ -388,35 +392,26 @@ def _row_plan(rows) -> tuple[list[tuple], list[int]]:
     """How every realization serves ``rows``: one entry per spacing, in ascending spacing, and the row in each slot.
 
     A realization writes each row's sum and station count into a slot of its
-    own.  The slots run spacing by spacing: first the rows without
-    ``nearest``, then those with it, by distinct offset.  An entry is
-    ``(delta, slots, offsets, plain, near)``: the spacing's slice of slots;
-    the distinct user offsets of its rows; its rows without ``nearest``, in
-    the first slots, as two arrays (offset index, or ``None`` when they are
-    the offsets in order, and ``-alpha/2``); and, for each distinct offset of
-    its ``nearest`` rows, the tuple (first slot, offset index, ``x_off**2``,
-    ``-alpha/2`` array).
+    own.  The slots run spacing by spacing, and within a spacing in the order
+    of ``rows``.  An entry is ``(delta, slots, offsets, x_idx, neg_half_alpha,
+    cut)``: the spacing's slice of slots; the distinct user offsets of its
+    rows; each row's offset index, or ``None`` when the rows are the offsets
+    in order; each row's ``-alpha/2``; and each row's squared distance within
+    which an interferer is dropped, ``x_off**2`` for a ``nearest`` row and
+    ``-inf`` for the others, or ``None`` when no row of the spacing is
+    ``nearest``.
     """
     plan, order = [], []
     for delta in sorted({s.hcpp.delta for s, _ in rows}):
-        members = [(k, s.x_off, -s.channel.alpha / 2.0, nearest)
-                   for k, (s, nearest) in enumerate(rows) if s.hcpp.delta == delta]
-        offsets = list(dict.fromkeys(x for _, x, _, _ in members))
-        first = len(order)
-        plain = [(k, offsets.index(x), p) for k, x, p, nearest in members if not nearest]
-        order += [k for k, _, _ in plain]
-        near_by_x: dict[float, list] = {}
-        for k, x, p, nearest in members:
-            if nearest:
-                near_by_x.setdefault(x, []).append((k, p))
-        near = []
-        for x, kp in near_by_x.items():
-            near.append((len(order), offsets.index(x), x**2, np.array([p for _, p in kp])))
-            order += [k for k, _ in kp]
-        x_idx = [i for _, i, _ in plain]
-        plain_arrays = (None if x_idx == list(range(len(offsets))) else np.array(x_idx, dtype=np.intp),
-                        np.array([p for _, _, p in plain]))
-        plan.append((delta, slice(first, len(order)), np.array(offsets), plain_arrays, near))
+        members = [(k, s, nearest) for k, (s, nearest) in enumerate(rows) if s.hcpp.delta == delta]
+        offsets = list(dict.fromkeys(s.x_off for _, s, _ in members))
+        x_idx = [offsets.index(s.x_off) for _, s, _ in members]
+        cut = [s.x_off**2 if nearest else -math.inf for _, s, nearest in members]
+        plan.append((delta, slice(len(order), len(order) + len(members)), np.array(offsets),
+                     None if x_idx == list(range(len(offsets))) else np.array(x_idx, dtype=np.intp),
+                     np.array([-s.channel.alpha / 2.0 for _, s, _ in members]),
+                     np.array(cut) if max(cut) > -math.inf else None))
+        order += [k for k, _, _ in members]
     return plan, order
 
 

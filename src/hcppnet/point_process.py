@@ -121,13 +121,19 @@ def _close_pairs(pos: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]
     return pairs[0], pairs[1]
 
 
+def _matern2_losers(i: np.ndarray, j: np.ndarray, marks: np.ndarray) -> np.ndarray:
+    """The Matern type-II loser of each close pair ``(i[k], j[k])``, ``i < j``: the larger mark, on a tie ``j``."""
+    return np.where(marks[i] <= marks[j], j, i)
+
+
 def matern2_thin(points, delta: float, marks, window: Window) -> np.ndarray:
     """Apply Matern type-II dependent thinning to a marked pattern.
 
     A point survives iff no other point with a strictly smaller mark lies
     within distance ``delta`` (inclusive).  Ties are broken by position in
     the input sequence: the earlier point wins.  Retention of a point is
-    decided against the full input pattern, not against other survivors.
+    decided against the full input pattern, not against other survivors:
+    each close pair, found by sort and sweep, drops its loser.
 
     Parameters
     ----------
@@ -157,10 +163,7 @@ def matern2_thin(points, delta: float, marks, window: Window) -> np.ndarray:
 
     keep = np.ones(pos.shape[0], dtype=bool)
     if delta > 0 and pos.shape[0] > 1:
-        i, j = _close_pairs(pos, delta)
-        j_loses = mk[i] <= mk[j]  # equal marks: earlier index survives
-        keep[j[j_loses]] = False
-        keep[i[~j_loses]] = False
+        keep[_matern2_losers(*_close_pairs(pos, delta), mk)] = False
 
     survivors = pos[keep]
     return survivors[window.contains(survivors)]

@@ -22,7 +22,7 @@ from hcppnet.interference import Estimate, _influence, _mc_row, _tagged_station_
 
 GOLDEN = {
     2: (
-        "fc4d19fb4461e916ca84a636c23698d81dbd50e923a4ae76a96e26a6f9f0ba07",
+        "afa7f111923c8bf830bb6fa18c474dd2e670320ec137d18d7b5752d2913a48ac",
         48,
         "x_off",
         ["hcpp alpha=3.4", "ppp alpha=3.4", "hcpp alpha=3.8", "ppp alpha=3.8", "hcpp alpha=4.2", "ppp alpha=4.2"],
