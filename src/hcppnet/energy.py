@@ -23,7 +23,7 @@ from ._special import exp_tail, exprel
 from .channel import path_gain, sample_shadowing
 from .errors import ConfigurationError, ParameterError, bounded, check, check_fields
 from .interference import Estimate, InterferenceScenario
-from .zf_capacity import AntennaConfig, _check_link_draws, _gauss_nodes, _roots_genlaguerre, _roots_hermite
+from .zf_capacity import AntennaConfig, _check_link_draws, _gamma_gains, _gauss_nodes, _roots_genlaguerre, _roots_hermite
 
 __all__ = [
     "TrafficModel",
@@ -164,23 +164,11 @@ def energy_efficiency_mc(
     with its factor ``n/(n-1)``; it is infinite, unknown, with fewer than two served draws, and
     with none the mean is 0.  ``i_avg`` and ``station_intensity`` are the mean interference and the
     station intensity of one station model, as :func:`~hcppnet.interference.model_interference`
-    returns them.
+    returns them.  It is the one-row case of :func:`_shared_draw_terms`, draws and checks alike.
     """
-    check("draws", draws, (">=", 1))
-    rho = traffic_sample(tm, rng, draws)
-    w = sample_shadowing(scenario.channel.sigma_s_db, rng, draws)
-    g = rng.gamma(cfg.gain_shape, 1.0, draws)
-    check("i_avg", i_avg, (">", 0))
-    _check_link_draws(rho, w, g)
-    link_gain = path_gain(scenario.channel, scenario.x_off) * w
-    link_gain *= g
-    ee, _, terms = _ee_row(rho, link_gain, cfg, tm, energy, i_avg, station_intensity, _row_buffers(draws))
+    row = cfg, tm, scenario, energy, i_avg, station_intensity
+    [(_, (ee, _, terms))] = _shared_draw_terms([row], draws, rng)
     return Estimate.from_influence(ee, terms, draws)
-
-
-def _row_buffers(draws: int) -> tuple[np.ndarray, ...]:
-    """The work buffers of :func:`_ee_row` for rows of ``draws`` draws: power, served mask, served powers."""
-    return np.empty(draws), np.empty(draws, dtype=bool), np.empty(draws)
 
 
 def _ee_row(rho: np.ndarray, link_gain: np.ndarray, cfg: AntennaConfig, tm: TrafficModel, energy: EnergyModel,
@@ -188,9 +176,10 @@ def _ee_row(rho: np.ndarray, link_gain: np.ndarray, cfg: AntennaConfig, tm: Traf
     """Energy efficiency of one row of checked draws: ``(ee, served, terms)``, evaluated in ``buffers``.
 
     ``rho`` are the rate draws and ``link_gain`` the ``path_gain * w_ii * gain``
-    draws paired with them; ``buffers`` are :func:`_row_buffers` of their
-    length.  Beyond them a row allocates only the served draws' indices and
-    the staging copies ``take`` makes of its bounds-checked gathers.
+    draws paired with them; ``buffers`` are work arrays of their length:
+    power, served mask, served powers.  Beyond them a row allocates only the
+    served draws' indices and the staging copies ``take`` makes of its
+    bounds-checked gathers.
     ``served`` marks the draws within the power cap.  ``terms`` holds each
     served draw's influence term: the gradient of ``ee`` in the two
     served-draw means dotted with that draw's deviation from them, over the
@@ -222,38 +211,21 @@ def _ee_row(rho: np.ndarray, link_gain: np.ndarray, cfg: AntennaConfig, tm: Traf
     return ee, served, terms
 
 
-def _summed_exponentials(rng: np.random.Generator, draws: int, shapes):
-    """Yield ``(m, g)`` for each of the increasing gain ``shapes``: ``draws`` Gamma(m, 1) gains.
-
-    Each gain is the sum of the first ``m`` of its own sequence of unit
-    exponential draws, so the gains of every shape share their exponentials.
-    ``g`` is one array summed in place: use it before the next step.  At
-    ``m = 1`` it equals ``rng.gamma(1.0, 1.0, draws)`` bit for bit.
-    """
-    g = np.zeros(draws)
-    m = 0
-    for shape in shapes:
-        while m < shape:
-            g += rng.standard_exponential(draws)
-            m += 1
-        yield m, g
-
-
 def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
     """Yield ``(k, terms)``: the :func:`_ee_row` of each row ``k`` of ``rows``, all on one set of draws.
 
     A row is the ``(cfg, tm, scenario, energy, i_avg, station_intensity)`` of
     :func:`energy_efficiency_quad`; the rows share the shadowing spread.  The
-    set is drawn in the order :func:`energy_efficiency_mc` draws one row's:
-    ``draws`` uniforms, from which each traffic model's Pareto rates follow
-    by inverse CDF, then the shadowing, then unit exponentials, the first
-    ``m`` of which sum to the gain of a row of gain shape ``m``
-    (:func:`_summed_exponentials`).  Rows are evaluated in order of gain
-    shape, and in the given order within one.  Rows that share draws are
-    correlated.  Each array is checked once, not once per row.  Every row is
-    evaluated in one set of :func:`_row_buffers`, and the link gain is formed
-    once per path gain and gain shape, so a row's ``served`` and ``terms`` are
-    valid only until the next step, as :func:`_summed_exponentials`' gains are.
+    set is ``draws`` uniforms, from which each traffic model's Pareto rates
+    follow by inverse CDF, then the shadowing, then unit exponentials, the
+    first ``m`` of which sum to the gain of a row of gain shape ``m``
+    (:func:`~hcppnet.zf_capacity._gamma_gains`).  A single point
+    (:func:`energy_efficiency_mc`) is the one-row case.  Rows are evaluated
+    in order of gain shape, and in the given order within one.  Rows that
+    share draws are correlated.  Each array is checked once, not once per
+    row.  Every row is evaluated in one set of work buffers, and the link
+    gain is formed once per path gain and gain shape, so a row's ``served``
+    and ``terms`` are valid only until the next step, as the summed gains are.
     """
     check("draws", draws, (">=", 1))
     sigma = rows[0][2].channel.sigma_s_db
@@ -265,10 +237,10 @@ def _shared_draw_terms(rows, draws: int, rng: np.random.Generator):
     by_shape: dict[int, list[int]] = {}
     for k, row in enumerate(rows):
         by_shape.setdefault(row[0].gain_shape, []).append(k)
-    buffers = _row_buffers(draws)
+    buffers = np.empty(draws), np.empty(draws, dtype=bool), np.empty(draws)  # power, served mask, served powers
     link_gain, rho = np.empty(draws), np.empty(draws)
     rates_of = None
-    for m, g in _summed_exponentials(rng, draws, sorted(by_shape)):
+    for m, g in _gamma_gains(rng, draws, sorted(by_shape)):
         _check_link_draws(gain=g)
         gain_of = None
         for k in by_shape[m]:

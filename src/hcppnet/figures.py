@@ -36,7 +36,7 @@ from .interference import (
     model_interference,
 )
 from .point_process import HcppParams
-from .zf_capacity import AntennaConfig, _gamma_gains, _se_estimate, spectral_efficiency_bound
+from .zf_capacity import AntennaConfig, _se_estimates, spectral_efficiency_bound
 
 __all__ = ["FIGURE_IDS", "ResultRow", "ResultTable", "run_figure"]
 
@@ -316,9 +316,11 @@ def _efficiency_columns(tasks: list[Task]) -> tuple[list[float], list[Estimate]]
     """The analytic column and the estimates of a spectral- or energy-efficiency figure, in this process.
 
     One draw set serves each seed key: a spectral-efficiency curve draws
-    one gain matrix, and every ``xi`` of the curve is evaluated on it; an
-    energy-efficiency figure draws one set for all its rows
-    (:func:`~hcppnet.energy._shared_draw_terms`).
+    one gain matrix, and every ``xi`` of the curve is evaluated on it
+    (:func:`~hcppnet.zf_capacity._se_estimates`); an energy-efficiency
+    figure draws one set for all its rows
+    (:func:`~hcppnet.energy._shared_draw_terms`).  A single point's
+    estimator is the one-row case of each.
     """
     kind = tasks[0].kind
     if kind == "se":
@@ -330,8 +332,8 @@ def _efficiency_columns(tasks: list[Task]) -> tuple[list[float], list[Estimate]]
     for key, idx in _by_seed_key(tasks).items():
         rng = _rng_for(*key)
         if kind == "se":
-            gains = _gamma_gains(tasks[idx[0]].antennas, reps, rng)
-            estimates.update((i, _se_estimate(tasks[i].antennas, tasks[i].sweep_value, gains)) for i in idx)
+            xis = [tasks[i].sweep_value for i in idx]
+            estimates.update(zip(idx, _se_estimates(tasks[idx[0]].antennas, xis, reps, rng)))
         else:
             rows = _shared_draw_terms([tasks[i].ee_inputs() for i in idx], reps, rng)
             estimates.update((idx[k], Estimate.from_influence(ee, terms, reps)) for k, (ee, _, terms) in rows)

@@ -2,11 +2,12 @@
 
 A station with ``n_t`` antennas serves ``s`` single-antenna users at once by
 inverting the aggregate channel.  The per-stream effective gain then follows
-a Gamma law (shape ``n_t - s + 1``), which gives a fast sampling shortcut
-for the spectral efficiency, a Gauss-Laguerre quadrature (accurate to about
-7e-4 relative at gain shape 1, see :func:`spectral_efficiency_exact`), and a
-closed-form Jensen upper bound; :func:`sample_zf_gains` draws the gains
-from explicit channel matrices to check that law.
+a Gamma law (shape ``n_t - s + 1``), which every Monte Carlo route draws as
+summed unit exponentials (:func:`_gamma_gains`), and which gives a
+Gauss-Laguerre quadrature (accurate to about 7e-4 relative at gain shape 1,
+see :func:`spectral_efficiency_exact`) and a closed-form Jensen upper bound;
+:func:`sample_zf_gains` draws the gains from explicit channel matrices to
+check that law.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def sample_zf_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) ->
 
     The direct route: draw every Rayleigh fading matrix at once (unit-power
     complex Gaussian entries), invert the batch of Gram matrices, read the
-    diagonals.  Kept alongside the Gamma shortcut so the two can be checked
+    diagonals.  Kept alongside :func:`_gamma_gains` so the two can be checked
     against each other.  A singular Gram matrix has probability zero and
     raises :class:`numpy.linalg.LinAlgError`.
     """
@@ -117,24 +118,47 @@ def spectral_efficiency_mc(
 ) -> Estimate:
     """Monte Carlo spectral efficiency: mean of ``sum_k log2(1 + (xi/s) gain_k)``.
 
-    The per-stream gains are drawn directly from their Gamma law; the
-    matrix route :func:`sample_zf_gains` validates that shortcut.
+    The one-row case of a figure curve (:func:`_se_estimates`); the matrix
+    route :func:`sample_zf_gains` validates the gain law it draws from.
     """
     _check_xi(xi)
-    return _se_estimate(cfg, xi, _gamma_gains(cfg, draws, rng))
+    return _se_estimates(cfg, (xi,), draws, rng)[0]
 
 
-def _gamma_gains(cfg: AntennaConfig, draws: int, rng: np.random.Generator) -> np.ndarray:
-    """Per-stream zero-forcing gains from their Gamma law, shape (draws, s): one draw set for any ``xi``."""
+def _gamma_gains(rng: np.random.Generator, size, shapes):
+    """Yield ``(m, g)`` for each of the increasing gain ``shapes``: Gamma(m, 1) gains of shape ``size``.
+
+    The library's one sampler of the zero-forcing gain law.  Each gain is the
+    sum of the first ``m`` of its own sequence of unit exponential draws, one
+    ``rng.standard_exponential(size)`` per unit of shape, so the gains of
+    every shape share their exponentials.  ``g`` is one array summed in
+    place: use it before the next step.  At ``m = 1`` it is bit for bit what
+    ``Generator.gamma`` draws at shape 1, a unit exponential.
+    """
+    g = np.zeros(size)
+    m = 0
+    for shape in shapes:
+        while m < shape:
+            g += rng.standard_exponential(size)
+            m += 1
+        yield m, g
+
+
+def _se_estimates(cfg: AntennaConfig, xis, draws: int, rng: np.random.Generator) -> list[Estimate]:
+    """Spectral efficiency at each of ``xis`` on one set of ``(draws, s)`` gains: their sample means.
+
+    The gains are sums of unit exponentials (:func:`_gamma_gains`), drawn
+    once for the whole list, so the estimates of one call are correlated.
+    The caller checks each ``xi``.
+    """
     check("draws", draws, (">=", 1))
-    return rng.gamma(cfg.gain_shape, 1.0, size=(draws, cfg.s))
-
-
-def _se_estimate(cfg: AntennaConfig, xi: float, gains: np.ndarray) -> Estimate:
-    """Spectral efficiency at ``xi`` on the gain draws of :func:`_gamma_gains`: their sample mean."""
-    values = np.log1p((xi / cfg.s) * gains).sum(axis=1) / math.log(2.0)
-    mean = float(values.mean())
-    return Estimate.from_influence(mean, (values - mean) / len(values), len(values))
+    _, gains = next(_gamma_gains(rng, (draws, cfg.s), (cfg.gain_shape,)))
+    estimates = []
+    for xi in xis:
+        values = np.log1p((xi / cfg.s) * gains).sum(axis=1) / math.log(2.0)
+        mean = float(values.mean())
+        estimates.append(Estimate.from_influence(mean, (values - mean) / draws, draws))
+    return estimates
 
 
 def _jacobi_rule(n: int, mu0: float, diag, off, poly, dpoly, symmetric: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -40,13 +40,13 @@ GOLDEN = {
         ["hcpp lambda_p=2.4868e-07", "hcpp lambda_p=4.9736e-07", "hcpp lambda_p=9.9472e-07"],
     ),
     6: (
-        "6b9da729f78ab28730621a45f4be22a9bc8e4b4cf91ad93deb062d09e161db3b",
+        "332bdd7b296809b3246d8f7274a4c3bbe3d28fd4d2dfd7c5e434cb4d7647e75b",
         39,
         "xi",
         ["n_t=2", "n_t=4", "n_t=8"],
     ),
     7: (
-        "2daab07967d2ae6cac38c5778da644ee1c254068aa03ec1be0c6f92d447b28ad",
+        "c3784595247abc2ccb8deb1e473a2d1dd1e05b67922c92a1efae17740342a343",
         52,
         "xi",
         ["s=1", "s=2", "s=4", "s=8"],
@@ -125,11 +125,10 @@ def test_efficiency_figure_keys_one_draw_set_per_figure_or_curve():
     assert [t.seed_key for t in _tasks(7, SEED_7, 3)][::13] == [(7, 7, 0), (7, 7, 1), (7, 7, 2), (7, 7, 3)]
 
 
-@pytest.mark.parametrize("figure_id", [6, 7, 9, 10, 11])
+@pytest.mark.parametrize("figure_id", [6, 7, 8, 9, 10, 11])
 def test_efficiency_rows_are_their_estimator_run_alone_on_the_shared_stream(figure_id):
-    # a curve's gain matrix serves each xi as a run of that row alone would draw it; at gain
-    # shape 1 (every row of figures 9-11) a figure's draw set is the one energy_efficiency_mc
-    # draws for a single row, so every row equals that run on the figure's stream
+    # a single point's estimator is the one-row case of its figure path: a curve's gain matrix
+    # serves each xi, and a figure's draw set each energy row, as a run of that row alone draws them
     reps = 400
     table = run_figure(figure_id, SEED_7, reps=reps, workers=1)
     for task, row in zip(_tasks(figure_id, SEED_7, reps), table.rows, strict=True):

@@ -44,6 +44,27 @@ def test_zf_gains_follow_gamma_law():
     assert g.mean() == pytest.approx(cfg.gain_shape, rel=0.02)
 
 
+@pytest.mark.parametrize("size", [100_000, (100_000, 3)])
+def test_summed_exponential_gains_follow_the_gamma_law(size):
+    # every Monte Carlo gain of shape m is a running sum of m shared unit exponentials, column by column
+    shapes = []
+    for m, g in zf_capacity._gamma_gains(np.random.default_rng(1008), size, (1, 4, 16)):
+        assert g.shape == np.empty(size).shape
+        for column in g.reshape(g.shape[0], -1).T:
+            d, _ = stats.kstest(column, stats.gamma(a=m).cdf)
+            assert d < 0.01, (m, d)
+        shapes.append(m)
+    assert shapes == [1, 4, 16]
+
+
+@pytest.mark.parametrize("size", [1000, (1000, 8)])
+def test_summed_exponential_gains_at_shape_one_are_numpys_gamma_bit_for_bit(size):
+    # so the gain-shape-1 rows (figures 9-11, figure 7's s=8 curve) draw what numpy's Gamma sampler draws
+    [(m, g)] = zf_capacity._gamma_gains(np.random.default_rng(9), size, (1,))
+    assert m == 1
+    assert np.array_equal(g, np.random.default_rng(9).gamma(1.0, 1.0, size))
+
+
 def test_zf_gains_singular_draw_raises():
     # A singular Gram matrix has probability zero; when one occurs the
     # sampler reports it instead of redrawing.
@@ -86,10 +107,10 @@ def test_spectral_efficiency_mc_agrees_with_exact():
 
 @pytest.mark.parametrize(
     ("n_t", "s", "xi", "mean", "std_error"),
-    [(8, 4, 10.0, 14.534687485682888, 0.026210329624825085), (2, 1, 0.1, 0.26085762153470604, 0.0035877659880908775)],
+    [(8, 4, 10.0, 14.464573583824688, 0.027439941059656782), (2, 1, 0.1, 0.24624901841923966, 0.003509554538234692)],
 )
 def test_single_row_estimate_is_pinned(n_t, s, xi, mean, std_error):
-    # a single-row run draws and estimates exactly as before figure curves shared their gains
+    # a single point is the one-row case of a figure curve: its gains are summed unit exponentials
     est = spectral_efficiency_mc(AntennaConfig(n_t, s), xi, 2000, np.random.default_rng(5))
     assert (est.mean, est.std_error, est.replications) == (mean, std_error, 2000)
 
